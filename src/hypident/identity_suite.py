@@ -157,6 +157,37 @@ def _second_argument(z: float, pair: ParameterPair) -> float:
     return (pair.S - z) * (1.0 - z) / ((1.0 - pair.sqrt_S) ** 2 * z)
 
 
+def _main_kernel(pair: ParameterPair):
+    """at(t) -> the per-node integrand z -> main_integrand(z, pair, t), less the
+    interior check.  For real t the t-free geometry (asin(sqrt(Y)),
+    asinh(sqrt(x)), 1 - z) of each node is memoized for the life of the
+    kernel, one check, so each further t costs one cosh * cos / d per node."""
+    st, ss, s_hi = pair.sqrt_T, pair.sqrt_S, pair.S
+    inv_ss = 1.0 / (1.0 - ss) ** 2
+    geometry = {}
+
+    def node(z: float) -> tuple[float, float, float]:
+        sz = math.sqrt(z)
+        y = (1.0 + sz) * (sz - st) / (2.0 * (1.0 - st) * sz)
+        x = (s_hi - z) * (1.0 - z) * inv_ss / z
+        g = geometry[z] = (math.asin(math.sqrt(y)), math.asinh(math.sqrt(x)), 1.0 - z)
+        return g
+
+    def at(t: complex):
+        t = complex(t)
+        if t.imag != 0.0:
+            return lambda z: (f_2it_unit_interval(t, -kernel_shifts(z, pair)[0])
+                              * f_it(t, _second_argument(z, pair)) / (1.0 - z))
+        c4, c2 = 4.0 * t.real, 2.0 * t.real
+
+        def f(z: float) -> float:
+            asin_y, asinh_x, d = geometry.get(z) or node(z)
+            return math.cosh(c4 * asin_y) * math.cos(c2 * asinh_x) / d
+        return f
+
+    return at
+
+
 def main_integrand(z: float, pair: ParameterPair, t: complex) -> complex:
     """Smooth part of the main integrand at interior z (T < z < S).
 
@@ -166,10 +197,9 @@ def main_integrand(z: float, pair: ParameterPair, t: complex) -> complex:
     """
     if not pair.T < z < pair.S:
         raise DomainError(f"z = {z:g} outside ({pair.T:g}, {pair.S:g})")
-    a_shift, _ = kernel_shifts(z, pair)
-    y = -a_shift
-    x = _second_argument(z, pair)
-    return f_2it_unit_interval(t, y) * f_it(t, x) / (1.0 - z)
+    if not cmath.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
+    return _main_kernel(pair)(t)(z)
 
 
 # ---------------------------------------------------------------------------
@@ -191,33 +221,17 @@ def check_main_identity(pair: ParameterPair, t: complex,
     if abs(t.real) > re_t_cap:
         raise DomainError(
             f"|Re t| = {abs(t.real):g} exceeds the cancellation cap {re_t_cap:g}")
-    st, ss = pair.sqrt_T, pair.sqrt_S
-    s_val, t_val = pair.S, pair.T
+    integrand = _main_kernel(pair)(t)
     peak = [0.0]
 
-    if t.imag == 0.0:
-        tr = t.real
-        inv_ss = 1.0 / (1.0 - ss) ** 2
+    def f(z: float) -> complex:
+        v = integrand(z)
+        av = abs(v)
+        if av > peak[0]:
+            peak[0] = av
+        return v
 
-        def f(z: float) -> float:
-            sz = math.sqrt(z)
-            y = (1.0 + sz) * (sz - st) / (2.0 * (1.0 - st) * sz)
-            x = (s_val - z) * (1.0 - z) * inv_ss / z
-            v = (math.cosh(4.0 * tr * math.asin(math.sqrt(y)))
-                 * math.cos(2.0 * tr * math.asinh(math.sqrt(x))) / (1.0 - z))
-            av = abs(v)
-            if av > peak[0]:
-                peak[0] = av
-            return v
-    else:
-        def f(z: float) -> complex:
-            v = main_integrand(z, pair, t)
-            av = abs(v)
-            if av > peak[0]:
-                peak[0] = av
-            return v
-
-    est = integrate_chebyshev_weighted(f, t_val, s_val, policy)
+    est = integrate_chebyshev_weighted(f, pair.T, pair.S, policy)
     rhs = pair.main_closed_form()
     digits_lost = math.log10(peak[0] / rhs) if peak[0] > 0.0 else 0.0
     rid = record_id("main_identity", T=pair.T, S=pair.S, t=t)
@@ -705,9 +719,7 @@ def check_weighted_residual(r: float, pair: ParameterPair,
     if policy is None:
         policy = EvaluationPolicy(abs_tol=2e-10, rel_tol=1e-9, max_nodes=60000)
 
-    st, ss = pair.sqrt_T, pair.sqrt_S
-    t_lo, s_hi = pair.T, pair.S
-    inv_ss = 1.0 / (1.0 - ss) ** 2
+    main_at = _main_kernel(pair)
     lr = math.asinh(math.sqrt(r))
     inv_sqrt_1pr = 1.0 / math.sqrt(1.0 + r)
     rhs_const = pair.main_closed_form()
@@ -720,17 +732,10 @@ def check_weighted_residual(r: float, pair: ParameterPair,
                 * math.cos(4.0 * t * lr) * inv_sqrt_1pr)
 
     def inner_main(t: float) -> float:
-        def f(z: float) -> float:
-            sz = math.sqrt(z)
-            y = (1.0 + sz) * (sz - st) / (2.0 * (1.0 - st) * sz)
-            x = (s_hi - z) * (1.0 - z) * inv_ss / z
-            return (math.cosh(4.0 * t * math.asin(math.sqrt(y)))
-                    * math.cos(2.0 * t * math.asinh(math.sqrt(x))) / (1.0 - z))
-
         loosen = math.cosh(min(TWO_PI * t, 700.0))
         scaled = replace(policy,
                          abs_tol=min(max(policy.abs_tol * loosen, policy.abs_tol), 1e6))
-        est = integrate_chebyshev_weighted(f, t_lo, s_hi, scaled)
+        est = integrate_chebyshev_weighted(main_at(t), pair.T, pair.S, scaled)
         inner_nodes[0] += est.nodes_used
         if not est.converged:
             inner_unconverged[0] += 1

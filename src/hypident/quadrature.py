@@ -17,6 +17,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 from .errors import DomainError
@@ -56,6 +57,16 @@ def pairwise_sum(values: list[complex]) -> complex:
     return pairwise_sum(values[:mid]) + pairwise_sum(values[mid:])
 
 
+@lru_cache(maxsize=64)   # checks revisit the same few levels hundreds of times
+def _chebyshev_nodes(lo: float, hi: float, n: int) -> tuple[float, ...]:
+    if n < 1 or not lo < hi:
+        raise DomainError(f"Chebyshev rule needs n >= 1 and lo < hi, got {n}, ({lo:g}, {hi:g})")
+    width = hi - lo
+    step = math.pi / n
+    return tuple(lo + width * (0.5 + 0.5 * math.cos((k + 0.5) * step))
+                 for k in range(n))
+
+
 def chebyshev_rule(f: Callable[[float], complex], lo: float, hi: float,
                    n: int) -> complex:
     """n-point Gauss-Chebyshev approximation of
@@ -63,15 +74,10 @@ def chebyshev_rule(f: Callable[[float], complex], lo: float, hi: float,
 
     The substitution z = lo + (hi-lo)(1+cos(theta))/2 absorbs the weight
     exactly and reduces the integral to an equally weighted midpoint rule
-    in theta over (0, pi); all nodes are strictly interior.
+    in theta over (0, pi); all nodes are strictly interior.  Raises
+    DomainError unless n >= 1 and lo < hi.
     """
-    width = hi - lo
-    step = math.pi / n
-    vals = []
-    for k in range(n):
-        theta = (k + 0.5) * step
-        z = lo + width * (0.5 + 0.5 * math.cos(theta))
-        vals.append(complex(f(z)))
+    vals = [complex(f(z)) for z in _chebyshev_nodes(lo, hi, n)]
     return (math.pi / n) * pairwise_sum(vals)
 
 
@@ -87,8 +93,6 @@ def integrate_chebyshev_weighted(f: Callable[[float], complex], lo: float,
     error estimate.  Running out of the max_nodes budget yields a flagged,
     unconverged estimate rather than an exception.
     """
-    if not lo < hi:
-        raise DomainError(f"integration bounds must satisfy lo < hi, got ({lo:g}, {hi:g})")
     n = 16
     prev = chebyshev_rule(f, lo, hi, n)
     used = n

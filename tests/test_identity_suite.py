@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypident as hy
-from hypident import DegenerateConfigurationError, DomainError
+from hypident import DegenerateConfigurationError, DomainError, cli, identity_suite
+from hypident.identity_suite import _main_kernel, _second_argument
 
 PAIR = hy.ParameterPair(0.25, 0.5)
 WIDE = hy.ParameterPair(0.1, 0.9)
@@ -258,6 +259,73 @@ class TestWeightedResidual:
     def test_domain(self):
         with pytest.raises(DomainError):
             hy.check_weighted_residual(0.0, PAIR)
+
+
+def _reference_real_integrand(pair, t):
+    # the real-t main integrand as first written inline in the checks; the
+    # shared kernel must reproduce it bit for bit
+    st, ss = pair.sqrt_T, pair.sqrt_S
+    s_val = pair.S
+    inv_ss = 1.0 / (1.0 - ss) ** 2
+
+    def f(z):
+        sz = math.sqrt(z)
+        y = (1.0 + sz) * (sz - st) / (2.0 * (1.0 - st) * sz)
+        x = (s_val - z) * (1.0 - z) * inv_ss / z
+        return (math.cosh(4.0 * t * math.asin(math.sqrt(y)))
+                * math.cos(2.0 * t * math.asinh(math.sqrt(x))) / (1.0 - z))
+
+    return f
+
+
+class TestMainKernel:
+    def test_real_t_bit_identical_to_reference(self):
+        for pair in (hy.ParameterPair(*p) for p in cli.DEFAULT_PAIRS):
+            at = _main_kernel(pair)   # one memo across every t and level
+            for t in (0.0, 0.5, 1.0, 2.0, -1.3):
+                ref, got = _reference_real_integrand(pair, t), at(t)
+                for n in (16, 32, 64, 128, 256):
+                    nodes = []
+                    rule = hy.chebyshev_rule(lambda z: nodes.append(z) or got(z),
+                                             pair.T, pair.S, n)
+                    assert [got(z) for z in nodes] == [ref(z) for z in nodes]
+                    assert rule == hy.chebyshev_rule(ref, pair.T, pair.S, n)
+
+    def test_complex_t_matches_closed_form_factors(self):
+        for t in (0.5j, 0.3 + 0.4j, -1.1 + 0.2j):
+            at = _main_kernel(PAIR)
+            for z in (0.26, 0.375, 0.49):
+                y = -hy.kernel_shifts(z, PAIR)[0]
+                want = (hy.f_2it_unit_interval(t, y) * hy.f_it(t, _second_argument(z, PAIR))
+                        / (1.0 - z))
+                assert at(t)(z) == want
+                assert hy.main_integrand(z, PAIR, t) == want
+
+    def test_weighted_residual_independent_of_earlier_checks(self):
+        first = hy.check_weighted_residual(1.0, PAIR)
+        hy.check_weighted_residual(10.0, PAIR)
+        hy.check_main_identity(PAIR, 1.5)
+        hy.check_weighted_residual(1.0, WIDE)
+        assert hy.check_weighted_residual(1.0, PAIR) == first
+
+    @pytest.mark.parametrize("suite", ["main_identity", "weighted_residual"])
+    def test_every_evaluation_goes_through_an_engine(self, suite, monkeypatch):
+        # each record's nodes count must equal the integrand calls made by
+        # the engines, one per node, as an external call counter sees them
+        calls = [0]
+
+        def counting(engine):
+            def wrapped(f, *args, **kwargs):
+                def g(x):
+                    calls[0] += 1
+                    return f(x)
+                return engine(g, *args, **kwargs)
+            return wrapped
+
+        for name in ("integrate_chebyshev_weighted", "integrate_decaying_halfline"):
+            monkeypatch.setattr(identity_suite, name, counting(getattr(identity_suite, name)))
+        doc = cli.run(cli.GridConfig.from_dict({"suites": [suite]}))
+        assert doc.records and calls[0] == sum(r.metadata["nodes"] for r in doc.records)
 
 
 class TestCheckRecordInvariant:

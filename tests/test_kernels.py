@@ -138,6 +138,11 @@ class TestMainIntegrand:
         with pytest.raises(DomainError):
             hy.main_integrand(PAIR.S, PAIR, 1.0)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan, complex(0.5, math.inf)])
+    def test_rejects_non_finite_t(self, t):
+        with pytest.raises(DomainError):
+            hy.main_integrand(0.375, PAIR, t)
+
 
 class TestQuadraticFamily:
     def test_a_closed_form(self):

@@ -85,6 +85,23 @@ class TestChebyshevWeighted:
         with pytest.raises(DomainError):
             hy.integrate_chebyshev_weighted(lambda z: 1.0, 1.0, 0.0, POLICY)
 
+    @pytest.mark.parametrize("lo, hi, n", [(0.0, 1.0, 0), (0.0, 1.0, -4), (1.0, 0.0, 16),
+                                           (0.5, 0.5, 16), (math.nan, 1.0, 16)])
+    def test_rule_rejects_bad_level_or_bounds(self, lo, hi, n):
+        calls = []
+        with pytest.raises(DomainError):
+            hy.chebyshev_rule(calls.append, lo, hi, n)
+        assert calls == []
+
+    def test_rule_nodes_are_the_cosine_midpoints(self):
+        lo, hi, n = 0.1, 0.9, 48
+        want = [lo + (hi - lo) * (0.5 + 0.5 * math.cos((k + 0.5) * (math.pi / n)))
+                for k in range(n)]
+        for _ in range(2):   # built once, then served again
+            nodes = []
+            hy.chebyshev_rule(lambda z: nodes.append(z) or 0.0, lo, hi, n)
+            assert nodes == want
+
 
 class TestDecayingHalfline:
     def test_pure_exponential(self):
