@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -217,7 +218,7 @@ def build_tasks(cfg: GridConfig) -> list:
             for (t_v, s_v) in cfg.pairs:
                 pair = ParameterPair(t_v, s_v)
                 for frac in KERNEL_Z_FRACTIONS:
-                    z = t_v + frac * (s_v - t_v)
+                    z = min(t_v + frac * (s_v - t_v), s_v)   # may round above S
                     for r in cfg.r_values:
                         add(check_spectral_kernel, z, r, pair, pol,
                             tolerance=_tol(cfg, 1e-7))
@@ -254,13 +255,15 @@ def build_tasks(cfg: GridConfig) -> list:
 def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
     """Execute the configured grid and assemble the report.
 
-    Records are computed independently (optionally on a thread pool) and
-    sorted by id, so the report is independent of scheduling.
+    Records are computed independently (with jobs > 1 on a thread pool
+    bounded by the task and CPU counts) and sorted by id, so the report is
+    independent of scheduling.
     """
     start = time.perf_counter()
     tasks = build_tasks(cfg)
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), (os.cpu_count() or 1) + 4)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             records = list(pool.map(lambda task: task(), tasks))
     else:
         records = [task() for task in tasks]

@@ -17,8 +17,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
+from functools import lru_cache, reduce
+from operator import add, mul
+from typing import Callable, Sequence
 
 from .errors import DomainError
 from .policy import DEFAULT_POLICY, EvaluationPolicy
@@ -43,18 +44,23 @@ class IntegralEstimate:
     converged: bool
 
 
-def pairwise_sum(values: list[complex]) -> complex:
-    """Deterministic pairwise summation (fixed recursive halving)."""
-    n = len(values)
-    if n == 0:
-        return complex(0.0)
+def pairwise_sum(values: Sequence[complex]) -> complex:
+    """Deterministic pairwise summation (fixed recursive halving).
+
+    Leaves of at most 8 values are added left to right from 0.0 with
+    operator.add, never builtin sum(), which compensates float sums from
+    Python 3.12 on.  Values may mix float and complex; the total is
+    converted to complex once.
+    """
+    return complex(_pairwise(values, 0, len(values)))
+
+
+def _pairwise(values: Sequence[complex], lo: int, hi: int):
+    n = hi - lo
     if n <= 8:
-        total = complex(0.0)
-        for v in values:
-            total += v
-        return total
-    mid = n // 2
-    return pairwise_sum(values[:mid]) + pairwise_sum(values[mid:])
+        return reduce(add, values[lo:hi], 0.0)
+    mid = lo + n // 2
+    return _pairwise(values, lo, mid) + _pairwise(values, mid, hi)
 
 
 @lru_cache(maxsize=64)   # checks revisit the same few levels hundreds of times
@@ -77,7 +83,7 @@ def chebyshev_rule(f: Callable[[float], complex], lo: float, hi: float,
     in theta over (0, pi); all nodes are strictly interior.  Raises
     DomainError unless n >= 1 and lo < hi.
     """
-    vals = [complex(f(z)) for z in _chebyshev_nodes(lo, hi, n)]
+    vals = list(map(f, _chebyshev_nodes(lo, hi, n)))
     return (math.pi / n) * pairwise_sum(vals)
 
 
@@ -126,8 +132,7 @@ _K15_WEIGHTS = (
     0.140653259715525, 0.104790010322250, 0.063092092629979,
     0.022935322010529,
 )
-# Embedded 7-point Gauss rule lives on nodes 1, 3, 5, 7, 9, 11, 13.
-_G7_INDEX = (1, 3, 5, 7, 9, 11, 13)
+# Embedded 7-point Gauss rule lives on the odd Kronrod nodes 1, 3, ..., 13.
 _G7_WEIGHTS = (
     0.129484966168870, 0.279705391489277, 0.381830050505119,
     0.417959183673469, 0.381830050505119, 0.279705391489277,
@@ -140,9 +145,9 @@ def gauss_kronrod_panel(g: Callable[[float], complex], a: float,
     """15-point Kronrod value and |K15 - G7| error indicator on [a, b]."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
-    vals = [complex(g(mid + half * x)) for x in _K15_NODES]
-    k15 = half * pairwise_sum([w * v for w, v in zip(_K15_WEIGHTS, vals)])
-    g7 = half * pairwise_sum([w * vals[i] for i, w in zip(_G7_INDEX, _G7_WEIGHTS)])
+    vals = [g(mid + half * x) for x in _K15_NODES]
+    k15 = half * pairwise_sum(list(map(mul, _K15_WEIGHTS, vals)))
+    g7 = half * pairwise_sum(list(map(mul, _G7_WEIGHTS, vals[1::2])))
     return k15, abs(k15 - g7)
 
 

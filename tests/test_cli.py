@@ -4,13 +4,16 @@ determinism across worker counts."""
 import csv
 import io
 import json
+import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
 import hypident as hy
 from hypident import UsageError
+from hypident import cli
 from hypident.cli import (CSV_COLUMNS, GridConfig, SUITES, build_tasks,
                           exit_code, main, render_csv, render_json, run)
 
@@ -112,6 +115,62 @@ class TestRun:
                                     "pairs": [[0.25, 0.5], [0.1, 0.9]],
                                     "r_values": [1.0, 10.0]})
         assert len(build_tasks(cfg)) == 2 * 5 * 2
+
+    def test_kernel_point_at_s_never_overshoots(self):
+        # for some pairs T + 1.0 * (S - T) rounds above S, outside the
+        # kernel's domain; the last spectral_kernel point must be S itself
+        rng = random.Random(0)
+        for _ in range(10000):
+            t_v = rng.uniform(0.05, 0.6)
+            s_v = rng.uniform(t_v + 0.05, 0.95)
+            if t_v + 1.0 * (s_v - t_v) > s_v:
+                break
+        else:
+            pytest.fail("no overshooting pair found")
+        cfg = GridConfig.from_dict({"suites": ["spectral_kernel"],
+                                    "pairs": [[t_v, s_v]], "r_values": [1.0]})
+        doc = run(cfg)
+        zs = sorted(rec.metadata["z"] for rec in doc.records)
+        assert doc.summary["total"] == 5
+        assert zs[0] == t_v and zs[-1] == s_v
+
+    def test_thread_pool_bounded_by_tasks_and_cpus(self, monkeypatch):
+        # a recording stand-in runs the tasks serially: no thread is started
+        seen = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", SerialPool)
+        threads = threading.active_count()
+        small = GridConfig.from_dict({"suites": ["barnes"]})          # 5 tasks
+        large = GridConfig.from_dict({"suites": ["spectral_product"]})  # 24 tasks
+        reference = render_csv(run(small, jobs=1))
+        assert seen == []
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        assert render_csv(run(small, jobs=10 ** 9)) == reference
+        run(large, jobs=10 ** 9)
+        run(large, jobs=3)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: None)
+        run(large, jobs=10 ** 9)
+        assert seen == [5, 6, 3, 5]
+        empty = GridConfig.from_dict({"suites": ["main_identity"], "pairs": []})
+        assert run(empty, jobs=8).summary["total"] == 0
+        one = GridConfig.from_dict({"suites": ["q_integral"],
+                                    "pairs": [[0.25, 0.5]], "r_values": [1.0]})
+        assert run(one, jobs=8).summary["total"] == 1
+        assert seen == [5, 6, 3, 5]   # 0 or 1 task: serial, no pool
+        assert threading.active_count() == threads
 
     def test_degenerate_obstruction_skipped(self):
         # r at the double-root radius of (0.25, 0.5)

@@ -1,13 +1,15 @@
 """Tests for the two quadrature engines."""
 
+import cmath
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypident as hy
-from hypident import DomainError
+from hypident import DomainError, quadrature
 
 POLICY = hy.DEFAULT_POLICY
 
@@ -184,3 +186,130 @@ class TestDeterminism:
         got = hy.pairwise_sum([complex(v) for v in vals]).real
         ref = math.fsum(vals)
         assert abs(got - ref) <= 1e-9 * max(1.0, abs(ref))
+
+
+# Reference engines that convert every value to complex before summing and
+# split the list by slicing: the oracles for the bit-identity tests below.
+def _old_pairwise_sum(values):
+    n = len(values)
+    if n == 0:
+        return complex(0.0)
+    if n <= 8:
+        total = complex(0.0)
+        for v in values:
+            total += v
+        return total
+    mid = n // 2
+    return _old_pairwise_sum(values[:mid]) + _old_pairwise_sum(values[mid:])
+
+
+def _old_chebyshev_rule(f, lo, hi, n):
+    vals = [complex(f(z)) for z in quadrature._chebyshev_nodes(lo, hi, n)]
+    return (math.pi / n) * _old_pairwise_sum(vals)
+
+
+_OLD_G7_INDEX = (1, 3, 5, 7, 9, 11, 13)
+
+
+def _old_gauss_kronrod_panel(g, a, b):
+    half = 0.5 * (b - a)
+    mid = 0.5 * (a + b)
+    vals = [complex(g(mid + half * x)) for x in quadrature._K15_NODES]
+    k15 = half * _old_pairwise_sum([w * v for w, v in zip(quadrature._K15_WEIGHTS, vals)])
+    g7 = half * _old_pairwise_sum([w * vals[i] for i, w
+                                   in zip(_OLD_G7_INDEX, quadrature._G7_WEIGHTS)])
+    return k15, abs(k15 - g7)
+
+
+def _bits(z):
+    z = complex(z)
+    return z.real.hex(), z.imag.hex()     # tells -0.0 from 0.0
+
+
+def _value_lists(n, rng):
+    mags = [rng.choice((1e-300, 1e-9, 1.0, 3.7e5, 1e16)) * rng.uniform(-1.0, 1.0)
+            for _ in range(n)]
+    floats = [(-0.0 if k % 7 == 3 else v) for k, v in enumerate(mags)]
+    complexes = [complex(v, rng.choice((-0.0, 0.0, -v, 2.5 * v))) for v in mags]
+    mixed = [c if k % 3 else f for k, (f, c) in enumerate(zip(floats, complexes))]
+    ints = [rng.randint(-10 ** 6, 10 ** 6) for _ in range(n)]
+    zeros = [rng.choice((0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0)))
+             for _ in range(n)]
+    return {"float": floats, "complex": complexes, "mixed": mixed,
+            "int": ints, "signed_zero": zeros}
+
+
+_SIZES = list(range(301)) + [512, 1024, 2048, 4096]
+
+
+def _integrands():
+    # float, complex, int, mixed and signed-zero returns, each call counted
+    return {
+        "float": lambda z: math.sin(7.0 * z) / (1.1 - z),
+        "complex": lambda z: cmath.exp(complex(-z, 3.0 * z)) / (2.0 - z),
+        "int": lambda z: int(1000.0 * z) - 300,
+        "mixed": lambda z: complex(z, -z * z) if z > 0.4 else -z,
+        "signed_zero": lambda z: -0.0 if z < 0.5 else complex(0.0, -0.0),
+    }
+
+
+def _counted(f):
+    calls = []
+
+    def wrapped(z):
+        calls.append(z)
+        return f(z)
+    return wrapped, calls
+
+
+class TestBitIdentityWithOldEngines:
+    def test_pairwise_sum(self):
+        rng = random.Random(20171)
+        for n in _SIZES:
+            for kind, vals in _value_lists(n, rng).items():
+                got = hy.pairwise_sum(vals)
+                assert type(got) is complex
+                want = _old_pairwise_sum([complex(v) for v in vals])
+                assert _bits(got) == _bits(want), (n, kind)
+
+    def test_chebyshev_rule(self):
+        for name, f in _integrands().items():
+            for n in _SIZES[1:]:
+                new_f, new_calls = _counted(f)
+                old_f, old_calls = _counted(f)
+                got = hy.chebyshev_rule(new_f, 0.1, 0.9, n)
+                assert _bits(got) == _bits(_old_chebyshev_rule(old_f, 0.1, 0.9, n)), (name, n)
+                assert new_calls == old_calls and len(new_calls) == n
+
+    def test_gauss_kronrod_panel(self):
+        for name, f in _integrands().items():
+            for a, b in ((0.0, 1.0), (0.1, 0.35), (-2.0, 3.5), (0.5, 0.5 + 2.0 ** -30)):
+                new_f, new_calls = _counted(f)
+                old_f, old_calls = _counted(f)
+                val, err = hy.gauss_kronrod_panel(new_f, a, b)
+                old_val, old_err = _old_gauss_kronrod_panel(old_f, a, b)
+                assert _bits(val) == _bits(old_val), (name, a, b)
+                assert err.hex() == old_err.hex()
+                assert new_calls == old_calls and len(new_calls) == 15
+
+    def test_adaptive_engines(self, monkeypatch):
+        cheb = lambda z: complex(math.cos(5.0 * z), z) / (1.05 - z)
+        half = lambda s: math.cos(3.0 * s) * math.exp(-s)
+
+        def run_both():
+            counted_c, calls_c = _counted(cheb)
+            counted_h, calls_h = _counted(half)
+            return (hy.integrate_chebyshev_weighted(counted_c, 0.0, 1.0, POLICY),
+                    hy.integrate_decaying_halfline(counted_h, 1.0, POLICY),
+                    calls_c, calls_h)
+
+        c_new, h_new, cc_new, ch_new = run_both()
+        monkeypatch.setattr(quadrature, "chebyshev_rule", _old_chebyshev_rule)
+        monkeypatch.setattr(quadrature, "gauss_kronrod_panel", _old_gauss_kronrod_panel)
+        c_old, h_old, cc_old, ch_old = run_both()
+        for new, old in ((c_new, c_old), (h_new, h_old)):
+            assert _bits(new.value) == _bits(old.value)
+            assert (new.error_estimate, new.nodes_used, new.converged) == \
+                (old.error_estimate, old.nodes_used, old.converged)
+        assert cc_new == cc_old and len(cc_new) == c_new.nodes_used
+        assert ch_new == ch_old and len(ch_new) == h_new.nodes_used
