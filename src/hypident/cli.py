@@ -10,12 +10,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
+from json.encoder import encode_basestring_ascii as _str
 
 from . import __version__
 from .errors import DegenerateConfigurationError, UsageError
@@ -24,7 +26,7 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_q_integral, check_spectral_kernel,
                              check_spectral_power, check_spectral_product,
                              check_spectral_resolvent,
-                             check_weighted_residual)
+                             check_weighted_residual, re_t_cap_reason)
 from .policy import EvaluationPolicy
 from .records import FAIL, PASS, SKIPPED, UNCONVERGED, CheckRecord, record_id, skipped_record
 from .special_functions import check_product_formula, check_quadratic_transform
@@ -177,13 +179,19 @@ def build_tasks(cfg: GridConfig) -> list:
     def add(fn, *args, **kwargs):
         tasks.append(lambda: fn(*args, **kwargs))
 
+    def skip(suite, reason, tol, **params):
+        return skipped_record(record_id(suite, **params), reason, tol, metadata=params)
+
     for suite in cfg.suites:
         if suite == "main_identity":
             for (t_v, s_v) in cfg.pairs:
                 pair = ParameterPair(t_v, s_v)
                 for t in cfg.t_values:
-                    add(check_main_identity, pair, t, pol,
-                        tolerance=_tol(cfg, 1e-7))
+                    reason = re_t_cap_reason(t)
+                    if reason is None:
+                        add(check_main_identity, pair, t, pol, tolerance=_tol(cfg, 1e-7))
+                    else:
+                        add(skip, suite, reason, _tol(cfg, 1e-7), T=t_v, S=s_v, t=t)
         elif suite == "quadratic_transform":
             for t in cfg.t_values:
                 for w in TRANSFORM_W_GRID:
@@ -233,15 +241,10 @@ def build_tasks(cfg: GridConfig) -> list:
                 pair = ParameterPair(t_v, s_v)
                 for r in cfg.r_values:
                     def task(r=r, pair=pair, tol=_tol(cfg, 1e-8)):
-                        rid = record_id("obstruction", T=pair.T, S=pair.S, r=r)
                         try:
-                            return check_obstruction_integer(r, pair, pol,
-                                                             tolerance=tol)
+                            return check_obstruction_integer(r, pair, pol, tolerance=tol)
                         except DegenerateConfigurationError as exc:
-                            return skipped_record(rid, str(exc), tol,
-                                                  metadata={"T": pair.T,
-                                                            "S": pair.S,
-                                                            "r": r})
+                            return skip("obstruction", str(exc), tol, T=pair.T, S=pair.S, r=r)
                     tasks.append(task)
         elif suite == "weighted_residual":
             for (t_v, s_v) in cfg.pairs:
@@ -278,37 +281,48 @@ def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
                           wall_time_seconds=wall)
 
 
-def _json_safe(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    if isinstance(value, float):
-        return value if value == value and abs(value) != float("inf") else None
-    return value
+def _num(x) -> str:
+    """A number as json.dumps writes it; finite floats skip the encoder."""
+    return float.__repr__(x) if isinstance(x, float) and math.isfinite(x) else json.dumps(x)
 
 
-def _record_dict(rec: CheckRecord) -> dict:
-    return {
-        "id": rec.id,
-        "suite": rec.suite,
-        "lhs": None if rec.lhs is None else [rec.lhs.real, rec.lhs.imag],
-        "rhs": None if rec.rhs is None else [rec.rhs.real, rec.rhs.imag],
-        "abs_err": _json_safe(rec.abs_err),
-        "rel_err": _json_safe(rec.rel_err),
-        "tolerance": rec.tolerance,
-        "status": rec.status,
-        "metadata": {k: _json_safe(v) for k, v in sorted(rec.metadata.items())},
-    }
+def _value(v, pad: str) -> str:
+    """A value at indent `pad`: complex as [re, im], non-finite float as null."""
+    if isinstance(v, float):
+        return float.__repr__(v) if math.isfinite(v) else "null"
+    if isinstance(v, complex):
+        return f"[\n{pad}  {_num(v.real)},\n{pad}  {_num(v.imag)}\n{pad}]"
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def _record_json(rec: CheckRecord) -> str:
+    key, item = " " * 6, " " * 8   # indent of the record's keys and of nested items
+    md = rec.metadata
+    meta = ("{\n" + ",\n".join(f"{item}{_str(k)}: {_value(md[k], item)}"
+                               for k in sorted(md)) + f"\n{key}}}") if md else "{}"
+    return (f'{{\n{key}"abs_err": {_value(rec.abs_err, key)},\n'
+            f'{key}"id": {_str(rec.id)},\n'
+            f'{key}"lhs": {_value(rec.lhs, key)},\n'
+            f'{key}"metadata": {meta},\n'
+            f'{key}"rel_err": {_value(rec.rel_err, key)},\n'
+            f'{key}"rhs": {_value(rec.rhs, key)},\n'
+            f'{key}"status": {_str(rec.status)},\n'
+            f'{key}"suite": {_str(rec.suite)},\n'
+            f'{key}"tolerance": {_num(rec.tolerance)}\n    }}')
 
 
 def render_json(doc: ReportDocument) -> str:
-    payload = {
-        "tool_version": doc.tool_version,
-        "config": doc.config,
-        "summary": doc.summary,
-        "wall_time_seconds": doc.wall_time_seconds,
-        "records": [_record_dict(rec) for rec in doc.records],
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The report as json.dumps(payload, indent=2, sort_keys=True) writes it; records are
+    formatted directly, since that encoder runs in pure Python when it indents."""
+    envelope = json.dumps({"tool_version": doc.tool_version, "config": doc.config,
+                           "summary": doc.summary, "records": [],
+                           "wall_time_seconds": doc.wall_time_seconds},
+                          indent=2, sort_keys=True)
+    if not doc.records:
+        return envelope + "\n"
+    head, tail = envelope.split('"records": []', 1)   # no config key holds it
+    body = ",\n    ".join(map(_record_json, doc.records))
+    return "".join((head, '"records": [\n    ', body, "\n  ]", tail, "\n"))
 
 
 def render_csv(doc: ReportDocument) -> str:

@@ -205,10 +205,19 @@ def main_integrand(z: float, pair: ParameterPair, t: complex) -> complex:
 # ---------------------------------------------------------------------------
 # main identity
 
+RE_T_CAP = 2.0   # default bound on |Re t| in check_main_identity
+
+
+def re_t_cap_reason(t: complex, re_t_cap: float = RE_T_CAP) -> str | None:
+    """Why check_main_identity refuses t, or None if |Re t| is within the cap."""
+    return (f"|Re t| = {abs(t.real):g} exceeds the cancellation cap {re_t_cap:g}"
+            if abs(t.real) > re_t_cap else None)
+
+
 def check_main_identity(pair: ParameterPair, t: complex,
                         policy: EvaluationPolicy = DEFAULT_POLICY,
                         tolerance: float = 1e-7,
-                        re_t_cap: float = 2.0) -> CheckRecord:
+                        re_t_cap: float = RE_T_CAP) -> CheckRecord:
     """Integrate the main integrand over (T, S) and compare with
     pi / sqrt((1-T)(1-S)).
 
@@ -219,8 +228,7 @@ def check_main_identity(pair: ParameterPair, t: complex,
     """
     t = complex(t)
     if abs(t.real) > re_t_cap:
-        raise DomainError(
-            f"|Re t| = {abs(t.real):g} exceeds the cancellation cap {re_t_cap:g}")
+        raise DomainError(re_t_cap_reason(t, re_t_cap))
     integrand = _main_kernel(pair)(t)
     peak = [0.0]
 

@@ -4,6 +4,7 @@ determinism across worker counts."""
 import csv
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -14,8 +15,9 @@ import pytest
 import hypident as hy
 from hypident import UsageError
 from hypident import cli
-from hypident.cli import (CSV_COLUMNS, GridConfig, SUITES, build_tasks,
-                          exit_code, main, render_csv, render_json, run)
+from hypident.cli import (CSV_COLUMNS, GridConfig, ReportDocument, SUITES,
+                          build_tasks, exit_code, main, render_csv, render_json,
+                          run)
 
 FAST_CONFIG = {
     "suites": ["main_identity", "q_integral"],
@@ -210,6 +212,106 @@ class TestReports:
         assert isinstance(rec["lhs"], list) and len(rec["lhs"]) == 2
 
 
+def _oracle_json_safe(value):
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    if isinstance(value, float):
+        return value if value == value and abs(value) != float("inf") else None
+    return value
+
+
+def _oracle_render_json(doc):
+    """The writer render_json replaced: plain dicts through the indenting
+    json encoder.  render_json must produce exactly these bytes."""
+    records = [{
+        "id": rec.id,
+        "suite": rec.suite,
+        "lhs": None if rec.lhs is None else [rec.lhs.real, rec.lhs.imag],
+        "rhs": None if rec.rhs is None else [rec.rhs.real, rec.rhs.imag],
+        "abs_err": _oracle_json_safe(rec.abs_err),
+        "rel_err": _oracle_json_safe(rec.rel_err),
+        "tolerance": rec.tolerance,
+        "status": rec.status,
+        "metadata": {k: _oracle_json_safe(v) for k, v in sorted(rec.metadata.items())},
+    } for rec in doc.records]
+    payload = {"tool_version": doc.tool_version, "config": doc.config,
+               "summary": doc.summary, "wall_time_seconds": doc.wall_time_seconds,
+               "records": records}
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _document(records, config=None):
+    return ReportDocument(tool_version=hy.__version__,
+                          config=config or GridConfig.from_dict({}).echo(),
+                          records=records, summary={"total": len(records)},
+                          wall_time_seconds=0.125)
+
+
+class TestJsonWriter:
+    """render_json against the json.dumps(indent=2, sort_keys=True) oracle."""
+
+    def test_default_grid(self):
+        doc = run(GridConfig.from_dict({}))
+        assert render_json(doc) == _oracle_render_json(doc)
+
+    def test_complex_t_grid(self):
+        cfg = GridConfig.from_dict({
+            "suites": ["main_identity", "quadratic_transform", "product_formula",
+                       "q_integral", "obstruction"],
+            "pairs": [[0.25, 0.5], [0.1, 0.9]],
+            "t_values": [[0.0, 0.25], [1.5, 0.1], [0.7, -0.3], 1.9, 3.0],
+            "r_values": [0.5, 16.48528137423857]})
+        doc = run(cfg)
+        assert doc.summary["skipped"] > 0
+        assert render_json(doc) == _oracle_render_json(doc)
+
+    def test_non_finite_and_signed_zero(self):
+        inf, nan = math.inf, math.nan
+        records = [
+            hy.CheckRecord("main_identity/a", complex(nan, -0.0), complex(inf, -inf),
+                           nan, inf, 1e-7, hy.FAIL,
+                           {"t": complex(1.0, nan), "q": -inf, "p": nan,
+                            "zero": -0.0, "z": complex(-0.0, inf)}),
+            hy.CheckRecord("barnes/b", complex(-0.0, 0.0), complex(1e300, -5e-324),
+                           -inf, -0.0, inf, hy.PASS, {"tiny": 5e-324, "big": -1.7e308}),
+            hy.CheckRecord("q_integral/c", 1j, 1j, 0.0, 0.0, nan, hy.PASS, {}),
+        ]
+        doc = _document(records)
+        text = render_json(doc)
+        assert text == _oracle_render_json(doc)
+        assert "NaN" in text and "-Infinity" in text and "null" in text
+
+    def test_metadata_kinds(self):
+        reason = 'na\u00efve \u00e9t\u00e9 \U0001d70b "quoted" \\ back\nline [1, 2], {a: b}\t'
+        records = [
+            hy.CheckRecord("obstruction/T=0.25/S=0.5/r=16.5", None, None, 0.0, 0.0,
+                           1e-8, hy.SKIPPED, {"reason": reason, "T": 0.25, "S": 0.5}),
+            hy.CheckRecord("spectral_power/A=1", 2.0 + 0j, 2.0 + 0j, 0.0, 0.0, 1,
+                           hy.PASS,
+                           {"nodes": 112, "big_int": 10 ** 30, "flag": True,
+                            "off": False, "none": None,
+                            "nested": {"b": [1.5, {"c": None, "a": [1, 2]}], "a": []},
+                            "list": [1, [2.5, "x"], []], "empty": {},
+                            "\u00fcber": "\u2603"}),
+            hy.CheckRecord("barnes/empty", 1 + 0j, 1 + 0j, 0, 0, 1e-8, hy.PASS, {}),
+        ]
+        doc = _document(records)
+        assert render_json(doc) == _oracle_render_json(doc)
+
+    def test_empty_record_list(self):
+        doc = _document([])
+        assert render_json(doc) == _oracle_render_json(doc)
+        assert '"records": []' in render_json(doc)
+
+    def test_envelope_holding_the_records_key_text(self):
+        config = GridConfig.from_dict({"output_path": '"records": [] x.json',
+                                       "pairs": []}).echo()
+        records = [hy.CheckRecord("barnes/a", 1j, 1j, 0.0, 0.0, 1e-8, hy.PASS, {})]
+        for recs in (records, []):
+            doc = _document(recs, config)
+            assert render_json(doc) == _oracle_render_json(doc)
+
+
 class TestCommandLine:
     def test_single_pass_exit_zero(self, tmp_path):
         out = tmp_path / "report.json"
@@ -283,3 +385,25 @@ class TestCommandLine:
         strip = lambda s: "\n".join(ln for ln in s.splitlines()
                                     if "wall_time_seconds" not in ln)
         assert strip(out1.stdout) == strip(out8.stdout)
+
+    def test_main_identity_beyond_cap_skipped(self, tmp_path):
+        # |Re t| above the cancellation cap used to abort the whole run with
+        # a DomainError traceback and no report
+        out = tmp_path / "report.json"
+        proc = run_cli(["--output", str(out)],
+                       config={"suites": ["main_identity"], "pairs": [[0.25, 0.5]],
+                               "t_values": [1.0, 3.0, [-2.5, 0.5]]},
+                       tmp_path=tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        payload = json.loads(out.read_text())
+        assert payload["summary"] == {"pass": 1, "fail": 0, "unconverged": 0,
+                                      "skipped": 2, "total": 3}
+        skipped = {rec["id"]: rec for rec in payload["records"]
+                   if rec["status"] == "skipped"}
+        assert len(skipped) == 2
+        rec = skipped["main_identity/T=0.25/S=0.5/t=3"]
+        assert rec["lhs"] is None and rec["rhs"] is None
+        assert rec["tolerance"] == 1e-7
+        assert rec["metadata"] == {
+            "T": 0.25, "S": 0.5, "t": [3.0, 0.0],
+            "reason": "|Re t| = 3 exceeds the cancellation cap 2"}
