@@ -18,6 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
 from json.encoder import encode_basestring_ascii as _str
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import DegenerateConfigurationError, UsageError
@@ -30,20 +31,6 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
 from .policy import EvaluationPolicy
 from .records import FAIL, PASS, SKIPPED, UNCONVERGED, CheckRecord, record_id, skipped_record
 from .special_functions import check_product_formula, check_quadratic_transform
-
-SUITES = (
-    "main_identity",
-    "quadratic_transform",
-    "product_formula",
-    "barnes",
-    "spectral_power",
-    "spectral_resolvent",
-    "spectral_product",
-    "spectral_kernel",
-    "q_integral",
-    "obstruction",
-    "weighted_residual",
-)
 
 DEFAULT_PAIRS = ((0.25, 0.5), (0.1, 0.9), (0.4, 0.45))
 DEFAULT_T_VALUES = (complex(0.0), complex(0.5), complex(1.0), complex(2.0),
@@ -59,6 +46,78 @@ BARNES_TRIPLES = ((0.0, 0.5, 0.5), (0.0, 1.0, 0.5), (0.5, 0.5, 0.5),
 KERNEL_Z_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 TRANSFORM_W_GRID = (-0.7, 0.0, 0.25, 0.5)
 PRODUCT_XY_GRID = ((1.0, 1.0), (0.3, 2.0), (0.8, 0.8))
+
+
+def _pair(p: dict) -> ParameterPair:
+    return ParameterPair(p["T"], p["S"])
+
+
+def _pairs_by_r(cfg: GridConfig):
+    return ({"T": T, "S": S, "r": r} for (T, S) in cfg.pairs for r in cfg.r_values)
+
+
+class Suite(NamedTuple):
+    """One check suite as data.  `check(params, policy, tolerance)` looks the
+    check up by this module's name at call time, so rebinding that name (as a
+    tracer does) reaches every task."""
+
+    check: Callable          # (params, policy, tolerance) -> CheckRecord
+    tolerance: float | None  # default pass tolerance; None: the policy's abs_tol
+    grid: Callable           # GridConfig -> params dicts, keys in record-id order
+    skip: Callable | None = None   # params -> reason to skip the point, or None
+
+
+SUITE_TABLE = {
+    "main_identity": Suite(
+        lambda p, pol, tol: check_main_identity(_pair(p), p["t"], pol, tolerance=tol),
+        1e-7,
+        lambda cfg: ({"T": T, "S": S, "t": t}
+                     for (T, S) in cfg.pairs for t in cfg.t_values),
+        skip=lambda p: re_t_cap_reason(p["t"])),
+    "quadratic_transform": Suite(
+        lambda p, pol, tol: check_quadratic_transform(p["t"], p["w"], pol, tolerance=tol),
+        None,
+        lambda cfg: ({"t": t, "w": w} for t in cfg.t_values for w in TRANSFORM_W_GRID)),
+    "product_formula": Suite(
+        lambda p, pol, tol: check_product_formula(p["t"], p["x"], p["y"], pol, tolerance=tol),
+        None,
+        lambda cfg: ({"t": t, "x": x, "y": y}
+                     for t in cfg.t_values for (x, y) in PRODUCT_XY_GRID)),
+    "barnes": Suite(
+        lambda p, pol, tol: check_barnes_triple(p["a"], p["b"], p["c"], pol, tolerance=tol),
+        1e-8,
+        lambda cfg: ({"a": a, "b": b, "c": c} for (a, b, c) in BARNES_TRIPLES)),
+    "spectral_power": Suite(
+        lambda p, pol, tol: check_spectral_power(p["A"], p["tau"], pol, tolerance=tol),
+        1e-8,
+        lambda cfg: ({"A": a, "tau": tau} for a in SHIFT_A_GRID for tau in SHIFT_TAU_GRID)),
+    "spectral_resolvent": Suite(
+        lambda p, pol, tol: check_spectral_resolvent(p["A"], p["r"], pol, tolerance=tol),
+        1e-8,
+        lambda cfg: ({"A": a, "r": r} for a in SHIFT_A_GRID for r in cfg.r_values)),
+    "spectral_product": Suite(
+        lambda p, pol, tol: check_spectral_product(p["A"], p["r"], p["B"], pol, tolerance=tol),
+        1e-8,
+        lambda cfg: ({"A": a, "r": r, "B": b} for a in SHIFT_A_GRID for r in cfg.r_values
+                     for b in SHIFT_B_GRID)),
+    "spectral_kernel": Suite(
+        lambda p, pol, tol: check_spectral_kernel(p["z"], p["r"], _pair(p), pol, tolerance=tol),
+        1e-7,
+        # z is clamped: T + 1.0 * (S - T) may round above S
+        lambda cfg: ({"T": T, "S": S, "z": min(T + frac * (S - T), S), "r": r}
+                     for (T, S) in cfg.pairs for frac in KERNEL_Z_FRACTIONS
+                     for r in cfg.r_values)),
+    "q_integral": Suite(
+        lambda p, pol, tol: check_q_integral(p["r"], _pair(p), pol, tolerance=tol),
+        1e-7, _pairs_by_r),
+    "obstruction": Suite(
+        lambda p, pol, tol: check_obstruction_integer(p["r"], _pair(p), pol, tolerance=tol),
+        1e-8, _pairs_by_r),
+    "weighted_residual": Suite(   # runs on its own fixed inner and outer policies
+        lambda p, pol, tol: check_weighted_residual(p["r"], _pair(p), tolerance=tol),
+        1e-6, _pairs_by_r),
+}
+SUITES = tuple(SUITE_TABLE)
 
 CSV_COLUMNS = ("id", "suite", "T", "S", "t_re", "t_im", "r",
                "lhs_re", "lhs_im", "rhs_re", "rhs_im",
@@ -167,92 +226,31 @@ class ReportDocument:
     wall_time_seconds: float
 
 
-def _tol(cfg: GridConfig, default: float) -> float:
-    return cfg.tol_override if cfg.tol_override is not None else default
-
-
 def build_tasks(cfg: GridConfig) -> list:
-    """Deterministic task list for the cross-product of suites and grids."""
+    """Deterministic task list for the cross-product of suites and grids: one
+    (suite, params, policy, tolerance) tuple per record."""
     pol = cfg.policy
     tasks = []
-
-    def add(fn, *args, **kwargs):
-        tasks.append(lambda: fn(*args, **kwargs))
-
-    def skip(suite, reason, tol, **params):
-        return skipped_record(record_id(suite, **params), reason, tol, metadata=params)
-
     for suite in cfg.suites:
-        if suite == "main_identity":
-            for (t_v, s_v) in cfg.pairs:
-                pair = ParameterPair(t_v, s_v)
-                for t in cfg.t_values:
-                    reason = re_t_cap_reason(t)
-                    if reason is None:
-                        add(check_main_identity, pair, t, pol, tolerance=_tol(cfg, 1e-7))
-                    else:
-                        add(skip, suite, reason, _tol(cfg, 1e-7), T=t_v, S=s_v, t=t)
-        elif suite == "quadratic_transform":
-            for t in cfg.t_values:
-                for w in TRANSFORM_W_GRID:
-                    add(check_quadratic_transform, t, w, pol,
-                        tolerance=_tol(cfg, pol.abs_tol))
-        elif suite == "product_formula":
-            for t in cfg.t_values:
-                for (x, y) in PRODUCT_XY_GRID:
-                    add(check_product_formula, t, x, y, pol,
-                        tolerance=_tol(cfg, pol.abs_tol))
-        elif suite == "barnes":
-            for (a, b, c) in BARNES_TRIPLES:
-                add(check_barnes_triple, a, b, c, pol,
-                    tolerance=_tol(cfg, 1e-8))
-        elif suite == "spectral_power":
-            for a in SHIFT_A_GRID:
-                for tau in SHIFT_TAU_GRID:
-                    add(check_spectral_power, a, tau, pol,
-                        tolerance=_tol(cfg, 1e-8))
-        elif suite == "spectral_resolvent":
-            for a in SHIFT_A_GRID:
-                for r in cfg.r_values:
-                    add(check_spectral_resolvent, a, r, pol,
-                        tolerance=_tol(cfg, 1e-8))
-        elif suite == "spectral_product":
-            for a in SHIFT_A_GRID:
-                for r in cfg.r_values:
-                    for b in SHIFT_B_GRID:
-                        add(check_spectral_product, a, r, b, pol,
-                            tolerance=_tol(cfg, 1e-8))
-        elif suite == "spectral_kernel":
-            for (t_v, s_v) in cfg.pairs:
-                pair = ParameterPair(t_v, s_v)
-                for frac in KERNEL_Z_FRACTIONS:
-                    z = min(t_v + frac * (s_v - t_v), s_v)   # may round above S
-                    for r in cfg.r_values:
-                        add(check_spectral_kernel, z, r, pair, pol,
-                            tolerance=_tol(cfg, 1e-7))
-        elif suite == "q_integral":
-            for (t_v, s_v) in cfg.pairs:
-                pair = ParameterPair(t_v, s_v)
-                for r in cfg.r_values:
-                    add(check_q_integral, r, pair, pol,
-                        tolerance=_tol(cfg, 1e-7))
-        elif suite == "obstruction":
-            for (t_v, s_v) in cfg.pairs:
-                pair = ParameterPair(t_v, s_v)
-                for r in cfg.r_values:
-                    def task(r=r, pair=pair, tol=_tol(cfg, 1e-8)):
-                        try:
-                            return check_obstruction_integer(r, pair, pol, tolerance=tol)
-                        except DegenerateConfigurationError as exc:
-                            return skip("obstruction", str(exc), tol, T=pair.T, S=pair.S, r=r)
-                    tasks.append(task)
-        elif suite == "weighted_residual":
-            for (t_v, s_v) in cfg.pairs:
-                pair = ParameterPair(t_v, s_v)
-                for r in cfg.r_values:
-                    add(check_weighted_residual, r, pair,
-                        tolerance=_tol(cfg, 1e-6))
+        entry = SUITE_TABLE[suite]
+        tol = (cfg.tol_override if cfg.tol_override is not None
+               else pol.abs_tol if entry.tolerance is None else entry.tolerance)
+        tasks.extend((suite, params, pol, tol) for params in entry.grid(cfg))
     return tasks
+
+
+def run_task(task: tuple) -> CheckRecord:
+    """The record of one task.  A point the suite skips, or one where the check
+    raises DegenerateConfigurationError, gives a skipped record with the reason."""
+    suite, params, policy, tolerance = task
+    entry = SUITE_TABLE[suite]
+    reason = entry.skip(params) if entry.skip is not None else None
+    if reason is None:
+        try:
+            return entry.check(params, policy, tolerance)
+        except DegenerateConfigurationError as exc:
+            reason = str(exc)
+    return skipped_record(record_id(suite, **params), reason, tolerance, metadata=params)
 
 
 def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
@@ -267,9 +265,9 @@ def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
     workers = min(jobs, len(tasks), (os.cpu_count() or 1) + 4)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda task: task(), tasks))
+            records = list(pool.map(run_task, tasks))
     else:
-        records = [task() for task in tasks]
+        records = list(map(run_task, tasks))
     records.sort(key=lambda rec: rec.id)
     summary = {status: 0 for status in (PASS, FAIL, UNCONVERGED, SKIPPED)}
     for rec in records:

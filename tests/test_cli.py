@@ -2,6 +2,7 @@
 determinism across worker counts."""
 
 import csv
+import inspect
 import io
 import json
 import math
@@ -17,7 +18,7 @@ from hypident import UsageError
 from hypident import cli
 from hypident.cli import (CSV_COLUMNS, GridConfig, ReportDocument, SUITES,
                           build_tasks, exit_code, main, render_csv, render_json,
-                          run)
+                          run, run_task)
 
 FAST_CONFIG = {
     "suites": ["main_identity", "q_integral"],
@@ -112,11 +113,64 @@ class TestRun:
         j8.pop("wall_time_seconds")
         assert j1 == j8
 
-    def test_task_count_cross_product(self):
-        cfg = GridConfig.from_dict({"suites": ["spectral_kernel"],
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_task_count_cross_product(self, suite):
+        # the README's grid column, on 2 pairs x 3 t_values x 2 r_values
+        pairs, ts, rs = 2, 3, 2
+        sizes = {"main_identity": pairs * ts, "quadratic_transform": ts * 4,
+                 "product_formula": ts * 3, "barnes": 5, "spectral_power": 3 * 3,
+                 "spectral_resolvent": 3 * rs, "spectral_product": 3 * rs * 2,
+                 "spectral_kernel": pairs * 5 * rs, "q_integral": pairs * rs,
+                 "obstruction": pairs * rs, "weighted_residual": pairs * rs}
+        cfg = GridConfig.from_dict({"suites": [suite],
                                     "pairs": [[0.25, 0.5], [0.1, 0.9]],
+                                    "t_values": [0, 1, [0.3, 0.4]],
                                     "r_values": [1.0, 10.0]})
-        assert len(build_tasks(cfg)) == 2 * 5 * 2
+        assert len(build_tasks(cfg)) == sizes[suite]
+
+    def test_table_tolerances_are_the_checks_defaults(self, monkeypatch):
+        checks = {"main_identity": "check_main_identity",
+                  "quadratic_transform": "check_quadratic_transform",
+                  "product_formula": "check_product_formula",
+                  "barnes": "check_barnes_triple",
+                  "spectral_power": "check_spectral_power",
+                  "spectral_resolvent": "check_spectral_resolvent",
+                  "spectral_product": "check_spectral_product",
+                  "spectral_kernel": "check_spectral_kernel",
+                  "q_integral": "check_q_integral",
+                  "obstruction": "check_obstruction_integer",
+                  "weighted_residual": "check_weighted_residual"}
+        assert tuple(checks) == SUITES
+        for suite, name in checks.items():
+            default = inspect.signature(getattr(hy, name)).parameters["tolerance"].default
+            assert cli.SUITE_TABLE[suite].tolerance == default, suite
+            # and the suite's tasks do call that check, with the tolerance
+            seen = []
+            monkeypatch.setattr(cli, name, lambda *a, tolerance: seen.append(tolerance))
+            task = build_tasks(GridConfig.from_dict({"suites": [suite]}))[0]
+            run_task(task)
+            expected = task[2].abs_tol if default is None else default
+            assert seen == [expected] and task[3] == expected, suite
+
+    def test_checks_are_reached_through_module_names(self, monkeypatch):
+        # a tracer rebinds cli.check_q_integral; every task must call the
+        # name as bound at run time, not a function captured at import
+        original = cli.check_q_integral
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_q_integral", counting)
+        cfg = GridConfig.from_dict({"suites": ["q_integral"],
+                                    "pairs": [[0.25, 0.5], [0.1, 0.9]],
+                                    "r_values": [1.0, 10.0, 100.0]})
+        for jobs in (1, 4):
+            calls.clear()
+            doc = run(cfg, jobs=jobs)
+            assert doc.summary["total"] == len(calls) == 6
+            assert sorted(calls) == sorted(rec.metadata["r"] for rec in doc.records)
 
     def test_kernel_point_at_s_never_overshoots(self):
         # for some pairs T + 1.0 * (S - T) rounds above S, outside the
@@ -183,6 +237,18 @@ class TestRun:
         assert doc.summary["skipped"] == 1
         assert exit_code(doc) == 3
         assert doc.records[0].lhs is None
+
+    def test_tol_reaches_skipped_records(self, tmp_path):
+        # both kinds of skip: beyond the |Re t| cap, and an obstruction double root
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"suites": ["main_identity", "obstruction"],
+                                      "pairs": [[0.25, 0.5]], "t_values": [3.0],
+                                      "r_values": [16.48528137423857]}))
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--tol", "1e-5", "--output", str(out)]) == 3
+        records = json.loads(out.read_text())["records"]
+        assert [(rec["suite"], rec["status"], rec["tolerance"]) for rec in records] == [
+            ("main_identity", "skipped", 1e-5), ("obstruction", "skipped", 1e-5)]
 
 
 class TestReports:
