@@ -49,7 +49,7 @@ def fmt_complex(v: complex) -> str:
         return fmt_float(v.real)
     if v.real == 0.0:
         return fmt_float(v.imag) + "i"
-    return "%s%+si" % (fmt_float(v.real), fmt_float(v.imag))
+    return "%.12g%+.12gi" % (v.real, v.imag)
 
 
 def record_id(suite: str, **params) -> str:

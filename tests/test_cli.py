@@ -15,6 +15,7 @@ import pytest
 
 import hypident as hy
 from hypident import UsageError
+from hypident.records import record_id
 from hypident import cli
 from hypident.cli import (CSV_COLUMNS, GridConfig, ReportDocument, SUITES,
                           build_tasks, exit_code, main, render_csv, render_json,
@@ -252,6 +253,16 @@ class TestRun:
 
 
 class TestReports:
+    def test_record_id_writes_the_sign_of_t(self):
+        # a positive imaginary part used to lose its "+": 0.3+0.4i read
+        # t=0.30.4i, and 1+11i and 11+1i both read t=111i
+        assert record_id("m", t=0.3 + 0.4j) == "m/t=0.3+0.4i"
+        assert record_id("m", t=1 + 11j) == "m/t=1+11i"
+        assert record_id("m", t=11 + 1j) == "m/t=11+1i"
+        assert record_id("m", t=0.3 - 0.4j) == "m/t=0.3-0.4i"
+        assert record_id("m", t=0.5j) == "m/t=0.5i"
+        assert record_id("m", T=0.25, t=2 + 0j) == "m/T=0.25/t=2"
+
     def test_csv_columns(self):
         cfg = GridConfig.from_dict({"suites": ["main_identity"],
                                     "pairs": [[0.25, 0.5]], "t_values": [[0.3, 0.4]]})
