@@ -254,8 +254,8 @@ class TestRun:
 
 class TestReports:
     def test_record_id_writes_the_sign_of_t(self):
-        # a positive imaginary part used to lose its "+": 0.3+0.4i read
-        # t=0.30.4i, and 1+11i and 11+1i both read t=111i
+        # the sign of the imaginary part is written, so 1+11i and 11+1i
+        # get different ids
         assert record_id("m", t=0.3 + 0.4j) == "m/t=0.3+0.4i"
         assert record_id("m", t=1 + 11j) == "m/t=1+11i"
         assert record_id("m", t=11 + 1j) == "m/t=11+1i"
