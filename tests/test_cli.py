@@ -15,11 +15,11 @@ import pytest
 
 import hypident as hy
 from hypident import UsageError
-from hypident.records import record_id
 from hypident import cli
 from hypident.cli import (CSV_COLUMNS, GridConfig, ReportDocument, SUITES,
                           build_tasks, exit_code, main, render_csv, render_json,
                           run, run_task)
+from hypident.records import record_id
 
 FAST_CONFIG = {
     "suites": ["main_identity", "q_integral"],
