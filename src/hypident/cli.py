@@ -180,6 +180,11 @@ class GridConfig:
             r_values.append(float(entry))
         if not r_values:
             raise UsageError("r_values: must not be empty")
+        for key, values in (("suites", suites), ("pairs", pairs),
+                            ("t_values", t_values), ("r_values", r_values)):
+            if len(set(values)) < len(values):   # a repeat would run its points twice
+                repeat = next(v for i, v in enumerate(values) if v in values[:i])
+                raise UsageError(f"{key}: {repeat!r} is repeated; each entry must be distinct")
 
         pol_raw = raw.get("policy", {})
         if not isinstance(pol_raw, dict):

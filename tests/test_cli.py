@@ -72,6 +72,22 @@ class TestGridConfig:
         with pytest.raises(UsageError):
             GridConfig.from_dict({"sutes": ["barnes"]})
 
+    @pytest.mark.parametrize("key, value, named", [
+        ("suites", ["barnes", "q_integral", "barnes"], "'barnes'"),
+        ("pairs", [[0.25, 0.5], [0.1, 0.9], [0.25, 0.5]], "(0.25, 0.5)"),
+        ("t_values", [0.5, [1.0, 0.0], [0.5, 0.0]], "(0.5+0j)"),
+        ("r_values", [1, 10.0, 1.0], "1.0"),
+    ])
+    def test_repeated_entry_rejected(self, key, value, named):
+        with pytest.raises(UsageError) as exc:
+            GridConfig.from_dict({key: value})
+        assert str(exc.value) == f"{key}: {named} is repeated; each entry must be distinct"
+
+    def test_near_repeats_accepted(self):
+        cfg = GridConfig.from_dict({"t_values": [0.5, [0.5, 1e-300]],
+                                    "r_values": [1.0, 1.0 + 2.0 ** -52]})
+        assert len(cfg.t_values) == 2 and len(cfg.r_values) == 2
+
     def test_policy_override(self):
         cfg = GridConfig.from_dict({"policy": {"abs_tol": 1e-8}})
         assert cfg.policy.abs_tol == 1e-8
@@ -402,6 +418,20 @@ class TestCommandLine:
     def test_empty_suites_usage_error(self, tmp_path):
         proc = run_cli([], config={"suites": []}, tmp_path=tmp_path)
         assert proc.returncode == 64
+
+    def test_repeated_suite_flag_usage_error(self):
+        proc = run_cli(["--suite", "barnes", "--suite", "barnes"])
+        assert proc.returncode == 64
+        assert proc.stdout == ""
+        assert "suites: 'barnes' is repeated" in proc.stderr
+
+    def test_repeated_config_value_usage_error(self, tmp_path):
+        proc = run_cli(["--suite", "q_integral"],
+                       config={"pairs": [[0.25, 0.5]], "r_values": [1.0, 10.0, 1.0]},
+                       tmp_path=tmp_path)
+        assert proc.returncode == 64
+        assert proc.stdout == ""
+        assert "r_values: 1.0 is repeated" in proc.stderr
 
     def test_unknown_flag_usage_error(self, tmp_path):
         proc = run_cli(["--bogus"])

@@ -1,0 +1,43 @@
+"""The main identity's left side against an independent mpmath oracle, and a
+calibration of the Chebyshev engine's error estimates."""
+
+import sys
+
+import mpmath
+import pytest
+
+import hypident as hy
+import oracle
+
+EPS = sys.float_info.epsilon
+T_VALUES = (0.0, 0.5, 1.0, 1.9, 0.3 + 0.4j, 1.5 - 0.7j, 1j)
+CALIBRATION_PAIRS = ((0.25, 0.5), (0.1, 0.9), (0.5, 0.999), (0.01, 0.02))
+
+
+def roundoff_floor(rec):
+    # eps * peak * nodes: what rounding can leave in a sum of `nodes` terms
+    # each at most `peak` in size; the engine's estimate carries no such floor
+    md = rec.metadata
+    peak = abs(rec.rhs) * 10.0 ** md["digits_lost"]
+    return EPS * peak * md["nodes"]
+
+
+@pytest.mark.parametrize("T, S, t", [(0.25, 0.5, 0.5), (0.5, 0.999, 1.0),
+                                     (0.1, 0.9, 0.3 + 0.4j)])
+def test_engine_agrees_with_oracle(T, S, t):
+    ref = oracle.main_identity_lhs(T, S, t)
+    closed = oracle.main_closed_form(T, S)
+    with mpmath.workdps(oracle.DPS):   # the oracle meets the theorem to ~1e-17 relative
+        assert abs(ref - closed) <= 1e-15 * closed
+    rec = hy.check_main_identity(hy.ParameterPair(T, S), t)
+    assert rec.status == "pass"
+    assert abs(rec.lhs - complex(ref)) <= rec.metadata["quadrature_error"] + roundoff_floor(rec)
+
+
+def test_error_estimate_plus_roundoff_floor_bounds_true_error():
+    records = [hy.check_main_identity(hy.ParameterPair(T, S), t)
+               for (T, S) in CALIBRATION_PAIRS for t in T_VALUES]
+    assert all(rec.status == "pass" for rec in records)   # none is left out below
+    for rec in records:
+        true_error = abs(rec.lhs - rec.rhs)
+        assert true_error <= rec.metadata["quadrature_error"] + roundoff_floor(rec), rec.id

@@ -105,6 +105,36 @@ class TestChebyshevWeighted:
             assert nodes == want
 
 
+def _t32_integrand(frac, lo=0.1, hi=0.9):
+    # f = 1 + eps T_32(x) with pi eps = frac * target: the 16-point rule
+    # sees T_32 = -1 at every node, so M16 = pi (1 - eps), while the 32- and
+    # 64-point rules integrate it exactly, so M32 = M64 = pi
+    eps = frac * POLICY.target(math.pi) / math.pi
+    return lambda z: 1.0 + eps * math.cos(32.0 * math.acos(2.0 * (z - lo) / (hi - lo) - 1.0))
+
+
+class TestChebyshevStopRule:
+    def test_coarse_agreement_inside_target_is_not_enough(self):
+        # |M32 - M16| = target / 2: the plain rule would stop at n = 32
+        est = hy.integrate_chebyshev_weighted(_t32_integrand(0.5), 0.1, 0.9, POLICY)
+        assert est.converged and est.nodes_used == 16 + 32 + 64
+        assert est.value == math.pi and est.error_estimate == 0.0
+
+    def test_coarse_agreement_inside_the_guard_stops_at_32(self):
+        est = hy.integrate_chebyshev_weighted(_t32_integrand(0.5e-3), 0.1, 0.9, POLICY)
+        assert est.converged and est.nodes_used == 16 + 32
+        assert est.value == math.pi
+        assert 0.0 < est.error_estimate <= quadrature.COARSE_GUARD * POLICY.target(math.pi)
+
+    @pytest.mark.parametrize("frac, converged", [(0.5, False), (0.5e-3, True)])
+    def test_budget_of_two_levels(self, frac, converged):
+        policy = hy.EvaluationPolicy(max_nodes=48)
+        est = hy.integrate_chebyshev_weighted(_t32_integrand(frac), 0.1, 0.9, policy)
+        assert (est.converged, est.nodes_used) == (converged, 48)
+        assert est.value == math.pi
+        assert est.error_estimate == pytest.approx(frac * POLICY.target(math.pi), rel=1e-3)
+
+
 class TestDecayingHalfline:
     def test_pure_exponential(self):
         est = hy.integrate_decaying_halfline(lambda s: math.exp(-s), 1.0, POLICY)
