@@ -29,7 +29,8 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_spectral_resolvent,
                              check_weighted_residual, re_t_cap_reason)
 from .policy import EvaluationPolicy
-from .records import FAIL, PASS, SKIPPED, UNCONVERGED, CheckRecord, record_id, skipped_record
+from .records import (FAIL, PASS, SKIPPED, UNCONVERGED, CheckRecord, fmt_complex,
+                      fmt_float, record_id, skipped_record)
 from .special_functions import check_product_formula, check_quadratic_transform
 
 DEFAULT_PAIRS = ((0.25, 0.5), (0.1, 0.9), (0.4, 0.45))
@@ -54,6 +55,13 @@ def _pair(p: dict) -> ParameterPair:
 
 def _pairs_by_r(cfg: GridConfig):
     return ({"T": T, "S": S, "r": r} for (T, S) in cfg.pairs for r in cfg.r_values)
+
+
+def _near_twins(xs) -> bool:
+    """Whether two of the floats xs are equal or lie within 1e-10 of each
+    other, relatively, as two that print alike to 12 significant digits do."""
+    s = sorted(xs)
+    return any(b - a <= 1e-10 * max(abs(a), abs(b)) for a, b in zip(s, s[1:]))
 
 
 class Suite(NamedTuple):
@@ -185,6 +193,24 @@ class GridConfig:
             if len(set(values)) < len(values):   # a repeat would run its points twice
                 repeat = next(v for i, v in enumerate(values) if v in values[:i])
                 raise UsageError(f"{key}: {repeat!r} is repeated; each entry must be distinct")
+        # record ids print values to 12 significant digits, as these texts
+        # do; values that print alike would give two records one id.  The
+        # texts are only built when each coordinate holds such near twins.
+        for key, values, coords, text in (
+                ("pairs", pairs, zip(*pairs),
+                 lambda p: f"T={fmt_float(p[0])}/S={fmt_float(p[1])}"),
+                ("t_values", t_values, ([t.real for t in t_values], [t.imag for t in t_values]),
+                 lambda t: "t=" + fmt_complex(t)),
+                ("r_values", r_values, (r_values,), lambda r: "r=" + fmt_float(r))):
+            if not all(map(_near_twins, coords)):
+                continue
+            first = {}
+            for v in values:
+                w = first.setdefault(text(v), v)
+                if w is not v:
+                    raise UsageError(f"{key}: {w!r} and {v!r} share the record id text "
+                                     f"{text(v)!r}; entries must differ within 12 "
+                                     "significant digits")
 
         pol_raw = raw.get("policy", {})
         if not isinstance(pol_raw, dict):

@@ -1,4 +1,5 @@
-"""Independent mpmath reference for the main identity's left side.
+"""Independent mpmath references for the left sides of the main identity
+and the Q integral.
 
 `main_identity_lhs(T, S, t)` integrates the paper's integrand
 
@@ -10,6 +11,11 @@ closed forms, so the reference shares no code with the engine under test.
 The integral is taken in theta, with z = T + (S-T)(1 + cos theta)/2, which
 absorbs the weight exactly; left in z, the endpoint singularity leaves
 mpmath.quad wrong at about 1e-7.
+
+`q_integral_lhs(T, S, r)` integrates the rational kernel in the same theta,
+with q = (1 + cos theta)/2.  As S -> 1 the kernel peaks sharply at q = 1
+(theta = 0), so the theta range is split at 0.01 and 0.1; in one piece
+mpmath.quad is off by 3.7e-6 relative at (0.5, 0.999), r = 0.5.
 """
 
 import mpmath
@@ -37,3 +43,34 @@ def main_closed_form(T: float, S: float) -> mpmath.mpf:
     """pi / sqrt((1-T)(1-S)) at the oracle's precision."""
     with mpmath.workdps(DPS):
         return mpmath.pi / mpmath.sqrt((1 - mpmath.mpf(T)) * (1 - mpmath.mpf(S)))
+
+
+def q_integral_lhs(T: float, S: float, r: float) -> mpmath.mpf:
+    """(1+r) times the integral over q in (0, 1) of 2 sqrt(z) i2(r, z) / (1 + sqrt(z))
+    against 1/sqrt(q(1-q)), where sqrt(z) = sqrt(T) + q (sqrt(S) - sqrt(T)) and
+    i2 = (m + R sqrt(z) + k z) / (E + F z + G z^2) is the kernel's rational factor."""
+    with mpmath.workdps(DPS):
+        T, S, r = mpmath.mpf(T), mpmath.mpf(S), mpmath.mpf(r)
+        s_t, s_s = mpmath.sqrt(T), mpmath.sqrt(S)
+        big_r = 2 * r * (1 - s_t) * (1 - s_s)
+        m = s_t + s_s - 2 * s_s * s_t
+        k = s_t + s_s - 2
+        e = m ** 2 + 2 * big_r * s_s * s_t
+        f = 2 * k * m + 2 * big_r * (1 + s_s * s_t - 2 * s_t - 2 * s_s) + big_r ** 2
+        g = k ** 2 + 2 * big_r
+
+        def integrand(theta):
+            s_z = s_t + (s_s - s_t) * (1 + mpmath.cos(theta)) / 2
+            z = s_z ** 2
+            i2 = (m + big_r * s_z + k * z) / (e + f * z + g * z ** 2)
+            return 2 * s_z * i2 / (1 + s_z)
+
+        return (1 + r) * mpmath.quad(integrand, [0, 0.01, 0.1, mpmath.pi])
+
+
+def q_closed_form(T: float, S: float) -> mpmath.mpf:
+    """pi / (sqrt((1-T)(1-S)) sqrt((1-sqrt T)(1-sqrt S))) at the oracle's precision."""
+    with mpmath.workdps(DPS):
+        T, S = mpmath.mpf(T), mpmath.mpf(S)
+        return mpmath.pi / mpmath.sqrt((1 - T) * (1 - S) * (1 - mpmath.sqrt(T))
+                                       * (1 - mpmath.sqrt(S)))

@@ -84,9 +84,27 @@ class TestGridConfig:
         assert str(exc.value) == f"{key}: {named} is repeated; each entry must be distinct"
 
     def test_near_repeats_accepted(self):
-        cfg = GridConfig.from_dict({"t_values": [0.5, [0.5, 1e-300]],
-                                    "r_values": [1.0, 1.0 + 2.0 ** -52]})
-        assert len(cfg.t_values) == 2 and len(cfg.r_values) == 2
+        # distinct values whose record ids differ are kept
+        cfg = GridConfig.from_dict({"pairs": [[0.25, 0.5], [0.25, 0.50000000001]],
+                                    "t_values": [0.5, [0.5, 1e-300]],
+                                    "r_values": [1.0, 1.00000000001]})
+        assert len(cfg.pairs) == 2 and len(cfg.t_values) == 2 and len(cfg.r_values) == 2
+
+    @pytest.mark.parametrize("key, value, named, text", [
+        ("pairs", [[0.25, 0.5], [0.1, 0.9], [0.25000000000001, 0.5]],
+         "(0.25, 0.5) and (0.25000000000001, 0.5)", "T=0.25/S=0.5"),
+        ("t_values", [[0.3, 0.4], 1.0, [0.3, 0.4000000000000001]],
+         "(0.3+0.4j) and (0.3+0.4000000000000001j)", "t=0.3+0.4i"),
+        ("r_values", [1.0, 10.0, 1.0 + 2.0 ** -52],
+         "1.0 and 1.0000000000000002", "r=1"),
+    ])
+    def test_values_sharing_an_id_rejected(self, key, value, named, text):
+        # ids print 12 significant digits; two values that print alike would
+        # give two records one id
+        with pytest.raises(UsageError) as exc:
+            GridConfig.from_dict({key: value})
+        assert str(exc.value) == (f"{key}: {named} share the record id text {text!r}; "
+                                  "entries must differ within 12 significant digits")
 
     def test_policy_override(self):
         cfg = GridConfig.from_dict({"policy": {"abs_tol": 1e-8}})
@@ -432,6 +450,14 @@ class TestCommandLine:
         assert proc.returncode == 64
         assert proc.stdout == ""
         assert "r_values: 1.0 is repeated" in proc.stderr
+
+    def test_values_sharing_an_id_usage_error(self, tmp_path):
+        proc = run_cli(["--suite", "q_integral"],
+                       config={"pairs": [[0.25, 0.5]], "r_values": [1.0, 1.0000000000001]},
+                       tmp_path=tmp_path)
+        assert proc.returncode == 64
+        assert proc.stdout == ""
+        assert "r_values: 1.0 and 1.0000000000001 share the record id text 'r=1'" in proc.stderr
 
     def test_unknown_flag_usage_error(self, tmp_path):
         proc = run_cli(["--bogus"])

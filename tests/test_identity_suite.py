@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import hypident as hy
 from hypident import DegenerateConfigurationError, DomainError, cli, identity_suite
-from hypident.identity_suite import _main_kernel, _second_argument
+from hypident.identity_suite import _main_kernel, _poly_coeffs, _second_argument
 
 PAIR = hy.ParameterPair(0.25, 0.5)
 WIDE = hy.ParameterPair(0.1, 0.9)
@@ -208,6 +208,64 @@ class TestQIntegral:
     def test_domain(self):
         with pytest.raises(DomainError):
             hy.check_q_integral(0.0, PAIR)
+
+    @staticmethod
+    def reference_defect(pair, r, n):
+        # the defect written from its definition (i2 as in kernel_factors),
+        # on a fixed n-node rule
+        st, ss = pair.sqrt_T, pair.sqrt_S
+        rr, e, f, g = _poly_coeffs(r, pair)
+        m, k = st + ss - 2.0 * ss * st, st + ss - 2.0
+        inv_base = 1.0 / (2.0 * (1.0 - st) * (1.0 - ss))
+
+        def defect(q):
+            sz = st + q * (ss - st)
+            z = sz * sz
+            i2 = (m + rr * sz + k * z) / (e + f * z + g * z * z)
+            return 2.0 * sz * abs((1.0 + r) * i2 - inv_base / sz) / (1.0 + sz)
+
+        return hy.chebyshev_rule(defect, 0.0, 1.0, n).real
+
+    @pytest.mark.parametrize("pair, r_values", [
+        *((p, cli.DEFAULT_R_VALUES) for p in cli.DEFAULT_PAIRS),
+        ((0.05, 0.95), (0.1, 3.0, 100.0)),      # spectral_grid's range:
+        ((0.3, 0.7), (0.1, 3.0, 100.0)),        # T in [0.05, 0.6],
+        ((0.6, 0.65), (0.1, 3.0, 100.0)),       # S in [T + 0.05, 0.95],
+        ((0.15, 0.4), (0.25, 30.0)),            # r in [0.1, 100]
+    ])
+    def test_kernel_defect_accuracy(self, pair, r_values):
+        pair = hy.ParameterPair(*pair)
+        for r in r_values:
+            md = hy.check_q_integral(r, pair).metadata
+            ref = self.reference_defect(pair, r, 2 ** 16)
+            assert abs(md["kernel_defect"] - ref) <= 1e-3 * ref, (pair, r)
+            assert md["kernel_defect_error"] <= identity_suite.DEFECT_REL_TOL * md["kernel_defect"]
+
+    @pytest.mark.parametrize("r", [0.01, 0.1, 1.0])
+    def test_kernel_defect_error_bounds_edge_error(self, r):
+        # at S -> 1 the defect engine runs out of nodes: its estimate must
+        # show the missed three-digit target and still bound the true error
+        pair = hy.ParameterPair(0.05, 0.9999)
+        md = hy.check_q_integral(r, pair).metadata
+        ref = self.reference_defect(pair, r, 2 ** 18)
+        assert md["kernel_defect_error"] > identity_suite.DEFECT_REL_TOL * md["kernel_defect"]
+        assert abs(md["kernel_defect"] - ref) <= md["kernel_defect_error"]
+
+    def test_nodes_count_every_evaluation(self, monkeypatch):
+        # Q and its kernel defect both go through the engine; `nodes`
+        # counts the integrand calls of both
+        calls = []
+        engine = identity_suite.integrate_chebyshev_weighted
+
+        def counting(f, lo, hi, policy):
+            def g(q):
+                calls.append(q)
+                return f(q)
+            return engine(g, lo, hi, policy)
+
+        monkeypatch.setattr(identity_suite, "integrate_chebyshev_weighted", counting)
+        rec = hy.check_q_integral(10.0, PAIR)
+        assert rec.metadata["nodes"] == len(calls) > 2 * 48
 
 
 class TestObstruction:
