@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from io import StringIO
 from json.encoder import encode_basestring_ascii as _str
@@ -284,21 +282,15 @@ def run_task(task: tuple) -> CheckRecord:
     return skipped_record(record_id(suite, **params), reason, tolerance, metadata=params)
 
 
-def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
+def run(cfg: GridConfig) -> ReportDocument:
     """Execute the configured grid and assemble the report.
 
-    Records are computed independently (with jobs > 1 on a thread pool
-    bounded by the task and CPU counts) and sorted by id, so the report is
-    independent of scheduling.
+    Records are computed one after another, each independently, and sorted
+    by id.  The checks are CPU-bound pure Python, so a thread pool would run
+    them no faster under the interpreter lock.
     """
     start = time.perf_counter()
-    tasks = build_tasks(cfg)
-    workers = min(jobs, len(tasks), (os.cpu_count() or 1) + 4)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_task, tasks))
-    else:
-        records = list(map(run_task, tasks))
+    records = list(map(run_task, build_tasks(cfg)))
     records.sort(key=lambda rec: rec.id)
     summary = {status: 0 for status in (PASS, FAIL, UNCONVERGED, SKIPPED)}
     for rec in records:
@@ -415,7 +407,8 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--tol", type=float, metavar="X",
                         help="override every record's pass tolerance")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="evaluate up to N records concurrently")
+                        help="accepted for compatibility (N >= 1); records "
+                             "are always evaluated serially")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -458,7 +451,7 @@ def main(argv: list | None = None) -> int:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 64
 
-    doc = run(cfg, jobs=args.jobs)
+    doc = run(cfg)
     text = render_csv(doc) if cfg.format == "csv" else render_json(doc)
     if cfg.output_path:
         try:

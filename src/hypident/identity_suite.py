@@ -205,30 +205,29 @@ def main_integrand(z: float, pair: ParameterPair, t: complex) -> complex:
 # ---------------------------------------------------------------------------
 # main identity
 
-RE_T_CAP = 2.0   # default bound on |Re t| in check_main_identity
+RE_T_CAP = 2.0   # bound on |Re t| in check_main_identity
 
 
-def re_t_cap_reason(t: complex, re_t_cap: float = RE_T_CAP) -> str | None:
+def re_t_cap_reason(t: complex) -> str | None:
     """Why check_main_identity refuses t, or None if |Re t| is within the cap."""
-    return (f"|Re t| = {abs(t.real):g} exceeds the cancellation cap {re_t_cap:g}"
-            if abs(t.real) > re_t_cap else None)
+    return (f"|Re t| = {abs(t.real):g} exceeds the cancellation cap {RE_T_CAP:g}"
+            if abs(t.real) > RE_T_CAP else None)
 
 
 def check_main_identity(pair: ParameterPair, t: complex,
                         policy: EvaluationPolicy = DEFAULT_POLICY,
-                        tolerance: float = 1e-7,
-                        re_t_cap: float = RE_T_CAP) -> CheckRecord:
+                        tolerance: float = 1e-7) -> CheckRecord:
     """Integrate the main integrand over (T, S) and compare with
     pi / sqrt((1-T)(1-S)).
 
     The integrand grows like exp(4 |Re t| asin(sqrt(Y))) while the answer
-    stays O(1), so |Re t| is capped (default 2) and the record carries a
+    stays O(1), so |Re t| is capped at RE_T_CAP and the record carries a
     digits-lost metric log10(max |integrand| / closed form) making the
     cancellation visible.
     """
     t = complex(t)
-    if abs(t.real) > re_t_cap:
-        raise DomainError(re_t_cap_reason(t, re_t_cap))
+    if abs(t.real) > RE_T_CAP:
+        raise DomainError(re_t_cap_reason(t))
     integrand = _main_kernel(pair)(t)
     peak = [0.0]
 
@@ -527,6 +526,12 @@ def check_q_integral(r: float, pair: ParameterPair,
                                   "kernel_defect_error": defect_est.error_estimate})
 
 
+PF_TOLERANCE = 1e-9         # largest partial-fraction residual quadratic_family accepts
+INTEGER_TOLERANCE = 1e-6    # how far n_r may sit from an integer in the obstruction check
+LARGE_R = 10.0              # from this r on, n_r must be an integer
+STRICT_R = 50.0             # from this r on, n_r must be 0
+
+
 @dataclass(frozen=True)
 class QuadraticFamily:
     """All r-dependent algebra of the rational kernel at one r.
@@ -560,15 +565,14 @@ class QuadraticFamily:
     pf_residual: float
 
 
-def quadratic_family(r: float, pair: ParameterPair,
-                     pf_tolerance: float = 1e-9) -> QuadraticFamily:
+def quadratic_family(r: float, pair: ParameterPair) -> QuadraticFamily:
     """Solve the kernel quadratic, build the partial-fraction coefficients
     and the four closed-form integral terms.
 
     Roots 1/alpha1, 1/alpha2 are ordered by (real, imaginary) part, making
     the construction deterministic; sqrt(alpha_i) is the principal branch.
     A double root, a root at z = 0 or z = 1, or a partial-fraction
-    residual above pf_tolerance raises DegenerateConfigurationError.
+    residual above PF_TOLERANCE raises DegenerateConfigurationError.
     """
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r:g}")
@@ -621,7 +625,7 @@ def quadratic_family(r: float, pair: ParameterPair,
         got = (a_co / (1.0 + y) + b_co / (1.0 - sqa1 * y) + c_co / (1.0 + sqa1 * y)
                + d_co / (1.0 - sqa2 * y) + e_co / (1.0 + sqa2 * y))
         worst = max(worst, abs(got - ref) / abs(ref))
-    if worst > pf_tolerance:
+    if worst > PF_TOLERANCE:
         raise DegenerateConfigurationError(
             f"partial-fraction expansion lost accuracy at r = {r:g} "
             f"(relative residual {worst:.2e}); roots too close")
@@ -645,10 +649,7 @@ def quadratic_family(r: float, pair: ParameterPair,
 
 def check_obstruction_integer(r: float, pair: ParameterPair,
                               policy: EvaluationPolicy = DEFAULT_POLICY,
-                              tolerance: float = 1e-8,
-                              integer_tolerance: float = 1e-6,
-                              large_r: float = 10.0,
-                              strict_r: float = 50.0) -> CheckRecord:
+                              tolerance: float = 1e-8) -> CheckRecord:
     """Partial-fraction route: Q(r) minus its closed form must equal the
     sum D1+D2+D3+D4 of the four closed-form terms, each of which squares
     to the same value
@@ -657,8 +658,8 @@ def check_obstruction_integer(r: float, pair: ParameterPair,
 
     so the difference is an integer multiple n_r in [-4, 4] of a known
     transcendental factor.  The record asserts the sum identity and the
-    equality of the |D_i| always, integrality of n_r for r >= large_r, and
-    n_r = 0 for r >= strict_r.
+    equality of the |D_i| always, integrality of n_r (within
+    INTEGER_TOLERANCE) for r >= LARGE_R, and n_r = 0 for r >= STRICT_R.
     """
     fam = quadratic_family(r, pair)
     tight = replace(policy, abs_tol=min(policy.abs_tol, 1e-12),
@@ -684,10 +685,10 @@ def check_obstruction_integer(r: float, pair: ParameterPair,
     n_dist = abs(n_r - n_int)
 
     ok = spread <= 1e-9 and sq_resid <= 1e-8
-    if r >= large_r:
-        ok = ok and n_dist <= integer_tolerance
-    if r >= strict_r:
-        ok = ok and n_int == 0 and abs(n_r) <= integer_tolerance
+    if r >= LARGE_R:
+        ok = ok and n_dist <= INTEGER_TOLERANCE
+    if r >= STRICT_R:
+        ok = ok and n_int == 0 and abs(n_r) <= INTEGER_TOLERANCE
 
     rid = record_id("obstruction", T=pair.T, S=pair.S, r=r)
     return build_record(
@@ -704,9 +705,12 @@ def check_obstruction_integer(r: float, pair: ParameterPair,
 # ---------------------------------------------------------------------------
 # weighted residual of the main identity
 
+# the weighted residual's own policies, whatever the grid's: outer over t, inner over z
+WR_OUTER_POLICY = EvaluationPolicy(abs_tol=1e-8, rel_tol=1e-8, max_nodes=20000)
+WR_INNER_POLICY = EvaluationPolicy(abs_tol=2e-10, rel_tol=1e-9, max_nodes=60000)
+
+
 def check_weighted_residual(r: float, pair: ParameterPair,
-                            t_policy: EvaluationPolicy | None = None,
-                            policy: EvaluationPolicy | None = None,
                             tolerance: float = 1e-6) -> CheckRecord:
     """Smoke-level consistency check: the doubled-sech-weighted spectral
     average of (main integral at t) minus (its closed form) over t in
@@ -722,10 +726,6 @@ def check_weighted_residual(r: float, pair: ParameterPair,
     """
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r:g}")
-    if t_policy is None:
-        t_policy = EvaluationPolicy(abs_tol=1e-8, rel_tol=1e-8, max_nodes=20000)
-    if policy is None:
-        policy = EvaluationPolicy(abs_tol=2e-10, rel_tol=1e-9, max_nodes=60000)
 
     main_at = _main_kernel(pair)
     lr = math.asinh(math.sqrt(r))
@@ -741,17 +741,17 @@ def check_weighted_residual(r: float, pair: ParameterPair,
 
     def inner_main(t: float) -> float:
         loosen = math.cosh(min(TWO_PI * t, 700.0))
-        scaled = replace(policy,
-                         abs_tol=min(max(policy.abs_tol * loosen, policy.abs_tol), 1e6))
+        scaled = replace(WR_INNER_POLICY,
+                         abs_tol=min(WR_INNER_POLICY.abs_tol * loosen, 1e6))
         est = integrate_chebyshev_weighted(main_at(t), pair.T, pair.S, scaled)
         inner_nodes[0] += est.nodes_used
         if not est.converged:
             inner_unconverged[0] += 1
         return est.value.real
 
-    unit_est = integrate_decaying_halfline(weight, 0.9 * TWO_PI, t_policy)
+    unit_est = integrate_decaying_halfline(weight, 0.9 * TWO_PI, WR_OUTER_POLICY)
     full_est = integrate_decaying_halfline(
-        lambda t: weight(t) * inner_main(t), 0.9 * TWO_PI, t_policy)
+        lambda t: weight(t) * inner_main(t), 0.9 * TWO_PI, WR_OUTER_POLICY)
 
     lhs = (full_est.value - rhs_const * unit_est.value) / PI
     unit_residual = abs(unit_est.value / PI - PI / (1.0 + r))

@@ -34,6 +34,7 @@ __all__ = [
 ]
 
 COARSE_GUARD = 1e-3   # n = 32 needs |M32 - M16| this far inside the target
+TAIL_MARGIN = 2.0     # added to the half-line truncation point s_max, in units of s
 
 
 @dataclass
@@ -156,12 +157,12 @@ def gauss_kronrod_panel(g: Callable[[float], complex], a: float,
 def integrate_decaying_halfline(g: Callable[[float], complex],
                                 decay_rate: float,
                                 policy: EvaluationPolicy = DEFAULT_POLICY,
-                                margin: float = 2.0) -> IntegralEstimate:
+                                ) -> IntegralEstimate:
     """Integrate g over (0, infinity) assuming |g(s)| <= C exp(-decay_rate s).
 
     The envelope constant C is estimated from 8 logarithmically spaced
     samples; the integral is truncated at
-    s_max = log(C/abs_tol)/decay_rate + margin and the analytic tail bound
+    s_max = log(C/abs_tol)/decay_rate + TAIL_MARGIN and the analytic tail bound
     is folded into the error estimate.  The finite part is handled by
     adaptive bisection of Gauss-Kronrod panels, always splitting the panel
     with the largest error indicator.  Sampled magnitudes that fail to
@@ -169,8 +170,6 @@ def integrate_decaying_halfline(g: Callable[[float], complex],
     """
     if decay_rate <= 0.0:
         raise DomainError(f"decay_rate must be positive, got {decay_rate:g}")
-    if margin < 0.0:
-        raise DomainError(f"margin must be non-negative, got {margin:g}")
 
     horizon = max(math.log(1.0 / policy.abs_tol), 1.0) / decay_rate
     samples = [horizon * 0.5 ** j for j in range(8)]  # horizon .. horizon/128
@@ -194,7 +193,7 @@ def integrate_decaying_halfline(g: Callable[[float], complex],
     if envelope == 0.0:
         return IntegralEstimate(complex(0.0), 0.0, used, True)
 
-    s_max = max(margin, math.log(envelope / policy.abs_tol) / decay_rate + margin)
+    s_max = max(TAIL_MARGIN, math.log(envelope / policy.abs_tol) / decay_rate + TAIL_MARGIN)
     tail = envelope * math.exp(-decay_rate * s_max) / decay_rate
 
     n0 = 8

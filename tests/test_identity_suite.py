@@ -41,8 +41,6 @@ class TestMainIdentity:
     def test_cancellation_cap(self):
         with pytest.raises(DomainError):
             hy.check_main_identity(PAIR, 3.0)
-        rec = hy.check_main_identity(PAIR, 3.0, re_t_cap=4.0)
-        assert rec.status == hy.PASS
 
     def test_thin_interval_still_passes(self):
         pair = hy.ParameterPair(0.3, 0.3 + 1e-4)

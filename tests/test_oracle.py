@@ -1,6 +1,6 @@
-"""The main identity's and the Q integral's left sides against independent
-mpmath oracles, and a calibration of the Chebyshev engine's error
-estimates."""
+"""The main identity's, the Q integral's and the Barnes integral's left
+sides against independent mpmath oracles, and a calibration of the
+Chebyshev engine's error estimates."""
 
 import sys
 
@@ -65,3 +65,16 @@ def test_q_integral_near_s_one_left_unconverged():
         assert abs(ref - closed) <= 1e-12 * closed
     rec = hy.check_q_integral(0.5, hy.ParameterPair(0.5, 0.999))
     assert rec.status == "unconverged"
+
+
+@pytest.mark.parametrize("a, b, c", [(0.5, 0.5, 0.5), (1.0, 1.0, 0.5)])
+def test_barnes_agrees_with_oracle(a, b, c):
+    # a > 0 only: at a = 0 the engine integrates a closed form of the
+    # singular gamma ratio, which the oracle does not reproduce
+    ref = oracle.barnes_lhs(a, b, c)
+    with mpmath.workdps(oracle.DPS):   # the oracle meets the theorem to ~2e-21 relative
+        closed = mpmath.gamma(a + b) * mpmath.gamma(a + c) * mpmath.gamma(b + c)
+        assert abs(ref - closed) <= 1e-18 * closed
+    rec = hy.check_barnes_triple(a, b, c)
+    assert rec.status == "pass"
+    assert abs(rec.lhs - complex(ref)) <= 1e-13 * abs(complex(ref))

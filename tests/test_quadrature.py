@@ -155,17 +155,6 @@ class TestDecayingHalfline:
         expected = math.pi / (math.pi ** 2 + 4.0)
         assert abs(est.value - expected) <= 1e-11
 
-    def test_tail_margin_insensitivity(self):
-        # increasing the truncation margin by 5 moves the result by < abs_tol
-        for g, rate in (
-            (lambda s: math.exp(-s), 1.0),
-            (lambda s: 4.0 * math.pi ** 2 / math.cosh(math.pi * s), 0.9 * math.pi),
-            (lambda s: math.cos(2.0 * s) * math.exp(-math.pi * s), math.pi),
-        ):
-            base = hy.integrate_decaying_halfline(g, rate, POLICY, margin=2.0)
-            wide = hy.integrate_decaying_halfline(g, rate, POLICY, margin=7.0)
-            assert abs(base.value - wide.value) < POLICY.abs_tol
-
     def test_non_decay_detected(self):
         with pytest.raises(DomainError) as exc:
             hy.integrate_decaying_halfline(lambda s: math.exp(0.5 * s), 1.0, POLICY)
