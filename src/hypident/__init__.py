@@ -3,8 +3,8 @@ identities, from scalar closed forms up to a CLI grid runner."""
 
 __version__ = "0.1.0"
 
-from .errors import (ConvergenceError, DegenerateConfigurationError,
-                     DomainError, HypidentError, UsageError)
+from .errors import (DegenerateConfigurationError, DomainError,
+                     HypidentError, UsageError)
 from .identity_suite import (ParameterPair, QuadraticFamily,
                              check_barnes_triple, check_main_identity,
                              check_obstruction_integer, check_q_integral,
@@ -20,18 +20,16 @@ from .records import (FAIL, PASS, SKIPPED, UNCONVERGED, CheckRecord,
                       build_record, record_id)
 from .special_functions import (check_product_formula,
                                 check_quadratic_transform, f_2it_unit_interval,
-                                f_half_shifted, f_it, gauss_2f1_series,
-                                hyp2f1_via_series, log_gamma)
+                                f_half_shifted, f_it, log_gamma)
 
 __all__ = [
     "__version__",
-    "HypidentError", "DomainError", "ConvergenceError",
-    "DegenerateConfigurationError", "UsageError",
+    "HypidentError", "DomainError", "DegenerateConfigurationError",
+    "UsageError",
     "EvaluationPolicy", "DEFAULT_POLICY",
     "CheckRecord", "PASS", "FAIL", "UNCONVERGED", "SKIPPED",
     "build_record", "record_id",
-    "log_gamma", "gauss_2f1_series", "hyp2f1_via_series",
-    "f_it", "f_2it_unit_interval", "f_half_shifted",
+    "log_gamma", "f_it", "f_2it_unit_interval", "f_half_shifted",
     "check_quadratic_transform", "check_product_formula",
     "IntegralEstimate", "chebyshev_rule", "integrate_chebyshev_weighted",
     "gauss_kronrod_panel", "integrate_decaying_halfline", "pairwise_sum",

@@ -55,6 +55,17 @@ def _pairs_by_r(cfg: GridConfig):
     return ({"T": T, "S": S, "r": r} for (T, S) in cfg.pairs for r in cfg.r_values)
 
 
+def _finite(v) -> bool:
+    """Whether v is a number, not a bool, that converts to a finite float;
+    JSON reads NaN, Infinity and true as numbers too."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:   # an int beyond the float range
+        return False
+
+
 def _near_twins(xs) -> bool:
     """Whether two of the floats xs are equal or lie within 1e-10 of each
     other, relatively, as two that print alike to 12 significant digits do."""
@@ -161,7 +172,7 @@ class GridConfig:
         pairs = []
         for entry in raw.get("pairs", [list(p) for p in DEFAULT_PAIRS]):
             if (not isinstance(entry, (list, tuple)) or len(entry) != 2
-                    or not all(isinstance(v, (int, float)) for v in entry)):
+                    or not all(map(_finite, entry))):
                 raise UsageError(f"pairs: each entry must be [T, S], got {entry!r}")
             t_v, s_v = float(entry[0]), float(entry[1])
             if not 0.0 < t_v < s_v < 1.0:
@@ -170,19 +181,20 @@ class GridConfig:
 
         t_values = []
         for entry in raw.get("t_values", [[t.real, t.imag] for t in DEFAULT_T_VALUES]):
-            if isinstance(entry, (int, float)):
+            if _finite(entry):
                 t_values.append(complex(float(entry)))
             elif (isinstance(entry, (list, tuple)) and len(entry) == 2
-                  and all(isinstance(v, (int, float)) for v in entry)):
+                  and all(map(_finite, entry))):
                 t_values.append(complex(float(entry[0]), float(entry[1])))
             else:
                 raise UsageError(
-                    f"t_values: entries must be numbers or [re, im], got {entry!r}")
+                    f"t_values: entries must be finite numbers or [re, im], got {entry!r}")
 
         r_values = []
         for entry in raw.get("r_values", list(DEFAULT_R_VALUES)):
-            if not isinstance(entry, (int, float)) or not float(entry) > 0.0:
-                raise UsageError(f"r_values: entries must be positive numbers, got {entry!r}")
+            if not _finite(entry) or not entry > 0:
+                raise UsageError(
+                    f"r_values: entries must be positive finite numbers, got {entry!r}")
             r_values.append(float(entry))
         if not r_values:
             raise UsageError("r_values: must not be empty")
@@ -238,7 +250,6 @@ class GridConfig:
             "r_values": list(self.r_values),
             "policy": {"abs_tol": self.policy.abs_tol,
                        "rel_tol": self.policy.rel_tol,
-                       "max_terms": self.policy.max_terms,
                        "max_nodes": self.policy.max_nodes},
             "output_path": self.output_path,
             "format": self.format,
@@ -443,8 +454,8 @@ def main(argv: list | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 64
     if args.tol is not None:
-        if not args.tol > 0.0:
-            print("error: --tol must be positive", file=sys.stderr)
+        if not 0.0 < args.tol < math.inf:
+            print("error: --tol must be a positive finite number", file=sys.stderr)
             return 64
         cfg.tol_override = args.tol
     if args.jobs < 1:

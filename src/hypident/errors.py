@@ -11,14 +11,6 @@ class DomainError(HypidentError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class ConvergenceError(HypidentError, RuntimeError):
-    """A series failed to converge within its iteration budget."""
-
-    def __init__(self, message: str, last_term: float | None = None):
-        super().__init__(message)
-        self.last_term = last_term
-
-
 class DegenerateConfigurationError(HypidentError, RuntimeError):
     """The quadratic kernel has a double root, or a root at 0 or 1, so the
     partial-fraction machinery is not usable at this parameter point."""

@@ -25,7 +25,7 @@ from .policy import DEFAULT_POLICY, EvaluationPolicy
 from .quadrature import (IntegralEstimate, integrate_chebyshev_weighted,
                          integrate_decaying_halfline)
 from .records import CheckRecord, build_record, record_id
-from .special_functions import f_2it_unit_interval, f_it, log_gamma
+from .special_functions import log_gamma
 
 __all__ = [
     "ParameterPair",
@@ -159,9 +159,9 @@ def _second_argument(z: float, pair: ParameterPair) -> float:
 
 def _main_kernel(pair: ParameterPair):
     """at(t) -> the per-node integrand z -> main_integrand(z, pair, t), less the
-    interior check.  For real t the t-free geometry (asin(sqrt(Y)),
-    asinh(sqrt(x)), 1 - z) of each node is memoized for the life of the
-    kernel, one check, so each further t costs one cosh * cos / d per node."""
+    interior check.  The t-free geometry (asin(sqrt(Y)), asinh(sqrt(x)), 1 - z)
+    of each node is memoized for the life of the kernel, one check, so each
+    further t, real (math) or complex (cmath), costs one cosh * cos / d per node."""
     st, ss, s_hi = pair.sqrt_T, pair.sqrt_S, pair.S
     inv_ss = 1.0 / (1.0 - ss) ** 2
     geometry = {}
@@ -176,13 +176,13 @@ def _main_kernel(pair: ParameterPair):
     def at(t: complex):
         t = complex(t)
         if t.imag != 0.0:
-            return lambda z: (f_2it_unit_interval(t, -kernel_shifts(z, pair)[0])
-                              * f_it(t, _second_argument(z, pair)) / (1.0 - z))
-        c4, c2 = 4.0 * t.real, 2.0 * t.real
+            cosh, cos, c4, c2 = cmath.cosh, cmath.cos, 4.0 * t, 2.0 * t
+        else:
+            cosh, cos, c4, c2 = math.cosh, math.cos, 4.0 * t.real, 2.0 * t.real
 
-        def f(z: float) -> float:
+        def f(z: float) -> complex:
             asin_y, asinh_x, d = geometry.get(z) or node(z)
-            return math.cosh(c4 * asin_y) * math.cos(c2 * asinh_x) / d
+            return cosh(c4 * asin_y) * cos(c2 * asinh_x) / d
         return f
 
     return at

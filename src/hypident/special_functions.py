@@ -1,8 +1,8 @@
 """Scalar special-function kernels.
 
-Complex log-gamma, the Gauss hypergeometric power series, and the closed
-trigonometric forms of the family F(it,-it;1/2;x) together with two checks
-(quadratic transformation, product formula) built on those closed forms.
+Complex log-gamma and the closed trigonometric forms of the family
+F(it,-it;1/2;x), together with two checks (quadratic transformation,
+product formula) built on those closed forms.
 
 All powers and logarithms are taken on the principal branch, with the
 argument of a nonzero complex number in (-pi, pi].
@@ -13,14 +13,12 @@ from __future__ import annotations
 import cmath
 import math
 
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .policy import DEFAULT_POLICY, EvaluationPolicy
 from .records import CheckRecord, build_record, record_id
 
 __all__ = [
     "log_gamma",
-    "gauss_2f1_series",
-    "hyp2f1_via_series",
     "f_it",
     "f_2it_unit_interval",
     "f_half_shifted",
@@ -84,54 +82,6 @@ def _log_sin_pi(z: complex) -> complex:
     # so the principal log of that factor never wraps.
     w = cmath.exp(2j * math.pi * z)
     return complex(-_LN_2, 0.5 * math.pi) - 1j * math.pi * z + cmath.log(1.0 - w)
-
-
-def gauss_2f1_series(a: complex, b: complex, c: complex, x: float,
-                     policy: EvaluationPolicy = DEFAULT_POLICY) -> complex:
-    """Gauss hypergeometric series sum_k (a)_k (b)_k / ((c)_k k!) x^k.
-
-    Requires |x| < 1 and c not a non-positive integer.  Terms are summed
-    until the current term drops below abs_tol * max(1, |partial sum|);
-    exceeding max_terms raises ConvergenceError carrying the magnitude of
-    the last term.
-    """
-    a, b, c = complex(a), complex(b), complex(c)
-    x = float(x)
-    if not abs(x) < 1.0:
-        raise DomainError(f"series argument must satisfy |x| < 1, got {x:g}")
-    if c.imag == 0.0 and c.real <= 0.0 and c.real == math.floor(c.real):
-        raise DomainError(f"series parameter c = {c:g} is a non-positive integer")
-    total = complex(1.0, 0.0)
-    term = complex(1.0, 0.0)
-    for k in range(policy.max_terms):
-        term = term * (a + k) * (b + k) / ((c + k) * (k + 1.0)) * x
-        total += term
-        if abs(term) < policy.abs_tol * max(1.0, abs(total)):
-            return total
-    raise ConvergenceError(
-        f"2F1 series did not converge within {policy.max_terms} terms "
-        f"(last term {abs(term):.3e})", last_term=abs(term))
-
-
-def hyp2f1_via_series(a: complex, b: complex, c: complex, x: float,
-                      policy: EvaluationPolicy = DEFAULT_POLICY) -> complex:
-    """Series oracle for real arguments x < 1.
-
-    For x < -1/2 the Pfaff transformation
-        F(a,b;c;x) = (1-x)^(-a) F(a, c-b; c; x/(x-1))
-    maps the argument into [1/3, 1) before summing; otherwise the raw
-    series is used.  This is the reference route the closed forms are
-    verified against.
-    """
-    x = float(x)
-    if x >= 1.0:
-        raise DomainError(f"series oracle requires x < 1, got {x:g}")
-    if x < -0.5:
-        a = complex(a)
-        prefactor = cmath.exp(-a * math.log1p(-x))
-        return prefactor * gauss_2f1_series(a, complex(c) - complex(b), c,
-                                            x / (x - 1.0), policy)
-    return gauss_2f1_series(a, b, c, x, policy)
 
 
 def f_it(t: complex, x: float) -> complex:

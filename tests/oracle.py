@@ -1,5 +1,5 @@
 """Independent mpmath references for the left sides of the main identity,
-the Q integral and the Barnes integral.
+the Q integral, the Barnes integral and the spectral power integral.
 
 `main_identity_lhs(T, S, t)` integrates the paper's integrand
 
@@ -22,6 +22,13 @@ at each factor, where the engine sums log_gamma real parts (and, at a = 0,
 uses a closed form for the singular ratio, which this reference does not
 cover).  The integrand decays like a power of s times exp(-pi s), and the
 s range is split at 2, 5 and 10.
+
+`spectral_power_lhs(A, tau)` integrates 4 pi |Gamma(1/2+tau+is)|^2 times
+mpmath.hyp2f1(is, -is; 1/2; -A), where the engine uses the closed form
+cos(2s asinh(sqrt(A))) (cosh(2s asin(sqrt(-A))) for A < 0).  The integrand
+decays like exp(-(pi - 2 asin(sqrt(max(-A, 0)))) s), so the s range stops at
+40, where at A = -1/2 what is left is below 1e-26 relative.  mpmath's
+default term budget raises NoConvergence at large s; maxterms is raised.
 """
 
 import mpmath
@@ -95,3 +102,16 @@ def barnes_lhs(a: float, b: float, c: float) -> mpmath.mpf:
             return num / abs(mpmath.gamma(mpmath.mpc(0, 2 * s))) ** 2
 
         return mpmath.quad(integrand, [0, 2, 5, 10, mpmath.inf]) / (2 * mpmath.pi)
+
+
+def spectral_power_lhs(A: float, tau: float) -> mpmath.mpf:
+    """(1/2pi) times the integral over s in (0, 40) of
+    4 pi |Gamma(1/2+tau+is)|^2 Re F(is, -is; 1/2; -A), for A > -1, tau >= 0."""
+    with mpmath.workdps(DPS):
+        A, tau = mpmath.mpf(A), mpmath.mpf(tau)
+
+        def integrand(s):
+            f = mpmath.hyp2f1(1j * s, -1j * s, 0.5, -A, maxterms=10 ** 6)
+            return 4 * mpmath.pi * abs(mpmath.gamma(mpmath.mpc(0.5 + tau, s))) ** 2 * f.real
+
+        return mpmath.quad(integrand, [0, 2, 5, 10, 20, 40]) / (2 * mpmath.pi)

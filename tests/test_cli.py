@@ -6,6 +6,7 @@ import inspect
 import io
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -426,6 +427,40 @@ class TestCommandLine:
         proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
+
+    def test_import_needs_only_the_standard_library(self):
+        # src/ stays stdlib-only: without site-packages (python -S) the CLI
+        # imports, and loads no module outside the standard library
+        code = ("import sys, hypident.cli\n"
+                "allowed = set(sys.stdlib_module_names) | {'hypident', '__main__'}\n"
+                "print(sorted({n.partition('.')[0] for n in sys.modules} - allowed))")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hy.__file__)))
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("config, args, named", [
+        ('{"r_values": [Infinity]}', [], "r_values"),
+        ('{"t_values": [[0, Infinity]]}', [], "t_values"),
+        ('{"t_values": [NaN]}', [], "t_values"),
+        ('{"r_values": [true]}', [], "r_values"),
+        ('{"t_values": [true]}', [], "t_values"),
+        ('{}', ["--tol", "inf"], "--tol"),
+        ('{"r_values": [1%s]}' % ("0" * 400), [], "r_values"),
+        ('{"policy": {"max_terms": 2400}}', [], "max_terms"),
+    ], ids=["r_inf", "t_im_inf", "t_nan", "r_true", "t_true", "tol_inf", "r_huge_int",
+            "max_terms"])
+    def test_non_finite_bool_or_unknown_value_usage_error(self, config, args, named,
+                                                          tmp_path, capsys):
+        # JSON reads NaN, Infinity and true as numbers, and ints past the float
+        # range; each used to crash the run, run as 1, or (--tol inf) pass
+        # every record vacuously
+        path = tmp_path / "config.json"
+        path.write_text(config)
+        assert main(["--config", str(path), "--suite", "barnes"] + args) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and named in err
 
     def test_bad_config_json(self, tmp_path):
         path = tmp_path / "broken.json"

@@ -1,6 +1,6 @@
-"""The main identity's, the Q integral's and the Barnes integral's left
-sides against independent mpmath oracles, and a calibration of the
-Chebyshev engine's error estimates."""
+"""The main identity's, the Q integral's, the Barnes integral's and the
+spectral power integral's left sides against independent mpmath oracles,
+and a calibration of the Chebyshev engine's error estimates."""
 
 import sys
 
@@ -76,5 +76,18 @@ def test_barnes_agrees_with_oracle(a, b, c):
         closed = mpmath.gamma(a + b) * mpmath.gamma(a + c) * mpmath.gamma(b + c)
         assert abs(ref - closed) <= 1e-18 * closed
     rec = hy.check_barnes_triple(a, b, c)
+    assert rec.status == "pass"
+    assert abs(rec.lhs - complex(ref)) <= 1e-13 * abs(complex(ref))
+
+
+@pytest.mark.parametrize("A, tau", [(-0.5, 0.0), (0.25, 0.8)])
+def test_spectral_power_agrees_with_oracle(A, tau):
+    ref = oracle.spectral_power_lhs(A, tau)
+    with mpmath.workdps(oracle.DPS):   # the oracle meets the theorem to ~2e-21 relative
+        a, ta = mpmath.mpf(A), mpmath.mpf(tau)
+        closed = (mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 + ta) * mpmath.gamma(0.5 + ta)
+                  * (1 + a) ** (-0.5 - ta))
+        assert abs(ref - closed) <= 1e-18 * closed
+    rec = hy.check_spectral_power(A, tau)
     assert rec.status == "pass"
     assert abs(rec.lhs - complex(ref)) <= 1e-13 * abs(complex(ref))
