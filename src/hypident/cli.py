@@ -225,6 +225,13 @@ class GridConfig:
         pol_raw = raw.get("policy", {})
         if not isinstance(pol_raw, dict):
             raise UsageError("policy: must be an object of EvaluationPolicy fields")
+        # checked here, as the grid values are, rather than in EvaluationPolicy,
+        # whose __post_init__ runs again at every replace()
+        for key, value in pol_raw.items():
+            if key == "max_nodes" and type(value) is not int:   # bool is an int subclass
+                raise UsageError(f"policy: max_nodes must be an integer, got {value!r}")
+            if key in ("abs_tol", "rel_tol") and not _finite(value):
+                raise UsageError(f"policy: {key} must be a finite number, got {value!r}")
         try:
             policy = EvaluationPolicy(**pol_raw)
         except (TypeError, ValueError) as exc:
@@ -280,8 +287,9 @@ def build_tasks(cfg: GridConfig) -> list:
 
 
 def run_task(task: tuple) -> CheckRecord:
-    """The record of one task.  A point the suite skips, or one where the check
-    raises DegenerateConfigurationError, gives a skipped record with the reason."""
+    """The record of one task.  A point the suite skips, one where the check
+    raises DegenerateConfigurationError, or one beyond the float range
+    (OverflowError) gives a skipped record with the reason."""
     suite, params, policy, tolerance = task
     entry = SUITE_TABLE[suite]
     reason = entry.skip(params) if entry.skip is not None else None
@@ -290,6 +298,8 @@ def run_task(task: tuple) -> CheckRecord:
             return entry.check(params, policy, tolerance)
         except DegenerateConfigurationError as exc:
             reason = str(exc)
+        except OverflowError as exc:
+            reason = f"the point overflows the float range: {exc}"
     return skipped_record(record_id(suite, **params), reason, tolerance, metadata=params)
 
 

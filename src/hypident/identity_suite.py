@@ -117,8 +117,9 @@ def kernel_shifts(z: float, pair: ParameterPair) -> tuple[float, float]:
     return a, b
 
 
-def _poly_coeffs(r: float, pair: ParameterPair) -> tuple[float, float, float, float]:
-    # R and the quadratic-in-z coefficients E, F, G of the kernel denominator
+def _poly_coeffs(r: float, pair: ParameterPair) -> tuple[float, ...]:
+    # R, the kernel numerator's constant and z coefficients m, k, and the
+    # quadratic-in-z coefficients E, F, G of its denominator
     st, ss = pair.sqrt_T, pair.sqrt_S
     rr = 2.0 * r * (1.0 - st) * (1.0 - ss)
     m = st + ss - 2.0 * ss * st
@@ -126,7 +127,9 @@ def _poly_coeffs(r: float, pair: ParameterPair) -> tuple[float, float, float, fl
     e = m * m + 2.0 * rr * ss * st
     f = 2.0 * k * m + 2.0 * rr * (1.0 + ss * st - 2.0 * st - 2.0 * ss) + rr * rr
     g = k * k + 2.0 * rr
-    return rr, e, f, g
+    if not all(map(math.isfinite, (rr, e, f, g))):
+        raise OverflowError(f"the kernel coefficients at r = {r:g} are not finite")
+    return rr, m, k, e, f, g
 
 
 def kernel_factors(z: float, r: float, pair: ParameterPair) -> tuple[float, float]:
@@ -146,9 +149,8 @@ def kernel_factors(z: float, r: float, pair: ParameterPair) -> tuple[float, floa
     sz = math.sqrt(z)
     i1 = (PI * (1.0 - sz) * math.sqrt(sz + st) * math.sqrt(sz + ss)
           * math.sqrt(1.0 - st) * math.sqrt(1.0 - ss))
-    rr, e, f, g = _poly_coeffs(r, pair)
-    num = (st + ss - 2.0 * ss * st) + rr * sz + z * (st + ss - 2.0)
-    i2 = num / (e + f * z + g * z * z)
+    rr, m, k, e, f, g = _poly_coeffs(r, pair)
+    i2 = (m + rr * sz + z * k) / (e + f * z + g * z * z)
     return i1, i2
 
 
@@ -332,11 +334,18 @@ def check_spectral_power(a_shift: float, tau: float,
                                   "nodes": est.nodes_used})
 
 
-def _resolvent_product_estimate(a_shift: float, r: float, b_shift: float,
-                                policy: EvaluationPolicy) -> tuple[IntegralEstimate, complex]:
-    # shared integrand of the resolvent (B = 0) and product checks; the
-    # B factor multiplies last so the B = 0 instance is bit-identical to
-    # the resolvent evaluation (cos(0) == 1.0 exactly)
+def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0):
+    """(g, decay): the sech-weighted product integrand in closed form,
+
+        g(s) = (4pi^2/cosh(pi c s)) F(1/2+-ics;1/2;-r) F(+-ics;1/2;-A) F(+-ics;1/2;-B),
+
+    and the rate 0.9 (pi c - c growth(A)) at which it decays.  c = 1 gives the
+    resolvent (B = 0) and product integrands in s; c = 2 gives the spectral
+    kernel's (at the kernel shifts) and the weighted residual's weight
+    (A = B = 0) in t = s/2.  The B factor multiplies last, so B = 0 adds
+    nothing to the bits (cos(0) == 1.0 exactly).
+    """
+    pc, c2 = PI * c, 2.0 * c
     lr = math.asinh(math.sqrt(r))
     inv_sqrt_1pr = 1.0 / math.sqrt(1.0 + r)
     lb = math.asinh(math.sqrt(b_shift))
@@ -345,20 +354,19 @@ def _resolvent_product_estimate(a_shift: float, r: float, b_shift: float,
         la = math.asinh(math.sqrt(a_shift))
 
         def g(s: float) -> float:
-            w = math.exp(_LN_4PI2 - _ln_cosh(PI * s))
-            return (w * math.cos(2.0 * s * lr) * inv_sqrt_1pr
-                    * math.cos(2.0 * s * la) * math.cos(2.0 * s * lb))
+            u = c2 * s
+            w = math.exp(_LN_4PI2 - _ln_cosh(pc * s))
+            return (w * math.cos(u * lr) * inv_sqrt_1pr
+                    * math.cos(u * la) * math.cos(u * lb))
     else:
         ga = math.asin(math.sqrt(-a_shift))
 
         def g(s: float) -> float:
-            w = math.exp(_LN_4PI2 - _ln_cosh(PI * s) + _ln_cosh(2.0 * s * ga))
-            return (w * math.cos(2.0 * s * lr) * inv_sqrt_1pr
-                    * math.cos(2.0 * s * lb))
+            u = c2 * s
+            w = math.exp(_LN_4PI2 - _ln_cosh(pc * s) + _ln_cosh(u * ga))
+            return w * math.cos(u * lr) * inv_sqrt_1pr * math.cos(u * lb)
 
-    decay = 0.9 * (PI - _growth_rate(a_shift))
-    est = integrate_decaying_halfline(g, decay, policy)
-    return est, est.value / (2.0 * PI)
+    return g, 0.9 * (pc - c * _growth_rate(a_shift))
 
 
 def check_spectral_resolvent(a_shift: float, r: float,
@@ -374,10 +382,10 @@ def check_spectral_resolvent(a_shift: float, r: float,
         raise DomainError(f"shift must satisfy A > -1, got {a_shift:g}")
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r:g}")
-    est, lhs = _resolvent_product_estimate(a_shift, r, 0.0, policy)
+    est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, 0.0), policy)
     rhs = PI * math.sqrt(1.0 + a_shift) / (1.0 + r + a_shift)
     rid = record_id("spectral_resolvent", A=a_shift, r=r)
-    return build_record(rid, lhs, rhs, tolerance, converged=est.converged,
+    return build_record(rid, est.value / TWO_PI, rhs, tolerance, converged=est.converged,
                         metadata={"A": a_shift, "r": r,
                                   "nodes": est.nodes_used})
 
@@ -400,7 +408,7 @@ def check_spectral_product(a_shift: float, r: float, b_shift: float,
         raise DomainError(f"r must be positive, got {r:g}")
     if b_shift < 0.0:
         raise DomainError(f"B must be non-negative, got {b_shift:g}")
-    est, lhs = _resolvent_product_estimate(a_shift, r, b_shift, policy)
+    est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift), policy)
     if b_shift == 0.0:
         denom = (1.0 + r + a_shift) ** 2
         rhs = PI * math.sqrt(1.0 + a_shift) / (1.0 + r + a_shift)
@@ -409,7 +417,7 @@ def check_spectral_product(a_shift: float, r: float, b_shift: float,
         rhs = (PI * math.sqrt(1.0 + a_shift) * math.sqrt(1.0 + b_shift)
                * (1.0 + a_shift + r + b_shift) / denom)
     rid = record_id("spectral_product", A=a_shift, r=r, B=b_shift)
-    return build_record(rid, lhs, rhs, tolerance, converged=est.converged,
+    return build_record(rid, est.value / TWO_PI, rhs, tolerance, converged=est.converged,
                         consistent=denom > 0.0,
                         metadata={"A": a_shift, "r": r, "B": b_shift,
                                   "denominator": denom,
@@ -429,33 +437,18 @@ def check_spectral_kernel(z: float, r: float, pair: ParameterPair,
                          B_t(z) dt  =  i1(z) i2(r, z)
 
     where B_t(z) is the product of the two closed-form factors of the main
-    integrand and (i1, i2) = kernel_factors(z, r, pair).  Valid on the
+    integrand and (i1, i2) = kernel_factors(z, r, pair).  Since
+    asinh(sqrt(x(z))) = 2 asinh(sqrt(B(z))), B_t(z) = F(+-2it;1/2;-A)
+    F(+-2it;1/2;-B) at (A, B) = kernel_shifts(z, pair): the integrand is the
+    spectral product's, at those shifts, in t = s/2.  Valid on the
     closed interval T <= z <= S (the first factor degenerates to 1 at
     z = T, the second at z = S).
     """
-    a_shift, _ = kernel_shifts(z, pair)
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r:g}")
-    y = -a_shift
-    x = _second_argument(z, pair)
-    as_y = math.asin(math.sqrt(y)) if y > 0.0 else 0.0
-    lx = math.asinh(math.sqrt(x))
-    lr = math.asinh(math.sqrt(r))
-    inv_sqrt_1pr = 1.0 / math.sqrt(1.0 + r)
-
-    def g(t: float) -> float:
-        ln_w = _LN_4PI2 - _ln_cosh(TWO_PI * t)
-        if as_y > 0.0:
-            ln_w += _ln_cosh(4.0 * t * as_y)
-        return (math.exp(ln_w) * math.cos(4.0 * t * lr) * inv_sqrt_1pr
-                * math.cos(2.0 * t * lx))
-
-    decay = 0.9 * (TWO_PI - 4.0 * as_y)
-    est = integrate_decaying_halfline(g, decay, policy)
-    lhs = est.value / PI
-    i1, i2 = kernel_factors(z, r, pair)
+    a_shift, b_shift = kernel_shifts(z, pair)
+    i1, i2 = kernel_factors(z, r, pair)   # raises DomainError for r <= 0
+    est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift, 2.0), policy)
     rid = record_id("spectral_kernel", T=pair.T, S=pair.S, z=z, r=r)
-    return build_record(rid, lhs, i1 * i2, tolerance, converged=est.converged,
+    return build_record(rid, est.value / PI, i1 * i2, tolerance, converged=est.converged,
                         metadata={"T": pair.T, "S": pair.S, "z": z, "r": r,
                                   "nodes": est.nodes_used})
 
@@ -465,9 +458,7 @@ def check_spectral_kernel(z: float, r: float, pair: ParameterPair,
 
 def _q_integrand(pair: ParameterPair, r: float):
     st, ss = pair.sqrt_T, pair.sqrt_S
-    rr, e, f, g = _poly_coeffs(r, pair)
-    m = st + ss - 2.0 * ss * st
-    k = st + ss - 2.0
+    rr, m, k, e, f, g = _poly_coeffs(r, pair)
     span = ss - st
 
     def h(q: float) -> float:
@@ -577,9 +568,7 @@ def quadratic_family(r: float, pair: ParameterPair) -> QuadraticFamily:
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r:g}")
     st, ss = pair.sqrt_T, pair.sqrt_S
-    rr, e_c, f_c, g_c = _poly_coeffs(r, pair)
-    m = st + ss - 2.0 * ss * st
-    k = st + ss - 2.0
+    rr, m, k, e_c, f_c, g_c = _poly_coeffs(r, pair)
 
     disc = f_c * f_c - 4.0 * e_c * g_c
     scale = max(f_c * f_c, abs(4.0 * e_c * g_c))
@@ -728,16 +717,11 @@ def check_weighted_residual(r: float, pair: ParameterPair,
         raise DomainError(f"r must be positive, got {r:g}")
 
     main_at = _main_kernel(pair)
-    lr = math.asinh(math.sqrt(r))
-    inv_sqrt_1pr = 1.0 / math.sqrt(1.0 + r)
+    weight, decay = _spectral_integrand(0.0, r, 0.0, 2.0)
     rhs_const = pair.main_closed_form()
 
     inner_nodes = [0]
     inner_unconverged = [0]
-
-    def weight(t: float) -> float:
-        return (math.exp(_LN_4PI2 - _ln_cosh(TWO_PI * t))
-                * math.cos(4.0 * t * lr) * inv_sqrt_1pr)
 
     def inner_main(t: float) -> float:
         loosen = math.cosh(min(TWO_PI * t, 700.0))
@@ -749,9 +733,9 @@ def check_weighted_residual(r: float, pair: ParameterPair,
             inner_unconverged[0] += 1
         return est.value.real
 
-    unit_est = integrate_decaying_halfline(weight, 0.9 * TWO_PI, WR_OUTER_POLICY)
+    unit_est = integrate_decaying_halfline(weight, decay, WR_OUTER_POLICY)
     full_est = integrate_decaying_halfline(
-        lambda t: weight(t) * inner_main(t), 0.9 * TWO_PI, WR_OUTER_POLICY)
+        lambda t: weight(t) * inner_main(t), decay, WR_OUTER_POLICY)
 
     lhs = (full_est.value - rhs_const * unit_est.value) / PI
     unit_residual = abs(unit_est.value / PI - PI / (1.0 + r))

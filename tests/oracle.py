@@ -1,5 +1,6 @@
 """Independent mpmath references for the left sides of the main identity,
-the Q integral, the Barnes integral and the spectral power integral.
+the Q integral, the Barnes integral, the spectral power integral and the
+sech-weighted spectral product integral.
 
 `main_identity_lhs(T, S, t)` integrates the paper's integrand
 
@@ -29,6 +30,13 @@ cos(2s asinh(sqrt(A))) (cosh(2s asin(sqrt(-A))) for A < 0).  The integrand
 decays like exp(-(pi - 2 asin(sqrt(max(-A, 0)))) s), so the s range stops at
 40, where at A = -1/2 what is left is below 1e-26 relative.  mpmath's
 default term budget raises NoConvergence at large s; maxterms is raised.
+
+`spectral_product_lhs(A, r, B)` integrates the sech-weighted product
+4 pi^2/cosh(pi s) F(1/2+-is;1/2;-r) F(+-is;1/2;-A) F(+-is;1/2;-B), all three
+factors from mpmath.hyp2f1, where the engine writes each as a cos or cosh
+closed form.  At (A, B) = kernel_shifts(z) it is also the spectral kernel's
+left side, taken in s = 2t.  The integrand decays like
+exp(-(pi - 2 asin(sqrt(max(-A, 0)))) s), and the s range stops at 40 as above.
 """
 
 import mpmath
@@ -113,5 +121,21 @@ def spectral_power_lhs(A: float, tau: float) -> mpmath.mpf:
         def integrand(s):
             f = mpmath.hyp2f1(1j * s, -1j * s, 0.5, -A, maxterms=10 ** 6)
             return 4 * mpmath.pi * abs(mpmath.gamma(mpmath.mpc(0.5 + tau, s))) ** 2 * f.real
+
+        return mpmath.quad(integrand, [0, 2, 5, 10, 20, 40]) / (2 * mpmath.pi)
+
+
+def spectral_product_lhs(A: float, r: float, B: float) -> mpmath.mpf:
+    """(1/2pi) times the integral over s in (0, 40) of (4pi^2/cosh(pi s))
+    Re F(1/2+is, 1/2-is; 1/2; -r) Re F(is, -is; 1/2; -A) Re F(is, -is; 1/2; -B),
+    for A > -1, r > 0, B >= 0."""
+    with mpmath.workdps(DPS):
+        A, r, B = mpmath.mpf(A), mpmath.mpf(r), mpmath.mpf(B)
+
+        def integrand(s):
+            f_r = mpmath.hyp2f1(0.5 + 1j * s, 0.5 - 1j * s, 0.5, -r, maxterms=10 ** 6)
+            f_a = mpmath.hyp2f1(1j * s, -1j * s, 0.5, -A, maxterms=10 ** 6)
+            f_b = mpmath.hyp2f1(1j * s, -1j * s, 0.5, -B, maxterms=10 ** 6)
+            return 4 * mpmath.pi ** 2 / mpmath.cosh(mpmath.pi * s) * f_r.real * f_a.real * f_b.real
 
         return mpmath.quad(integrand, [0, 2, 5, 10, 20, 40]) / (2 * mpmath.pi)

@@ -462,6 +462,44 @@ class TestCommandLine:
         out, err = capsys.readouterr()
         assert out == "" and named in err
 
+    @pytest.mark.parametrize("policy, named", [
+        ('{"abs_tol": Infinity}', "abs_tol"),
+        ('{"abs_tol": true}', "abs_tol"),
+        ('{"rel_tol": NaN}', "rel_tol"),
+        ('{"max_nodes": 100.5}', "max_nodes"),
+        ('{"max_nodes": 1e9}', "max_nodes"),
+        ('{"max_nodes": true}', "max_nodes"),
+    ], ids=["abs_inf", "abs_true", "rel_nan", "nodes_fraction", "nodes_float", "nodes_true"])
+    def test_non_finite_bool_or_fractional_policy_usage_error(self, policy, named,
+                                                              tmp_path, capsys):
+        # abs_tol = Infinity used to pass every record vacuously, true to
+        # crash the run, and a float node budget was accepted
+        path = tmp_path / "config.json"
+        path.write_text('{"policy": %s}' % policy)
+        assert main(["--config", str(path), "--suite", "barnes"]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and f"policy: {named} " in err
+
+    @pytest.mark.parametrize("config, skipped, total", [
+        ({"t_values": [1000], "suites": ["quadratic_transform"]}, 2, 4),
+        ({"t_values": [[0, 1000]],
+          "suites": ["quadratic_transform", "product_formula", "main_identity"]}, 7, 10),
+        ({"r_values": [1e160],
+          "suites": ["spectral_product", "q_integral", "spectral_kernel", "obstruction"]},
+         27, 27),
+    ], ids=["t_real", "t_imaginary", "r"])
+    def test_point_beyond_float_range_skipped(self, config, skipped, total):
+        # these points used to crash the run with OverflowError, fail
+        # (q_integral's lhs read 0) or pass vacuously (spectral_kernel)
+        doc = run(GridConfig.from_dict(config))
+        assert (doc.summary["skipped"], doc.summary["total"]) == (skipped, total)
+        assert exit_code(doc) == 3
+        for rec in doc.records:
+            if rec.status != "pass":
+                assert rec.status == "skipped", rec.id
+                assert rec.metadata["reason"].startswith(
+                    "the point overflows the float range: "), rec.id
+
     def test_bad_config_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -2,6 +2,7 @@
 spectral integrals, kernel factorization, Q integral, obstruction."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -212,7 +213,7 @@ class TestQIntegral:
         # the defect written from its definition (i2 as in kernel_factors),
         # on a fixed n-node rule
         st, ss = pair.sqrt_T, pair.sqrt_S
-        rr, e, f, g = _poly_coeffs(r, pair)
+        rr, _, _, e, f, g = _poly_coeffs(r, pair)
         m, k = st + ss - 2.0 * ss * st, st + ss - 2.0
         inv_base = 1.0 / (2.0 * (1.0 - st) * (1.0 - ss))
 
@@ -387,6 +388,69 @@ class TestMainKernel:
             monkeypatch.setattr(identity_suite, name, counting(getattr(identity_suite, name)))
         doc = cli.run(cli.GridConfig.from_dict({"suites": [suite]}))
         assert doc.records and calls[0] == sum(r.metadata["nodes"] for r in doc.records)
+
+
+def _reference_kernel_integrand(z, r, pair):
+    # check_spectral_kernel's integrand and decay rate as first written
+    # inline, with the second factor in asinh(sqrt(x)); the shared spectral
+    # integrand writes it as cos(4t asinh(sqrt(B))) at the kernel shifts
+    y = -hy.kernel_shifts(z, pair)[0]
+    x = _second_argument(z, pair)
+    as_y = math.asin(math.sqrt(y)) if y > 0.0 else 0.0
+    lx = math.asinh(math.sqrt(x))
+    lr = math.asinh(math.sqrt(r))
+    inv_sqrt_1pr = 1.0 / math.sqrt(1.0 + r)
+
+    def g(t):
+        ln_w = identity_suite._LN_4PI2 - identity_suite._ln_cosh(identity_suite.TWO_PI * t)
+        if as_y > 0.0:
+            ln_w += identity_suite._ln_cosh(4.0 * t * as_y)
+        return (math.exp(ln_w) * math.cos(4.0 * t * lr) * inv_sqrt_1pr
+                * math.cos(2.0 * t * lx))
+
+    return g, 0.9 * (identity_suite.TWO_PI - 4.0 * as_y)
+
+
+def _reference_residual_weight(r):
+    # check_weighted_residual's weight as first written inline
+    lr = math.asinh(math.sqrt(r))
+    inv_sqrt_1pr = 1.0 / math.sqrt(1.0 + r)
+
+    def weight(t):
+        return (math.exp(identity_suite._LN_4PI2
+                         - identity_suite._ln_cosh(identity_suite.TWO_PI * t))
+                * math.cos(4.0 * t * lr) * inv_sqrt_1pr)
+
+    return weight
+
+
+class TestSpectralIntegrand:
+    def test_residual_weight_bit_identical_to_reference(self):
+        rng = random.Random(1)
+        for r in (0.01, 0.5, 1.0, 10.0, 100.0, 1e6):
+            weight, decay = identity_suite._spectral_integrand(0.0, r, 0.0, 2.0)
+            ref = _reference_residual_weight(r)
+            ts = [0.0] + [rng.uniform(0.0, 10.0) for _ in range(500)]
+            assert [weight(t) for t in ts] == [ref(t) for t in ts]
+            assert decay == 0.9 * identity_suite.TWO_PI
+
+    def test_kernel_integrand_matches_reference(self):
+        # only the second factor's cos argument is rounded differently; the
+        # difference is measured against the integrand's peak g(0), since
+        # relative to g(t) itself it is unbounded where a cos factor crosses 0
+        rng = random.Random(1)
+        pairs = [hy.ParameterPair(*p) for p in cli.DEFAULT_PAIRS]
+        for _ in range(2000):
+            pair = rng.choice(pairs)
+            z = min(pair.T + rng.random() * (pair.S - pair.T), pair.S)
+            r = math.exp(rng.uniform(math.log(0.1), math.log(100.0)))
+            t = rng.uniform(0.0, 2.0)
+            ref, ref_decay = _reference_kernel_integrand(z, r, pair)
+            a_shift, b_shift = hy.kernel_shifts(z, pair)
+            got, decay = identity_suite._spectral_integrand(a_shift, r, b_shift, 2.0)
+            assert decay == ref_decay
+            assert got(0.0) == ref(0.0)
+            assert abs(got(t) - ref(t)) <= 1e-14 * ref(0.0), (pair, z, r, t)
 
 
 class TestCheckRecordInvariant:

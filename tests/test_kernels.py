@@ -62,7 +62,7 @@ class TestKernelShifts:
         z, r = 0.375, 1.0
         a, b = hy.kernel_shifts(z, PAIR)
         st_, ss = PAIR.sqrt_T, PAIR.sqrt_S
-        rr, _, _, _ = _poly_coeffs(r, PAIR)
+        rr, _, _, _, _, _ = _poly_coeffs(r, PAIR)
         sz = math.sqrt(z)
         num = (st_ + ss - 2.0 * ss * st_) + rr * sz + z * (st_ + ss - 2.0)
         rhs = num / (2.0 * (1.0 - st_) * (1.0 - ss) * sz)
@@ -78,14 +78,14 @@ class TestKernelFactors:
 
     def test_denominator_positive_at_ends(self):
         for z in (PAIR.T, PAIR.S):
-            _, e, f, g = _poly_coeffs(0.5, PAIR)
+            _, _, _, e, f, g = _poly_coeffs(0.5, PAIR)
             assert e + f * z + g * z * z > 0.0
 
     def test_denominator_positive_grid(self):
         # E + F z + G z^2 > 0 on [T, S], including small r with complex roots
         for pair in PAIRS:
             for r in (0.01, 0.1, 0.5, 1.0, 10.0, 100.0):
-                _, e, f, g = _poly_coeffs(r, pair)
+                _, _, _, e, f, g = _poly_coeffs(r, pair)
                 for z in z_grid(pair, 33):
                     assert e + f * z + g * z * z > 0.0
 

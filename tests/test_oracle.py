@@ -91,3 +91,21 @@ def test_spectral_power_agrees_with_oracle(A, tau):
     rec = hy.check_spectral_power(A, tau)
     assert rec.status == "pass"
     assert abs(rec.lhs - complex(ref)) <= 1e-13 * abs(complex(ref))
+
+
+@pytest.mark.parametrize("suite", ["spectral_resolvent", "spectral_product", "spectral_kernel"])
+def test_spectral_product_integrand_agrees_with_oracle(suite):
+    # one integrand serves all three suites: the kernel's is the product's at
+    # the kernel shifts, in t = s/2, so the same oracle judges each
+    if suite == "spectral_kernel":
+        pair, z, r = hy.ParameterPair(0.25, 0.5), 0.375, 2.0
+        (A, B), rec = hy.kernel_shifts(z, pair), hy.check_spectral_kernel(z, r, pair)
+    else:
+        A, r, B = -0.5, 0.5, 0.0
+        rec = (hy.check_spectral_resolvent(A, r) if suite == "spectral_resolvent"
+               else hy.check_spectral_product(A, r, B))
+    ref = oracle.spectral_product_lhs(A, r, B)
+    with mpmath.workdps(oracle.DPS):   # the oracle meets the theorem to ~1e-16 relative
+        assert abs(ref - complex(rec.rhs).real) <= 1e-14 * abs(ref)
+    assert rec.status == "pass"
+    assert abs(rec.lhs - complex(ref)) <= 1e-13 * abs(complex(ref))
