@@ -22,8 +22,8 @@ from dataclasses import dataclass, replace
 
 from .errors import DegenerateConfigurationError, DomainError
 from .policy import DEFAULT_POLICY, EvaluationPolicy
-from .quadrature import (IntegralEstimate, integrate_chebyshev_weighted,
-                         integrate_decaying_halfline)
+from .quadrature import (COARSE_GUARD, IntegralEstimate, integrate_chebyshev_weighted,
+                         integrate_decaying_halfline, integrate_even_trapezoid)
 from .records import CheckRecord, build_record, record_id
 from .special_functions import log_gamma
 
@@ -107,13 +107,15 @@ def kernel_shifts(z: float, pair: ParameterPair) -> tuple[float, float]:
         A(z) = -(1+sqrt(z))(sqrt(z)-sqrt(T)) / (2(1-sqrt(T)) sqrt(z))
         B(z) =  (1+sqrt(z))(sqrt(S)-sqrt(z)) / (2(1-sqrt(S)) sqrt(z))
 
-    For T <= z <= S these satisfy A > -1 and B >= 0.
+    For T <= z <= S these satisfy A > -1 and B >= 0.  B is formed from S - z
+    and 1 - S, so it keeps a few ulps as z -> S or S -> 1; A keeps the main
+    integrand's -Y bit for bit, its absolute error a few ulps over 1 - sqrt(T).
     """
     if not pair.T <= z <= pair.S:
         raise DomainError(f"z = {z:g} outside [{pair.T:g}, {pair.S:g}]")
-    sz = math.sqrt(z)
+    sz, ss = math.sqrt(z), pair.sqrt_S
     a = -(1.0 + sz) * (sz - pair.sqrt_T) / (2.0 * (1.0 - pair.sqrt_T) * sz)
-    b = (1.0 + sz) * (pair.sqrt_S - sz) / (2.0 * (1.0 - pair.sqrt_S) * sz)
+    b = (1.0 + sz) * (pair.S - z) * (1.0 + ss) / (2.0 * (1.0 - pair.S) * (ss + sz) * sz)
     return a, b
 
 
@@ -702,50 +704,47 @@ WR_INNER_POLICY = EvaluationPolicy(abs_tol=2e-10, rel_tol=1e-9, max_nodes=60000)
 def check_weighted_residual(r: float, pair: ParameterPair,
                             tolerance: float = 1e-6) -> CheckRecord:
     """Smoke-level consistency check: the doubled-sech-weighted spectral
-    average of (main integral at t) minus (its closed form) over t in
+    average of (main integral M(t)) minus (its closed form C) over t in
     (0, inf) must vanish.
 
-    Computed by linearity as (weighted average of the main integral)
-    minus (closed form) * (weighted unit integral); both pieces share the
-    same truncation so their errors largely cancel.  The weighted unit
-    integral is itself compared against its closed form pi/(1+r) and the
-    residual stored in the metadata.  The inner quadrature tolerance is
-    relaxed by the weight's own decay, since at large t the weight crushes
-    the inner cancellation noise.
+    The weight w(t) and w(t) (M(t) - C) are even in t and analytic for
+    |Im t| < 1/4, so one nested trapezoid rule takes both on the same nodes;
+    both must converge, so the weight fixes the step even where the residual
+    is round-off.  M(t) is an inner Chebyshev integral, its tolerance relaxed
+    by cosh(2 pi t), as the weight crushes its noise at large t.  The rule
+    stops where |w| <= 8 pi^2 exp(-2 pi t) / sqrt(1+r) leaves a tail below
+    COARSE_GUARD * abs_tol; C times that bound (|M - C| <= C) joins both
+    errors.  `unit_residual` is the unit integral's distance from pi^2/(1+r).
+    A scale C pi/(1+r) at or below the tolerance makes a point degenerate.
     """
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r:g}")
-
-    main_at = _main_kernel(pair)
-    weight, decay = _spectral_integrand(0.0, r, 0.0, 2.0)
     rhs_const = pair.main_closed_form()
+    if rhs_const * PI / (1.0 + r) <= tolerance:
+        raise DegenerateConfigurationError(
+            f"the weighted residual's scale C pi/(1+r) = {rhs_const * PI / (1.0 + r):.3g} "
+            f"is at or below its tolerance {tolerance:g}, so a pass would be vacuous")
+    main_at = _main_kernel(pair)
+    weight = _spectral_integrand(0.0, r, 0.0, 2.0)[0]
+    tail = COARSE_GUARD * WR_OUTER_POLICY.abs_tol
+    t_max = max(math.log(2.0 * TWO_PI / (math.sqrt(1.0 + r) * tail)), 1.0) / TWO_PI
+    inner = [0, 0]   # inner evaluations, unconverged inner integrals
 
-    inner_nodes = [0]
-    inner_unconverged = [0]
-
-    def inner_main(t: float) -> float:
+    def sums(t: float) -> tuple[float, float]:
         loosen = math.cosh(min(TWO_PI * t, 700.0))
         scaled = replace(WR_INNER_POLICY,
                          abs_tol=min(WR_INNER_POLICY.abs_tol * loosen, 1e6))
         est = integrate_chebyshev_weighted(main_at(t), pair.T, pair.S, scaled)
-        inner_nodes[0] += est.nodes_used
-        if not est.converged:
-            inner_unconverged[0] += 1
-        return est.value.real
+        inner[0] += est.nodes_used
+        inner[1] += not est.converged
+        w = weight(t)
+        return w, w * (est.value.real - rhs_const)
 
-    unit_est = integrate_decaying_halfline(weight, decay, WR_OUTER_POLICY)
-    full_est = integrate_decaying_halfline(
-        lambda t: weight(t) * inner_main(t), decay, WR_OUTER_POLICY)
-
-    lhs = (full_est.value - rhs_const * unit_est.value) / PI
-    unit_residual = abs(unit_est.value / PI - PI / (1.0 + r))
-    converged = (unit_est.converged and full_est.converged
-                 and inner_unconverged[0] == 0)
+    unit, resid = integrate_even_trapezoid(sums, t_max, tail * rhs_const, WR_OUTER_POLICY)
     rid = record_id("weighted_residual", T=pair.T, S=pair.S, r=r)
     return build_record(
-        rid, lhs, 0.0, tolerance, converged=converged,
+        rid, resid.value / PI, 0.0, tolerance,
+        converged=unit.converged and resid.converged and inner[1] == 0,
         metadata={"T": pair.T, "S": pair.S, "r": r,
-                  "unit_residual": unit_residual,
-                  "nodes": (unit_est.nodes_used + full_est.nodes_used
-                            + inner_nodes[0]),
-                  "inner_unconverged": inner_unconverged[0]})
+                  "unit_residual": abs(unit.value / PI - PI / (1.0 + r)),
+                  "nodes": resid.nodes_used + inner[0], "inner_unconverged": inner[1]})

@@ -37,6 +37,10 @@ factors from mpmath.hyp2f1, where the engine writes each as a cos or cosh
 closed form.  At (A, B) = kernel_shifts(z) it is also the spectral kernel's
 left side, taken in s = 2t.  The integrand decays like
 exp(-(pi - 2 asin(sqrt(max(-A, 0)))) s), and the s range stops at 40 as above.
+
+`kernel_shifts(T, S, z)` evaluates the kernel shifts A(z), B(z) as first
+written, with the differences of square roots, at 40 digits, where the
+cancellation near z = T and z = S costs nothing.
 """
 
 import mpmath
@@ -139,3 +143,13 @@ def spectral_product_lhs(A: float, r: float, B: float) -> mpmath.mpf:
             return 4 * mpmath.pi ** 2 / mpmath.cosh(mpmath.pi * s) * f_r.real * f_a.real * f_b.real
 
         return mpmath.quad(integrand, [0, 2, 5, 10, 20, 40]) / (2 * mpmath.pi)
+
+
+def kernel_shifts(T: float, S: float, z: float) -> tuple:
+    """(A(z), B(z)) = (-(1+sqrt z)(sqrt z - sqrt T) / (2(1-sqrt T) sqrt z),
+    (1+sqrt z)(sqrt S - sqrt z) / (2(1-sqrt S) sqrt z)) at 40 digits."""
+    with mpmath.workdps(40):
+        T, S, z = mpmath.mpf(T), mpmath.mpf(S), mpmath.mpf(z)
+        s_t, s_s, s_z = mpmath.sqrt(T), mpmath.sqrt(S), mpmath.sqrt(z)
+        return (-(1 + s_z) * (s_z - s_t) / (2 * (1 - s_t) * s_z),
+                (1 + s_z) * (s_s - s_z) / (2 * (1 - s_s) * s_z))

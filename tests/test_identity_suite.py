@@ -317,6 +317,33 @@ class TestWeightedResidual:
         with pytest.raises(DomainError):
             hy.check_weighted_residual(0.0, PAIR)
 
+    @pytest.mark.parametrize("r", [1.0, 100.0])
+    def test_perturbed_closed_form_fails(self, r, monkeypatch):
+        # C shifted by 10 tolerances of the check's scale C pi/(1+r) moves the
+        # weighted average by 10 tolerances, which must fail the record
+        assert hy.check_weighted_residual(r, PAIR).status == hy.PASS
+        c = PAIR.main_closed_form()
+        shifted = c * (1.0 + 10.0 * 1e-6 * (1.0 + r) / (math.pi * c))
+        monkeypatch.setattr(hy.ParameterPair, "main_closed_form", lambda self: shifted)
+        rec = hy.check_weighted_residual(r, PAIR, tolerance=1e-6)
+        assert rec.status == hy.FAIL
+        assert abs(abs(rec.lhs) - 1e-5) <= 1e-9
+
+    def test_edge_pair_converges(self):
+        # at S = 0.999 every inner integral converges and the record passes
+        rec = hy.check_weighted_residual(0.5, hy.ParameterPair(0.5, 0.999))
+        assert rec.status == hy.PASS
+        assert rec.metadata["inner_unconverged"] == 0
+
+    def test_scale_below_tolerance_is_degenerate(self):
+        # at r = 1e160 the whole weight is below 1e-80, so any lhs would pass
+        with pytest.raises(DegenerateConfigurationError, match="vacuous"):
+            hy.check_weighted_residual(1e160, PAIR)
+        doc = cli.run(cli.GridConfig.from_dict(
+            {"r_values": [1e160], "suites": ["weighted_residual"]}))
+        assert doc.records and all(rec.status == hy.SKIPPED for rec in doc.records)
+        assert all("vacuous" in rec.metadata["reason"] for rec in doc.records)
+
 
 def _reference_real_integrand(pair, t):
     # the real-t main integrand as first written inline in the checks; the
@@ -384,7 +411,8 @@ class TestMainKernel:
                 return engine(g, *args, **kwargs)
             return wrapped
 
-        for name in ("integrate_chebyshev_weighted", "integrate_decaying_halfline"):
+        for name in ("integrate_chebyshev_weighted", "integrate_decaying_halfline",
+                     "integrate_even_trapezoid"):
             monkeypatch.setattr(identity_suite, name, counting(getattr(identity_suite, name)))
         doc = cli.run(cli.GridConfig.from_dict({"suites": [suite]}))
         assert doc.records and calls[0] == sum(r.metadata["nodes"] for r in doc.records)

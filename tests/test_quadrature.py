@@ -1,4 +1,4 @@
-"""Tests for the two quadrature engines."""
+"""Tests for the three quadrature engines."""
 
 import cmath
 import math
@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypident as hy
-from hypident import DomainError, quadrature
+from hypident import DomainError, identity_suite, quadrature
 
 POLICY = hy.DEFAULT_POLICY
 
@@ -186,6 +186,57 @@ class TestDecayingHalfline:
         v1, _ = hy.gauss_kronrod_panel(g1, 0.0, 3.0)
         v2, _ = hy.gauss_kronrod_panel(g2, 0.0, 3.0)
         assert abs(v_combo - (a * v1 + b * v2)) <= 1e-14 * max(1.0, abs(v_combo))
+
+
+class TestEvenTrapezoid:
+    def test_sech(self):
+        # int_0^inf sech(pi t) dt = 1/2; sech(pi t) <= 2 exp(-pi t)
+        t_max = 10.0
+        [est] = quadrature.integrate_even_trapezoid(
+            lambda t: (1.0 / math.cosh(math.pi * t),), t_max,
+            2.0 * math.exp(-math.pi * t_max) / math.pi, POLICY)
+        assert est.converged
+        assert abs(est.value - 0.5) <= POLICY.target(0.5)
+
+    def test_gaussian(self):
+        [est] = quadrature.integrate_even_trapezoid(
+            lambda t: (math.exp(-t * t),), 7.0, math.exp(-49.0), POLICY)
+        expected = 0.5 * math.sqrt(math.pi)
+        assert est.converged
+        assert abs(est.value - expected) <= POLICY.target(expected)
+
+    @pytest.mark.parametrize("r", [0.5, 1.0, 100.0, 1e4])
+    def test_residual_weight(self, r):
+        # the weighted residual's weight alone integrates to pi^2/(1+r); its
+        # bound 8 pi^2 exp(-2 pi t) / sqrt(1+r) leaves the tail beyond t = 6
+        weight = identity_suite._spectral_integrand(0.0, r, 0.0, 2.0)[0]
+        policy = identity_suite.WR_OUTER_POLICY
+        tail = 4.0 * math.pi * math.exp(-12.0 * math.pi) / math.sqrt(1.0 + r)
+        [est] = quadrature.integrate_even_trapezoid(lambda t: (weight(t),), 6.0, tail, policy)
+        expected = math.pi ** 2 / (1.0 + r)
+        assert est.converged
+        assert abs(est.value - expected) <= policy.target(expected)
+
+    def test_each_node_evaluated_once(self):
+        seen = []
+
+        def f(t):
+            seen.append(t)
+            return math.cos(3.0 * t) / math.cosh(math.pi * t), 1.0 / math.cosh(t)
+
+        unit, other = quadrature.integrate_even_trapezoid(f, 40.0, 1e-16, POLICY)
+        assert unit.converged and other.converged
+        assert unit.nodes_used == other.nodes_used == len(seen) == len(set(seen))
+        assert min(seen) == 0.0 and max(seen) == 40.0
+        assert abs(other.value - math.pi / 2.0) <= other.error_estimate + 1e-12
+
+    def test_unconverged_budget(self):
+        policy = hy.EvaluationPolicy(max_nodes=40)
+        [est] = quadrature.integrate_even_trapezoid(
+            lambda t: (1.0 / math.cosh(math.pi * t),), 10.0, 0.0, policy)
+        assert not est.converged
+        assert est.nodes_used == 33 <= policy.max_nodes
+        assert abs(est.value - 0.5) <= 1e-2
 
 
 class TestDeterminism:
