@@ -25,7 +25,8 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_q_integral, check_spectral_kernel,
                              check_spectral_power, check_spectral_product,
                              check_spectral_resolvent,
-                             check_weighted_residual, re_t_cap_reason)
+                             check_weighted_residual, re_t_cap_reason,
+                             wr_inner_memo)
 from .policy import EvaluationPolicy
 from .records import (FAIL, PASS, SKIPPED, UNCONVERGED, CheckRecord, fmt_complex,
                       fmt_float, record_id, skipped_record)
@@ -308,9 +309,11 @@ def run(cfg: GridConfig) -> ReportDocument:
 
     Records are computed one after another, each independently, and sorted
     by id.  The checks are CPU-bound pure Python, so a thread pool would run
-    them no faster under the interpreter lock.
+    them no faster under the interpreter lock.  The weighted residual's
+    inner-integral memo is emptied first, so every run does the same work.
     """
     start = time.perf_counter()
+    wr_inner_memo.cache_clear()
     records = list(map(run_task, build_tasks(cfg)))
     records.sort(key=lambda rec: rec.id)
     summary = {status: 0 for status in (PASS, FAIL, UNCONVERGED, SKIPPED)}

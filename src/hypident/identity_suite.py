@@ -19,6 +19,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .errors import DegenerateConfigurationError, DomainError
 from .policy import DEFAULT_POLICY, EvaluationPolicy
@@ -384,8 +385,11 @@ def check_spectral_resolvent(a_shift: float, r: float,
         raise DomainError(f"shift must satisfy A > -1, got {a_shift:g}")
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r:g}")
-    est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, 0.0), policy)
     rhs = PI * math.sqrt(1.0 + a_shift) / (1.0 + r + a_shift)
+    if rhs <= tolerance:
+        raise DegenerateConfigurationError(f"the closed form {rhs:.3g} is at or below the "
+                                           f"tolerance {tolerance:g}, so a pass would be vacuous")
+    est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, 0.0), policy)
     rid = record_id("spectral_resolvent", A=a_shift, r=r)
     return build_record(rid, est.value / TWO_PI, rhs, tolerance, converged=est.converged,
                         metadata={"A": a_shift, "r": r,
@@ -699,6 +703,16 @@ def check_obstruction_integer(r: float, pair: ParameterPair,
 # the weighted residual's own policies, whatever the grid's: outer over t, inner over z
 WR_OUTER_POLICY = EvaluationPolicy(abs_tol=1e-8, rel_tol=1e-8, max_nodes=20000)
 WR_INNER_POLICY = EvaluationPolicy(abs_tol=2e-10, rel_tol=1e-9, max_nodes=60000)
+# where |w(t)| <= 8 pi^2 exp(-2 pi t) / sqrt(1+r), largest as r -> 0, leaves a
+# tail below COARSE_GUARD * WR_OUTER_POLICY.abs_tol for every r: about 4.434
+WR_T_MAX = math.log(2.0 * TWO_PI / (COARSE_GUARD * WR_OUTER_POLICY.abs_tol)) / TWO_PI
+
+
+@lru_cache(maxsize=1)   # tasks arrive pair by pair; cli.run clears it at its start
+def wr_inner_memo(pair: ParameterPair) -> tuple:
+    """The pair's main kernel and a dict t -> inner integral M(t), shared by
+    its weighted_residual records: M(t) and its policy do not depend on r."""
+    return _main_kernel(pair), {}
 
 
 def check_weighted_residual(r: float, pair: ParameterPair,
@@ -712,8 +726,10 @@ def check_weighted_residual(r: float, pair: ParameterPair,
     both must converge, so the weight fixes the step even where the residual
     is round-off.  M(t) is an inner Chebyshev integral, its tolerance relaxed
     by cosh(2 pi t), as the weight crushes its noise at large t.  The rule
-    stops where |w| <= 8 pi^2 exp(-2 pi t) / sqrt(1+r) leaves a tail below
-    COARSE_GUARD * abs_tol; C times that bound (|M - C| <= C) joins both
+    stops at WR_T_MAX, the same for every r, so a pair's records share their
+    nodes and each M(t) is integrated once per pair (wr_inner_memo); `nodes`
+    still counts every outer and inner evaluation the value rests on, as if
+    computed cold.  C times the tail bound (|M - C| <= C) joins both
     errors.  `unit_residual` is the unit integral's distance from pi^2/(1+r).
     A scale C pi/(1+r) at or below the tolerance makes a point degenerate.
     """
@@ -724,23 +740,24 @@ def check_weighted_residual(r: float, pair: ParameterPair,
         raise DegenerateConfigurationError(
             f"the weighted residual's scale C pi/(1+r) = {rhs_const * PI / (1.0 + r):.3g} "
             f"is at or below its tolerance {tolerance:g}, so a pass would be vacuous")
-    main_at = _main_kernel(pair)
+    main_at, inner_at = wr_inner_memo(pair)
     weight = _spectral_integrand(0.0, r, 0.0, 2.0)[0]
     tail = COARSE_GUARD * WR_OUTER_POLICY.abs_tol
-    t_max = max(math.log(2.0 * TWO_PI / (math.sqrt(1.0 + r) * tail)), 1.0) / TWO_PI
     inner = [0, 0]   # inner evaluations, unconverged inner integrals
 
     def sums(t: float) -> tuple[float, float]:
-        loosen = math.cosh(min(TWO_PI * t, 700.0))
-        scaled = replace(WR_INNER_POLICY,
-                         abs_tol=min(WR_INNER_POLICY.abs_tol * loosen, 1e6))
-        est = integrate_chebyshev_weighted(main_at(t), pair.T, pair.S, scaled)
+        est = inner_at.get(t)
+        if est is None:
+            loosen = math.cosh(min(TWO_PI * t, 700.0))
+            scaled = replace(WR_INNER_POLICY,
+                             abs_tol=min(WR_INNER_POLICY.abs_tol * loosen, 1e6))
+            est = inner_at[t] = integrate_chebyshev_weighted(main_at(t), pair.T, pair.S, scaled)
         inner[0] += est.nodes_used
         inner[1] += not est.converged
         w = weight(t)
         return w, w * (est.value.real - rhs_const)
 
-    unit, resid = integrate_even_trapezoid(sums, t_max, tail * rhs_const, WR_OUTER_POLICY)
+    unit, resid = integrate_even_trapezoid(sums, WR_T_MAX, tail * rhs_const, WR_OUTER_POLICY)
     rid = record_id("weighted_residual", T=pair.T, S=pair.S, r=r)
     return build_record(
         rid, resid.value / PI, 0.0, tolerance,

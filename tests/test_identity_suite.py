@@ -131,6 +131,18 @@ class TestSpectralResolvent:
         with pytest.raises(DomainError):
             hy.check_spectral_resolvent(0.5, 0.0)
 
+    def test_closed_form_below_tolerance_is_degenerate(self):
+        # at r = 1e160 the closed form is about 3.5e-160, so any lhs inside
+        # the absolute 1e-8 would pass; the lhs came out 4.7e-82
+        with pytest.raises(DegenerateConfigurationError, match="vacuous"):
+            hy.check_spectral_resolvent(0.25, 1e160)
+        doc = cli.run(cli.GridConfig.from_dict(
+            {"r_values": [1e160], "suites": ["spectral_resolvent"]}))
+        assert len(doc.records) == len(cli.SHIFT_A_GRID)
+        assert all(rec.status == hy.SKIPPED and "vacuous" in rec.metadata["reason"]
+                   for rec in doc.records)
+        assert cli.exit_code(doc) == 3
+
 
 class TestSpectralProduct:
     def test_b_zero_bitwise_match(self):
@@ -390,32 +402,89 @@ class TestMainKernel:
                     assert abs(at(t)(z) - want) <= 1e-14 * abs(want), (pair, t, z)
                     assert hy.main_integrand(z, pair, t) == at(t)(z)
 
-    def test_weighted_residual_independent_of_earlier_checks(self):
+    def test_weighted_residual_independent_of_earlier_checks(self, monkeypatch):
+        # a record computed cold equals the same record served from the
+        # pair's inner-integral memo, and the one computed after another pair
+        identity_suite.wr_inner_memo.cache_clear()
         first = hy.check_weighted_residual(1.0, PAIR)
-        hy.check_weighted_residual(10.0, PAIR)
+        identity_suite.wr_inner_memo.cache_clear()
+        for r in (0.5, 10.0, 100.0):
+            hy.check_weighted_residual(r, PAIR)
         hy.check_main_identity(PAIR, 1.5)
+        calls = _count_engine_calls(monkeypatch)
+        assert hy.check_weighted_residual(1.0, PAIR) == first
+        assert calls == {"integrate_even_trapezoid": 129}   # every M(t) was a hit
         hy.check_weighted_residual(1.0, WIDE)
         assert hy.check_weighted_residual(1.0, PAIR) == first
 
-    @pytest.mark.parametrize("suite", ["main_identity", "weighted_residual"])
-    def test_every_evaluation_goes_through_an_engine(self, suite, monkeypatch):
+    @pytest.mark.parametrize("suite, r_values", [("main_identity", cli.DEFAULT_R_VALUES),
+                                                 ("weighted_residual", (10.0,))],
+                             ids=["main_identity", "weighted_residual"])
+    def test_every_evaluation_goes_through_an_engine(self, suite, r_values, monkeypatch):
         # each record's nodes count must equal the integrand calls made by
-        # the engines, one per node, as an external call counter sees them
-        calls = [0]
+        # the engines, one per node, as an external call counter sees them;
+        # with one r per pair, weighted_residual has no inner integral to share
+        calls = _count_engine_calls(monkeypatch)
+        doc = cli.run(cli.GridConfig.from_dict({"suites": [suite], "r_values": list(r_values)}))
+        assert doc.records and sum(calls.values()) == sum(r.metadata["nodes"] for r in doc.records)
 
-        def counting(engine):
-            def wrapped(f, *args, **kwargs):
-                def g(x):
-                    calls[0] += 1
-                    return f(x)
-                return engine(g, *args, **kwargs)
-            return wrapped
+    def test_weighted_residual_pays_each_inner_integral_once_per_pair(self, monkeypatch):
+        # a pair's first record pays its `nodes`; each further r pays only its
+        # outer nodes, as every M(t) it needs is already in the memo
+        calls = _count_engine_calls(monkeypatch)
+        outer = []   # outer nodes of each record, in run order
+        engine = identity_suite.integrate_even_trapezoid
 
-        for name in ("integrate_chebyshev_weighted", "integrate_decaying_halfline",
-                     "integrate_even_trapezoid"):
-            monkeypatch.setattr(identity_suite, name, counting(getattr(identity_suite, name)))
-        doc = cli.run(cli.GridConfig.from_dict({"suites": [suite]}))
-        assert doc.records and calls[0] == sum(r.metadata["nodes"] for r in doc.records)
+        def trapezoid(*args):
+            estimates = engine(*args)
+            outer.append(estimates[0].nodes_used)
+            return estimates
+
+        monkeypatch.setattr(identity_suite, "integrate_even_trapezoid", trapezoid)
+        doc = cli.run(cli.GridConfig.from_dict({"suites": ["weighted_residual"]}))
+        n_r = len(cli.DEFAULT_R_VALUES)
+        want = 0
+        for i, (t_v, s_v) in enumerate(cli.DEFAULT_PAIRS):
+            nodes = {rec.metadata["nodes"] for rec in doc.records
+                     if (rec.metadata["T"], rec.metadata["S"]) == (t_v, s_v)}
+            paid = set(outer[i * n_r:(i + 1) * n_r])
+            assert len(nodes) == len(paid) == 1   # one node set per pair
+            want += nodes.pop() + (n_r - 1) * paid.pop()
+        assert len(outer) == len(doc.records)
+        assert sum(calls.values()) == want <= 35000
+
+    def test_weighted_residual_runs_do_equal_work(self, monkeypatch):
+        # cli.run empties the memo, so neither run starts warm: not the first
+        # from a check on the grid's first pair, nor the second from the first
+        hy.check_weighted_residual(1.0, PAIR)
+        assert (PAIR.T, PAIR.S) == cli.DEFAULT_PAIRS[0]
+        calls = _count_engine_calls(monkeypatch)
+        cfg = cli.GridConfig.from_dict({"suites": ["weighted_residual"]})
+        counts = []
+        for _ in range(2):
+            cli.run(cfg)
+            counts.append(sum(calls.values()))
+            calls.clear()
+        assert counts[0] == counts[1] > 0
+
+
+def _count_engine_calls(monkeypatch) -> dict:
+    """Wrap identity_suite's engines so each integrand call is counted; the
+    returned dict maps an engine's name to the calls made through it."""
+    calls = {}
+
+    def counting(name, engine):
+        def wrapped(f, *args, **kwargs):
+            def g(x):
+                calls[name] = calls.get(name, 0) + 1
+                return f(x)
+            return engine(g, *args, **kwargs)
+        return wrapped
+
+    for name in ("integrate_chebyshev_weighted", "integrate_decaying_halfline",
+                 "integrate_even_trapezoid"):
+        monkeypatch.setattr(identity_suite, name, counting(name, getattr(identity_suite, name)))
+    return calls
 
 
 def _reference_kernel_integrand(z, r, pair):
