@@ -15,7 +15,7 @@ from .identity_suite import (ParameterPair, QuadraticFamily,
 from .policy import DEFAULT_POLICY, EvaluationPolicy
 from .quadrature import (IntegralEstimate, chebyshev_rule,
                          gauss_kronrod_panel, integrate_chebyshev_weighted,
-                         integrate_decaying_halfline, pairwise_sum)
+                         integrate_decaying_halfline)
 from .records import (FAIL, PASS, SKIPPED, UNCONVERGED, CheckRecord,
                       build_record, record_id)
 from .special_functions import (check_product_formula,
@@ -32,7 +32,7 @@ __all__ = [
     "log_gamma", "f_it", "f_2it_unit_interval", "f_half_shifted",
     "check_quadratic_transform", "check_product_formula",
     "IntegralEstimate", "chebyshev_rule", "integrate_chebyshev_weighted",
-    "gauss_kronrod_panel", "integrate_decaying_halfline", "pairwise_sum",
+    "gauss_kronrod_panel", "integrate_decaying_halfline",
     "ParameterPair", "QuadraticFamily", "kernel_shifts", "kernel_factors",
     "main_integrand", "quadratic_family",
     "check_main_identity", "check_barnes_triple", "check_spectral_power",

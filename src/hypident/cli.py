@@ -28,8 +28,8 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_weighted_residual, re_t_cap_reason,
                              wr_inner_memo)
 from .policy import EvaluationPolicy
-from .records import (FAIL, PASS, SKIPPED, UNCONVERGED, CheckRecord, fmt_complex,
-                      fmt_float, record_id, skipped_record)
+from .records import (FAIL, PASS, SKIPPED, STATUSES, UNCONVERGED, CheckRecord,
+                      fmt_complex, fmt_float, record_id, skipped_record)
 from .special_functions import check_product_formula, check_quadratic_transform
 
 DEFAULT_PAIRS = ((0.25, 0.5), (0.1, 0.9), (0.4, 0.45))
@@ -316,7 +316,7 @@ def run(cfg: GridConfig) -> ReportDocument:
     wr_inner_memo.cache_clear()
     records = list(map(run_task, build_tasks(cfg)))
     records.sort(key=lambda rec: rec.id)
-    summary = {status: 0 for status in (PASS, FAIL, UNCONVERGED, SKIPPED)}
+    summary = dict.fromkeys(STATUSES, 0)
     for rec in records:
         summary[rec.status] += 1
     summary["total"] = len(records)

@@ -12,8 +12,8 @@ class DomainError(HypidentError, ValueError):
 
 
 class DegenerateConfigurationError(HypidentError, RuntimeError):
-    """The quadratic kernel has a double root, or a root at 0 or 1, so the
-    partial-fraction machinery is not usable at this parameter point."""
+    """The check is not usable at this point: the kernel quadratic has a double
+    root or a root at 0 or 1, or a pass would be vacuous (scale <= tolerance)."""
 
 
 class UsageError(HypidentError, ValueError):

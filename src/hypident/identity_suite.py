@@ -372,6 +372,14 @@ def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0
     return g, 0.9 * (pc - c * _growth_rate(a_shift))
 
 
+def _above_tolerance(rhs: float, tolerance: float, what: str = "the closed form") -> float:
+    """rhs; at or below the tolerance any lhs near it would pass, so it is degenerate."""
+    if abs(rhs) <= tolerance:
+        raise DegenerateConfigurationError(f"{what} {rhs:.3g} is at or below the "
+                                           f"tolerance {tolerance:g}, so a pass would be vacuous")
+    return rhs
+
+
 def check_spectral_resolvent(a_shift: float, r: float,
                              policy: EvaluationPolicy = DEFAULT_POLICY,
                              tolerance: float = 1e-8) -> CheckRecord:
@@ -385,10 +393,7 @@ def check_spectral_resolvent(a_shift: float, r: float,
         raise DomainError(f"shift must satisfy A > -1, got {a_shift:g}")
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r:g}")
-    rhs = PI * math.sqrt(1.0 + a_shift) / (1.0 + r + a_shift)
-    if rhs <= tolerance:
-        raise DegenerateConfigurationError(f"the closed form {rhs:.3g} is at or below the "
-                                           f"tolerance {tolerance:g}, so a pass would be vacuous")
+    rhs = _above_tolerance(PI * math.sqrt(1.0 + a_shift) / (1.0 + r + a_shift), tolerance)
     est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, 0.0), policy)
     rid = record_id("spectral_resolvent", A=a_shift, r=r)
     return build_record(rid, est.value / TWO_PI, rhs, tolerance, converged=est.converged,
@@ -414,7 +419,6 @@ def check_spectral_product(a_shift: float, r: float, b_shift: float,
         raise DomainError(f"r must be positive, got {r:g}")
     if b_shift < 0.0:
         raise DomainError(f"B must be non-negative, got {b_shift:g}")
-    est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift), policy)
     if b_shift == 0.0:
         denom = (1.0 + r + a_shift) ** 2
         rhs = PI * math.sqrt(1.0 + a_shift) / (1.0 + r + a_shift)
@@ -422,6 +426,8 @@ def check_spectral_product(a_shift: float, r: float, b_shift: float,
         denom = (1.0 + a_shift + r + b_shift) ** 2 + 4.0 * r * a_shift * b_shift
         rhs = (PI * math.sqrt(1.0 + a_shift) * math.sqrt(1.0 + b_shift)
                * (1.0 + a_shift + r + b_shift) / denom)
+    _above_tolerance(rhs, tolerance)
+    est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift), policy)
     rid = record_id("spectral_product", A=a_shift, r=r, B=b_shift)
     return build_record(rid, est.value / TWO_PI, rhs, tolerance, converged=est.converged,
                         consistent=denom > 0.0,
@@ -452,9 +458,10 @@ def check_spectral_kernel(z: float, r: float, pair: ParameterPair,
     """
     a_shift, b_shift = kernel_shifts(z, pair)
     i1, i2 = kernel_factors(z, r, pair)   # raises DomainError for r <= 0
+    rhs = _above_tolerance(i1 * i2, tolerance)
     est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift, 2.0), policy)
     rid = record_id("spectral_kernel", T=pair.T, S=pair.S, z=z, r=r)
-    return build_record(rid, est.value / PI, i1 * i2, tolerance, converged=est.converged,
+    return build_record(rid, est.value / PI, rhs, tolerance, converged=est.converged,
                         metadata={"T": pair.T, "S": pair.S, "z": z, "r": r,
                                   "nodes": est.nodes_used})
 
@@ -736,10 +743,8 @@ def check_weighted_residual(r: float, pair: ParameterPair,
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r:g}")
     rhs_const = pair.main_closed_form()
-    if rhs_const * PI / (1.0 + r) <= tolerance:
-        raise DegenerateConfigurationError(
-            f"the weighted residual's scale C pi/(1+r) = {rhs_const * PI / (1.0 + r):.3g} "
-            f"is at or below its tolerance {tolerance:g}, so a pass would be vacuous")
+    _above_tolerance(rhs_const * PI / (1.0 + r), tolerance,
+                     "the weighted residual's scale C pi/(1+r) =")
     main_at, inner_at = wr_inner_memo(pair)
     weight = _spectral_integrand(0.0, r, 0.0, 2.0)[0]
     tail = COARSE_GUARD * WR_OUTER_POLICY.abs_tol

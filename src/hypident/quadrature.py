@@ -8,8 +8,8 @@ Three rules cover every integral in the suite:
   with a known exponential decay rate, and
 * a nested trapezoid rule for integrands even in t, on (0, t_max).
 
-All node sums are accumulated pairwise in a fixed order, so results are
-bit-reproducible for a given node layout; only the trapezoid rule calls
+Every node sum is math.fsum's correctly rounded one, so results depend on
+neither summation order nor interpreter; only the trapezoid rule calls
 its integrand at the interval's ends, where an even one is smooth.
 """
 
@@ -19,7 +19,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
-from operator import add, mul
+from operator import add, attrgetter, mul
 from typing import Callable, Sequence
 
 from .errors import DomainError
@@ -32,7 +32,6 @@ __all__ = [
     "gauss_kronrod_panel",
     "integrate_decaying_halfline",
     "integrate_even_trapezoid",
-    "pairwise_sum",
 ]
 
 COARSE_GUARD = 1e-3   # n = 32 needs |M32 - M16|, and a truncated tail, this far inside the target
@@ -49,23 +48,17 @@ class IntegralEstimate:
     converged: bool
 
 
-def pairwise_sum(values: Sequence[complex]) -> complex:
-    """Deterministic pairwise summation (fixed recursive halving).
-
-    Leaves of at most 8 values are added left to right from 0.0 with
-    operator.add, never builtin sum(), which compensates float sums from
-    Python 3.12 on.  Values may mix float and complex; the total is
-    converted to complex once.
-    """
-    return complex(_pairwise(values, 0, len(values)))
-
-
-def _pairwise(values: Sequence[complex], lo: int, hi: int):
-    n = hi - lo
-    if n <= 8:
-        return reduce(add, values[lo:hi], 0.0)
-    mid = lo + n // 2
-    return _pairwise(values, lo, mid) + _pairwise(values, mid, hi)
+def _fsum(values: Sequence[complex]) -> complex:
+    """Correctly rounded sum of int, float or complex values, complex ones by
+    their real and imaginary parts.  +inf with -inf raises OverflowError."""
+    try:
+        try:
+            return complex(math.fsum(values))
+        except TypeError:   # complex values
+            return complex(math.fsum(map(attrgetter("real"), values)),
+                           math.fsum(map(attrgetter("imag"), values)))
+    except ValueError as exc:   # fsum's "-inf + inf"
+        raise OverflowError(exc) from None
 
 
 @lru_cache(maxsize=64)   # checks revisit the same few levels hundreds of times
@@ -89,7 +82,7 @@ def chebyshev_rule(f: Callable[[float], complex], lo: float, hi: float,
     DomainError unless n >= 1 and lo < hi.
     """
     vals = list(map(f, _chebyshev_nodes(lo, hi, n)))
-    return (math.pi / n) * pairwise_sum(vals)
+    return (math.pi / n) * _fsum(vals)
 
 
 def integrate_chebyshev_weighted(f: Callable[[float], complex], lo: float,
@@ -151,8 +144,8 @@ def gauss_kronrod_panel(g: Callable[[float], complex], a: float,
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     vals = [g(mid + half * x) for x in _K15_NODES]
-    k15 = half * pairwise_sum(list(map(mul, _K15_WEIGHTS, vals)))
-    g7 = half * pairwise_sum(list(map(mul, _G7_WEIGHTS, vals[1::2])))
+    k15 = half * _fsum(list(map(mul, _K15_WEIGHTS, vals)))
+    g7 = half * _fsum(list(map(mul, _G7_WEIGHTS, vals[1::2])))
     return k15, abs(k15 - g7)
 
 
@@ -226,9 +219,8 @@ def integrate_decaying_halfline(g: Callable[[float], complex],
         heapq.heappush(heap, (-lerr, a, mid, lval))
         heapq.heappush(heap, (-rerr, mid, b, rval))
 
-    final = sorted(heap, key=lambda p: p[1])
-    value = pairwise_sum([p[3] for p in final])
-    err_total = math.fsum(-p[0] for p in final) + tail
+    value = _fsum([p[3] for p in heap])
+    err_total = math.fsum(-p[0] for p in heap) + tail
     converged = err_total <= policy.target(value)
     return IntegralEstimate(value, err_total, used, converged)
 
@@ -246,7 +238,7 @@ def integrate_even_trapezoid(f: Callable[[float], Sequence[float]], t_max: float
     """
     n, h = 16, t_max / 16
     first = [f(k * h) for k in range(n + 1)]
-    sums = [h * (0.5 * (a + b) + pairwise_sum(col)) for a, b, col in
+    sums = [h * (0.5 * (a + b) + _fsum(col)) for a, b, col in
             zip(first[0], first[n], zip(*first[1:n]))]
     used, errs = n + 1, [math.inf] * len(sums)
     while used + n <= policy.max_nodes:
@@ -254,7 +246,7 @@ def integrate_even_trapezoid(f: Callable[[float], Sequence[float]], t_max: float
         new = [f((2 * k + 1) * h) for k in range(n)]
         used += n
         n *= 2
-        cur = [0.5 * s + h * pairwise_sum(col) for s, col in zip(sums, zip(*new))]
+        cur = [0.5 * s + h * _fsum(col) for s, col in zip(sums, zip(*new))]
         errs = [abs(c - s) + tail for c, s in zip(cur, sums)]
         sums = cur
         if all(e <= policy.target(c) for e, c in zip(errs, cur)):

@@ -500,6 +500,21 @@ class TestCommandLine:
                 assert rec.metadata["reason"].startswith(
                     "the point overflows the float range: "), rec.id
 
+    def test_opposite_infinities_in_a_node_sum_skipped(self, monkeypatch):
+        # a node sum meeting +inf and -inf has left the float range; the
+        # correctly rounded sum raises where a left-to-right one read nan
+        def check(a, b, c, policy, tolerance):
+            est = hy.integrate_chebyshev_weighted(
+                lambda z: math.inf if z < 0.5 else -math.inf, 0.0, 1.0, policy)
+            return hy.build_record("barnes/a=%g" % a, est.value, 1.0, tolerance)
+
+        monkeypatch.setattr(cli, "check_barnes_triple", check)
+        doc = run(GridConfig.from_dict({"suites": ["barnes"]}))
+        assert doc.records and doc.summary["skipped"] == doc.summary["total"]
+        assert exit_code(doc) == 3
+        assert all(rec.metadata["reason"].startswith("the point overflows the float range: ")
+                   for rec in doc.records)
+
     def test_bad_config_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

@@ -172,6 +172,24 @@ class TestSpectralProduct:
         with pytest.raises(DomainError):
             hy.check_spectral_product(0.5, 1.0, -0.2)
 
+    @pytest.mark.parametrize("b_shift", [0.0, 2.0])
+    def test_closed_form_below_tolerance_is_degenerate(self, b_shift, monkeypatch):
+        # at r = 1e12 the closed form is about 3.5e-12: an lhs off by 4e-5
+        # relative passed the absolute 1e-8; the guard runs before quadrature
+        def no_quadrature(*args):
+            raise AssertionError("integrated a degenerate point")
+
+        monkeypatch.setattr(identity_suite, "integrate_decaying_halfline", no_quadrature)
+        with pytest.raises(DegenerateConfigurationError, match="vacuous"):
+            hy.check_spectral_product(0.25, 1e12, b_shift)
+
+    def test_large_r_grid_skipped_as_vacuous(self):
+        doc = cli.run(cli.GridConfig.from_dict(
+            {"r_values": [1e12], "suites": ["spectral_product", "spectral_kernel"]}))
+        assert doc.summary["skipped"] == doc.summary["total"] == 21
+        assert all("vacuous" in rec.metadata["reason"] for rec in doc.records)
+        assert cli.exit_code(doc) == 3
+
 
 class TestSpectralKernel:
     def test_lower_boundary(self):
@@ -197,6 +215,12 @@ class TestSpectralKernel:
             hy.check_spectral_kernel(0.2, 2.0, PAIR)
         with pytest.raises(DomainError):
             hy.check_spectral_kernel(0.375, -1.0, PAIR)
+
+    def test_closed_form_below_tolerance_is_degenerate(self):
+        # at r = 1e15 the closed form is about 2.2e-15; the lhs came out
+        # with the wrong sign, 127 times its size, and still passed
+        with pytest.raises(DegenerateConfigurationError, match="vacuous"):
+            hy.check_spectral_kernel(0.5, 1e15, PAIR)
 
 
 class TestQIntegral:
