@@ -11,7 +11,7 @@ from .identity_suite import (ParameterPair, QuadraticFamily,
                              check_spectral_kernel, check_spectral_power,
                              check_spectral_product, check_spectral_resolvent,
                              check_weighted_residual, kernel_factors,
-                             kernel_shifts, main_integrand, quadratic_family)
+                             kernel_shifts, quadratic_family)
 from .policy import DEFAULT_POLICY, EvaluationPolicy
 from .quadrature import (IntegralEstimate, chebyshev_rule,
                          gauss_kronrod_panel, integrate_chebyshev_weighted,
@@ -34,7 +34,7 @@ __all__ = [
     "IntegralEstimate", "chebyshev_rule", "integrate_chebyshev_weighted",
     "gauss_kronrod_panel", "integrate_decaying_halfline",
     "ParameterPair", "QuadraticFamily", "kernel_shifts", "kernel_factors",
-    "main_integrand", "quadratic_family",
+    "quadratic_family",
     "check_main_identity", "check_barnes_triple", "check_spectral_power",
     "check_spectral_resolvent", "check_spectral_product",
     "check_spectral_kernel", "check_q_integral", "check_obstruction_integer",

@@ -13,7 +13,8 @@ class DomainError(HypidentError, ValueError):
 
 class DegenerateConfigurationError(HypidentError, RuntimeError):
     """The check is not usable at this point: the kernel quadratic has a double
-    root or a root at 0 or 1, or a pass would be vacuous (scale <= tolerance)."""
+    root or a root at 0 or 1, a pass would be vacuous (scale <= tolerance), or
+    |Re t| exceeds the main identity's cancellation cap."""
 
 
 class UsageError(HypidentError, ValueError):

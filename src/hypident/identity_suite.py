@@ -23,7 +23,7 @@ from functools import lru_cache
 
 from .errors import DegenerateConfigurationError, DomainError
 from .policy import DEFAULT_POLICY, EvaluationPolicy
-from .quadrature import (COARSE_GUARD, IntegralEstimate, integrate_chebyshev_weighted,
+from .quadrature import (IntegralEstimate, integrate_chebyshev_weighted,
                          integrate_decaying_halfline, integrate_even_trapezoid)
 from .records import CheckRecord, build_record, record_id
 from .special_functions import log_gamma
@@ -33,7 +33,6 @@ __all__ = [
     "QuadraticFamily",
     "kernel_shifts",
     "kernel_factors",
-    "main_integrand",
     "quadratic_family",
     "check_main_identity",
     "check_barnes_triple",
@@ -157,16 +156,12 @@ def kernel_factors(z: float, r: float, pair: ParameterPair) -> tuple[float, floa
     return i1, i2
 
 
-def _second_argument(z: float, pair: ParameterPair) -> float:
-    # argument x of the second closed-form factor in the main integrand
-    return (pair.S - z) * (1.0 - z) / ((1.0 - pair.sqrt_S) ** 2 * z)
-
-
 def _main_kernel(pair: ParameterPair):
-    """at(t) -> the per-node integrand z -> main_integrand(z, pair, t), less the
-    interior check.  The t-free geometry (asin(sqrt(Y)), asinh(sqrt(x)), 1 - z)
-    of each node is memoized for the life of the kernel, one check, so each
-    further t, real (math) or complex (cmath), costs one cosh * cos / d per node."""
+    """at(t) -> z -> F(+-2it;1/2;Y) F(+-it;1/2;-x) / (1 - z), the main integrand's
+    smooth part at interior nodes (its endpoint weight is the engine's).  The
+    t-free geometry (asin(sqrt(Y)), asinh(sqrt(x)), 1 - z) of each node is
+    memoized for the life of the kernel, one check, so each further t, real
+    (math) or complex (cmath), costs one cosh * cos / d per node."""
     st, ss, s_hi = pair.sqrt_T, pair.sqrt_S, pair.S
     inv_ss = 1.0 / (1.0 - ss) ** 2
     geometry = {}
@@ -193,30 +188,10 @@ def _main_kernel(pair: ParameterPair):
     return at
 
 
-def main_integrand(z: float, pair: ParameterPair, t: complex) -> complex:
-    """Smooth part of the main integrand at interior z (T < z < S).
-
-    Product of the two hypergeometric closed-form factors divided by
-    (1 - z); the endpoint weight 1/sqrt((z-T)(S-z)) is owned by the
-    quadrature engine and must not be applied here.
-    """
-    if not pair.T < z < pair.S:
-        raise DomainError(f"z = {z:g} outside ({pair.T:g}, {pair.S:g})")
-    if not cmath.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
-    return _main_kernel(pair)(t)(z)
-
-
 # ---------------------------------------------------------------------------
 # main identity
 
 RE_T_CAP = 2.0   # bound on |Re t| in check_main_identity
-
-
-def re_t_cap_reason(t: complex) -> str | None:
-    """Why check_main_identity refuses t, or None if |Re t| is within the cap."""
-    return (f"|Re t| = {abs(t.real):g} exceeds the cancellation cap {RE_T_CAP:g}"
-            if abs(t.real) > RE_T_CAP else None)
 
 
 def check_main_identity(pair: ParameterPair, t: complex,
@@ -226,13 +201,14 @@ def check_main_identity(pair: ParameterPair, t: complex,
     pi / sqrt((1-T)(1-S)).
 
     The integrand grows like exp(4 |Re t| asin(sqrt(Y))) while the answer
-    stays O(1), so |Re t| is capped at RE_T_CAP and the record carries a
-    digits-lost metric log10(max |integrand| / closed form) making the
-    cancellation visible.
+    stays O(1), so |Re t| is capped at RE_T_CAP (beyond it the point is
+    degenerate) and the record carries a digits-lost metric
+    log10(max |integrand| / closed form) making the cancellation visible.
     """
     t = complex(t)
     if abs(t.real) > RE_T_CAP:
-        raise DomainError(re_t_cap_reason(t))
+        raise DegenerateConfigurationError(
+            f"|Re t| = {abs(t.real):g} exceeds the cancellation cap {RE_T_CAP:g}")
     integrand = _main_kernel(pair)(t)
     peak = [0.0]
 
@@ -380,6 +356,30 @@ def _above_tolerance(rhs: float, tolerance: float, what: str = "the closed form"
     return rhs
 
 
+def _shift_integral(a_shift: float, r: float, b_shift: float | None,
+                    policy: EvaluationPolicy, tolerance: float) -> tuple:
+    """(lhs, rhs, denominator, est) of the resolvent (b_shift None) and product
+    checks.  B = 0 takes the resolvent's closed form, so the product's B = 0 rows
+    are the resolvent's records; only the product forms a denominator, (1+r+A)^2
+    at B = 0, and it does so before the closed form's guard."""
+    if a_shift <= -1.0:
+        raise DomainError(f"shift must satisfy A > -1, got {a_shift:g}")
+    if r <= 0.0:
+        raise DomainError(f"r must be positive, got {r:g}")
+    if b_shift is not None and b_shift < 0.0:
+        raise DomainError(f"B must be non-negative, got {b_shift:g}")
+    if not b_shift:   # the resolvent, or the product at B = 0
+        denom = None if b_shift is None else (1.0 + r + a_shift) ** 2
+        rhs = PI * math.sqrt(1.0 + a_shift) / (1.0 + r + a_shift)
+    else:
+        denom = (1.0 + a_shift + r + b_shift) ** 2 + 4.0 * r * a_shift * b_shift
+        rhs = (PI * math.sqrt(1.0 + a_shift) * math.sqrt(1.0 + b_shift)
+               * (1.0 + a_shift + r + b_shift) / denom)
+    _above_tolerance(rhs, tolerance)
+    est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift or 0.0), policy)
+    return est.value / TWO_PI, rhs, denom, est
+
+
 def check_spectral_resolvent(a_shift: float, r: float,
                              policy: EvaluationPolicy = DEFAULT_POLICY,
                              tolerance: float = 1e-8) -> CheckRecord:
@@ -389,16 +389,10 @@ def check_spectral_resolvent(a_shift: float, r: float,
                           F(+-is;1/2;-A) ds
       = pi sqrt(1+A) / (1+r+A),   A > -1, r > 0.
     """
-    if a_shift <= -1.0:
-        raise DomainError(f"shift must satisfy A > -1, got {a_shift:g}")
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r:g}")
-    rhs = _above_tolerance(PI * math.sqrt(1.0 + a_shift) / (1.0 + r + a_shift), tolerance)
-    est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, 0.0), policy)
+    lhs, rhs, _, est = _shift_integral(a_shift, r, None, policy, tolerance)
     rid = record_id("spectral_resolvent", A=a_shift, r=r)
-    return build_record(rid, est.value / TWO_PI, rhs, tolerance, converged=est.converged,
-                        metadata={"A": a_shift, "r": r,
-                                  "nodes": est.nodes_used})
+    return build_record(rid, lhs, rhs, tolerance, converged=est.converged,
+                        metadata={"A": a_shift, "r": r, "nodes": est.nodes_used})
 
 
 def check_spectral_product(a_shift: float, r: float, b_shift: float,
@@ -411,25 +405,11 @@ def check_spectral_product(a_shift: float, r: float, b_shift: float,
       = pi sqrt(1+A) sqrt(1+B) (1+A+r+B) / ((1+A+r+B)^2 + 4rAB)
 
     for A > -1, r > 0, B >= 0.  Positivity of the denominator is asserted;
-    the B = 0 rows reproduce the resolvent check bit for bit.
+    the B = 0 rows are the resolvent check's values (_shift_integral).
     """
-    if a_shift <= -1.0:
-        raise DomainError(f"shift must satisfy A > -1, got {a_shift:g}")
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r:g}")
-    if b_shift < 0.0:
-        raise DomainError(f"B must be non-negative, got {b_shift:g}")
-    if b_shift == 0.0:
-        denom = (1.0 + r + a_shift) ** 2
-        rhs = PI * math.sqrt(1.0 + a_shift) / (1.0 + r + a_shift)
-    else:
-        denom = (1.0 + a_shift + r + b_shift) ** 2 + 4.0 * r * a_shift * b_shift
-        rhs = (PI * math.sqrt(1.0 + a_shift) * math.sqrt(1.0 + b_shift)
-               * (1.0 + a_shift + r + b_shift) / denom)
-    _above_tolerance(rhs, tolerance)
-    est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift), policy)
+    lhs, rhs, denom, est = _shift_integral(a_shift, r, b_shift, policy, tolerance)
     rid = record_id("spectral_product", A=a_shift, r=r, B=b_shift)
-    return build_record(rid, est.value / TWO_PI, rhs, tolerance, converged=est.converged,
+    return build_record(rid, lhs, rhs, tolerance, converged=est.converged,
                         consistent=denom > 0.0,
                         metadata={"A": a_shift, "r": r, "B": b_shift,
                                   "denominator": denom,
@@ -710,9 +690,9 @@ def check_obstruction_integer(r: float, pair: ParameterPair,
 # the weighted residual's own policies, whatever the grid's: outer over t, inner over z
 WR_OUTER_POLICY = EvaluationPolicy(abs_tol=1e-8, rel_tol=1e-8, max_nodes=20000)
 WR_INNER_POLICY = EvaluationPolicy(abs_tol=2e-10, rel_tol=1e-9, max_nodes=60000)
-# where |w(t)| <= 8 pi^2 exp(-2 pi t) / sqrt(1+r), largest as r -> 0, leaves a
-# tail below COARSE_GUARD * WR_OUTER_POLICY.abs_tol for every r: about 4.434
-WR_T_MAX = math.log(2.0 * TWO_PI / (COARSE_GUARD * WR_OUTER_POLICY.abs_tol)) / TWO_PI
+WR_TAIL = 1e-3 * WR_OUTER_POLICY.abs_tol   # bound on the truncated tail, per unit of C
+# where |w(t)| <= 8 pi^2 exp(-2 pi t) / sqrt(1+r) leaves it for every r: about 4.434
+WR_T_MAX = math.log(2.0 * TWO_PI / WR_TAIL) / TWO_PI
 
 
 @lru_cache(maxsize=1)   # tasks arrive pair by pair; cli.run clears it at its start
@@ -747,7 +727,6 @@ def check_weighted_residual(r: float, pair: ParameterPair,
                      "the weighted residual's scale C pi/(1+r) =")
     main_at, inner_at = wr_inner_memo(pair)
     weight = _spectral_integrand(0.0, r, 0.0, 2.0)[0]
-    tail = COARSE_GUARD * WR_OUTER_POLICY.abs_tol
     inner = [0, 0]   # inner evaluations, unconverged inner integrals
 
     def sums(t: float) -> tuple[float, float]:
@@ -762,7 +741,7 @@ def check_weighted_residual(r: float, pair: ParameterPair,
         w = weight(t)
         return w, w * (est.value.real - rhs_const)
 
-    unit, resid = integrate_even_trapezoid(sums, WR_T_MAX, tail * rhs_const, WR_OUTER_POLICY)
+    unit, resid = integrate_even_trapezoid(sums, WR_T_MAX, WR_TAIL * rhs_const, WR_OUTER_POLICY)
     rid = record_id("weighted_residual", T=pair.T, S=pair.S, r=r)
     return build_record(
         rid, resid.value / PI, 0.0, tolerance,

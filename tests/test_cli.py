@@ -571,6 +571,22 @@ class TestCommandLine:
                                     if "wall_time_seconds" not in ln)
         assert strip(out1.stdout) == strip(out8.stdout)
 
+    def test_kernel_denominator_rounded_to_zero_skipped(self, tmp_path):
+        # near S = 1 the kernel denominator E + F z + G z^2 rounds to 0 at
+        # z = S and at q_integral's nodes near q = 1; the division by it used
+        # to abort the whole run with a ZeroDivisionError and no report
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"pairs": [[0.5, 0.999999999]],
+                                      "suites": ["spectral_kernel", "q_integral"]}))
+        out = tmp_path / "report.json"
+        assert main(["--config", str(config), "--output", str(out)]) == 3
+        records = json.loads(out.read_text())["records"]
+        skipped = [rec for rec in records if rec["status"] == "skipped"]
+        assert {rec["suite"] for rec in skipped} == {"spectral_kernel", "q_integral"}
+        assert all(rec["metadata"]["reason"].startswith("the point divides by zero: ")
+                   and rec["lhs"] is None for rec in skipped)
+        assert all(rec["status"] != "fail" for rec in records)
+
     def test_main_identity_beyond_cap_skipped(self, tmp_path):
         # |Re t| above the cancellation cap used to abort the whole run with
         # a DomainError traceback and no report

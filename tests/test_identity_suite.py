@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import hypident as hy
 from hypident import DegenerateConfigurationError, DomainError, cli, identity_suite
-from hypident.identity_suite import _main_kernel, _poly_coeffs, _second_argument
+from hypident.identity_suite import _main_kernel, _poly_coeffs
 
 PAIR = hy.ParameterPair(0.25, 0.5)
 WIDE = hy.ParameterPair(0.1, 0.9)
@@ -40,8 +40,12 @@ class TestMainIdentity:
         assert rec.metadata["digits_lost"] > 2.0
 
     def test_cancellation_cap(self):
-        with pytest.raises(DomainError):
+        # beyond the cap the point is degenerate, so the CLI skips it with this reason
+        with pytest.raises(DegenerateConfigurationError) as exc:
             hy.check_main_identity(PAIR, 3.0)
+        assert str(exc.value) == "|Re t| = 3 exceeds the cancellation cap 2"
+        with pytest.raises(DegenerateConfigurationError, match=r"^\|Re t\| = 2\.5 exceeds"):
+            hy.check_main_identity(PAIR, complex(-2.5, 0.5))
 
     def test_thin_interval_still_passes(self):
         pair = hy.ParameterPair(0.3, 0.3 + 1e-4)
@@ -152,6 +156,8 @@ class TestSpectralProduct:
                 res = hy.check_spectral_resolvent(a_shift, r)
                 assert prod.lhs == res.lhs
                 assert prod.rhs == res.rhs
+                assert prod.metadata["nodes"] == res.metadata["nodes"]
+                assert prod.status == res.status
 
     def test_zero_a_example(self):
         rec = hy.check_spectral_product(0.0, 1.0, 1.0)
@@ -424,7 +430,7 @@ class TestMainKernel:
                     want = (hy.f_2it_unit_interval(t, y)
                             * hy.f_it(t, _second_argument(z, pair)) / (1.0 - z))
                     assert abs(at(t)(z) - want) <= 1e-14 * abs(want), (pair, t, z)
-                    assert hy.main_integrand(z, pair, t) == at(t)(z)
+                    assert _main_kernel(pair)(t)(z) == at(t)(z)   # cold == memoized
 
     def test_weighted_residual_independent_of_earlier_checks(self, monkeypatch):
         # a record computed cold equals the same record served from the
@@ -509,6 +515,12 @@ def _count_engine_calls(monkeypatch) -> dict:
                  "integrate_even_trapezoid"):
         monkeypatch.setattr(identity_suite, name, counting(name, getattr(identity_suite, name)))
     return calls
+
+
+def _second_argument(z, pair):
+    # argument x(z) = (S-z)(1-z) / ((1-sqrt(S))^2 z) of the main integrand's
+    # second closed-form factor, as a plain reference formula
+    return (pair.S - z) * (1.0 - z) / ((1.0 - pair.sqrt_S) ** 2 * z)
 
 
 def _reference_kernel_integrand(z, r, pair):

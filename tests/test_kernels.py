@@ -1,5 +1,5 @@
 """Tests for the interval kernels: shift arguments, kernel factors, the
-main integrand, and the quadratic/partial-fraction family."""
+main integrand's kernel, and the quadratic/partial-fraction family."""
 
 import cmath
 import math
@@ -8,7 +8,7 @@ import pytest
 
 import hypident as hy
 from hypident import DegenerateConfigurationError, DomainError
-from hypident.identity_suite import _poly_coeffs, _second_argument
+from hypident.identity_suite import _main_kernel, _poly_coeffs
 
 PAIR = hy.ParameterPair(0.25, 0.5)
 WIDE = hy.ParameterPair(0.1, 0.9)
@@ -22,6 +22,11 @@ R_DOUBLE_ROOT = 8.0 + 6.0 * math.sqrt(2.0)
 
 def z_grid(pair, n):
     return [pair.T + (pair.S - pair.T) * k / (n - 1) for k in range(n)]
+
+
+def second_argument(z, pair):
+    # argument x(z) of the main integrand's second closed-form factor
+    return (pair.S - z) * (1.0 - z) / ((1.0 - pair.sqrt_S) ** 2 * z)
 
 
 class TestParameterPair:
@@ -113,13 +118,13 @@ class TestKernelFactors:
 class TestMainIntegrand:
     def test_t_zero_reduces(self):
         for z in (0.26, 0.375, 0.49):
-            got = hy.main_integrand(z, PAIR, 0.0)
+            got = _main_kernel(PAIR)(0.0)(z)
             assert abs(got - 1.0 / (1.0 - z)) <= 1e-14
 
     def test_first_factor_near_lower_end(self):
         z = PAIR.T + 1e-10
         t = 1.5
-        ratio = hy.main_integrand(z, PAIR, t) * (1.0 - z) / hy.f_it(t, _second_argument(z, PAIR))
+        ratio = _main_kernel(PAIR)(t)(z) * (1.0 - z) / hy.f_it(t, second_argument(z, PAIR))
         assert abs(ratio - 1.0) < 1e-5
 
     def test_second_factor_transform_witness(self):
@@ -128,20 +133,9 @@ class TestMainIntegrand:
         for t in (0.7, 1.8, 0.5j):
             for z in z_grid(PAIR, 9)[1:-1]:
                 _, b = hy.kernel_shifts(z, PAIR)
-                lhs = hy.f_it(t, _second_argument(z, PAIR))
+                lhs = hy.f_it(t, second_argument(z, PAIR))
                 rhs = hy.f_it(2.0 * t, b)
                 assert abs(lhs - rhs) <= 1e-10 * max(1.0, abs(rhs))
-
-    def test_rejects_boundary(self):
-        with pytest.raises(DomainError):
-            hy.main_integrand(PAIR.T, PAIR, 1.0)
-        with pytest.raises(DomainError):
-            hy.main_integrand(PAIR.S, PAIR, 1.0)
-
-    @pytest.mark.parametrize("t", [math.inf, math.nan, complex(0.5, math.inf)])
-    def test_rejects_non_finite_t(self, t):
-        with pytest.raises(DomainError):
-            hy.main_integrand(0.375, PAIR, t)
 
 
 class TestQuadraticFamily:
