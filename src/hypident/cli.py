@@ -25,7 +25,7 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_q_integral, check_spectral_kernel,
                              check_spectral_power, check_spectral_product,
                              check_spectral_resolvent,
-                             check_weighted_residual, wr_inner_memo)
+                             check_weighted_residual, shift_memo, wr_inner_memo)
 from .policy import EvaluationPolicy
 from .records import (FAIL, PASS, SKIPPED, STATUSES, UNCONVERGED, CheckRecord,
                       fmt_complex, fmt_float, record_id, skipped_record)
@@ -305,11 +305,12 @@ def run(cfg: GridConfig) -> ReportDocument:
 
     Records are computed one after another, each independently, and sorted
     by id.  The checks are CPU-bound pure Python, so a thread pool would run
-    them no faster under the interpreter lock.  The weighted residual's
-    inner-integral memo is emptied first, so every run does the same work.
+    them no faster under the interpreter lock.  The run memos (wr_inner_memo,
+    shift_memo) are emptied first, so every run does the same work.
     """
     start = time.perf_counter()
     wr_inner_memo.cache_clear()
+    shift_memo.cache_clear()
     records = list(map(run_task, build_tasks(cfg)))
     records.sort(key=lambda rec: rec.id)
     summary = dict.fromkeys(STATUSES, 0)

@@ -25,7 +25,7 @@ from .errors import DegenerateConfigurationError, DomainError
 from .policy import DEFAULT_POLICY, EvaluationPolicy
 from .quadrature import (IntegralEstimate, integrate_chebyshev_weighted,
                          integrate_decaying_halfline, integrate_even_trapezoid)
-from .records import CheckRecord, build_record, record_id
+from .records import UNCONVERGED, CheckRecord, build_record, record_id, skipped_record
 from .special_functions import log_gamma
 
 __all__ = [
@@ -328,22 +328,26 @@ def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0
     lr = math.asinh(math.sqrt(r))
     inv_sqrt_1pr = 1.0 / math.sqrt(1.0 + r)
     lb = math.asinh(math.sqrt(b_shift))
+    # hot: _ln_cosh is written out inline, operation for operation
+    exp, log1p, cos, ln_4pi2, ln_2 = math.exp, math.log1p, math.cos, _LN_4PI2, _LN_2
 
     if a_shift >= 0.0:
         la = math.asinh(math.sqrt(a_shift))
 
         def g(s: float) -> float:
             u = c2 * s
-            w = math.exp(_LN_4PI2 - _ln_cosh(pc * s))
-            return (w * math.cos(u * lr) * inv_sqrt_1pr
-                    * math.cos(u * la) * math.cos(u * lb))
+            v = abs(pc * s)
+            w = exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2))
+            return w * cos(u * lr) * inv_sqrt_1pr * cos(u * la) * cos(u * lb)
     else:
         ga = math.asin(math.sqrt(-a_shift))
 
         def g(s: float) -> float:
             u = c2 * s
-            w = math.exp(_LN_4PI2 - _ln_cosh(pc * s) + _ln_cosh(u * ga))
-            return w * math.cos(u * lr) * inv_sqrt_1pr * math.cos(u * lb)
+            v, va = abs(pc * s), abs(u * ga)
+            w = exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)
+                    + (va + log1p(exp(-2.0 * va)) - ln_2))
+            return w * cos(u * lr) * inv_sqrt_1pr * cos(u * lb)
 
     return g, 0.9 * (pc - c * _growth_rate(a_shift))
 
@@ -376,8 +380,16 @@ def _shift_integral(a_shift: float, r: float, b_shift: float | None,
         rhs = (PI * math.sqrt(1.0 + a_shift) * math.sqrt(1.0 + b_shift)
                * (1.0 + a_shift + r + b_shift) / denom)
     _above_tolerance(rhs, tolerance)
-    est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift or 0.0), policy)
+    est = shift_memo(a_shift, r, b_shift or 0.0, policy)
     return est.value / TWO_PI, rhs, denom, est
+
+
+@lru_cache(maxsize=1024)   # cli.run clears it at its start; a grid stores 6 per r value
+def shift_memo(a_shift: float, r: float, b_shift: float,
+               policy: EvaluationPolicy) -> IntegralEstimate:
+    """The shift integrand's half-line estimate, once per run: the product's B = 0
+    rows reuse the resolvent's, whichever runs first; `nodes` counts it as if cold."""
+    return integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift), policy)
 
 
 def check_spectral_resolvent(a_shift: float, r: float,
@@ -702,6 +714,10 @@ def wr_inner_memo(pair: ParameterPair) -> tuple:
     return _main_kernel(pair), {}
 
 
+class _InnerUnconverged(Exception):   # raised through the outer rule by a failed M(t)
+    pass
+
+
 def check_weighted_residual(r: float, pair: ParameterPair,
                             tolerance: float = 1e-6) -> CheckRecord:
     """Smoke-level consistency check: the doubled-sech-weighted spectral
@@ -718,6 +734,8 @@ def check_weighted_residual(r: float, pair: ParameterPair,
     still counts every outer and inner evaluation the value rests on, as if
     computed cold.  C times the tail bound (|M - C| <= C) joins both
     errors.  `unit_residual` is the unit integral's distance from pi^2/(1+r).
+    The first inner integral that fails to converge stops the record: it is
+    unconverged, without a value, and its `reason` names that t.
     A scale C pi/(1+r) at or below the tolerance makes a point degenerate.
     """
     if r <= 0.0:
@@ -727,7 +745,7 @@ def check_weighted_residual(r: float, pair: ParameterPair,
                      "the weighted residual's scale C pi/(1+r) =")
     main_at, inner_at = wr_inner_memo(pair)
     weight = _spectral_integrand(0.0, r, 0.0, 2.0)[0]
-    inner = [0, 0]   # inner evaluations, unconverged inner integrals
+    spent = [0, 0]   # outer nodes, inner evaluations
 
     def sums(t: float) -> tuple[float, float]:
         est = inner_at.get(t)
@@ -736,16 +754,23 @@ def check_weighted_residual(r: float, pair: ParameterPair,
             scaled = replace(WR_INNER_POLICY,
                              abs_tol=min(WR_INNER_POLICY.abs_tol * loosen, 1e6))
             est = inner_at[t] = integrate_chebyshev_weighted(main_at(t), pair.T, pair.S, scaled)
-        inner[0] += est.nodes_used
-        inner[1] += not est.converged
+        spent[0] += 1
+        spent[1] += est.nodes_used
+        if not est.converged:   # memoized, so the pair's other r values stop here too
+            raise _InnerUnconverged(f"the inner integral M(t) at t = {t:.6g} did not converge "
+                                    f"in {est.nodes_used} evaluations, so the outer rule "
+                                    f"stopped at its node {spent[0]}")
         w = weight(t)
         return w, w * (est.value.real - rhs_const)
 
-    unit, resid = integrate_even_trapezoid(sums, WR_T_MAX, WR_TAIL * rhs_const, WR_OUTER_POLICY)
     rid = record_id("weighted_residual", T=pair.T, S=pair.S, r=r)
-    return build_record(
-        rid, resid.value / PI, 0.0, tolerance,
-        converged=unit.converged and resid.converged and inner[1] == 0,
-        metadata={"T": pair.T, "S": pair.S, "r": r,
-                  "unit_residual": abs(unit.value / PI - PI / (1.0 + r)),
-                  "nodes": resid.nodes_used + inner[0], "inner_unconverged": inner[1]})
+    md = {"T": pair.T, "S": pair.S, "r": r, "inner_unconverged": 0}
+    try:
+        unit, resid = integrate_even_trapezoid(sums, WR_T_MAX, WR_TAIL * rhs_const,
+                                               WR_OUTER_POLICY)
+    except _InnerUnconverged as exc:
+        md.update(nodes=sum(spent), inner_unconverged=1)
+        return skipped_record(rid, str(exc), tolerance, md, status=UNCONVERGED)
+    md.update(nodes=sum(spent), unit_residual=abs(unit.value / PI - PI / (1.0 + r)))
+    return build_record(rid, resid.value / PI, 0.0, tolerance,
+                        converged=unit.converged and resid.converged, metadata=md)

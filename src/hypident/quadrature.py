@@ -144,8 +144,12 @@ def gauss_kronrod_panel(g: Callable[[float], complex], a: float,
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
     vals = [g(mid + half * x) for x in _K15_NODES]
-    k15 = half * _fsum(list(map(mul, _K15_WEIGHTS, vals)))
-    g7 = half * _fsum(list(map(mul, _G7_WEIGHTS, vals[1::2])))
+    try:   # _fsum on real values, without its list copies
+        k15 = half * complex(math.fsum(map(mul, _K15_WEIGHTS, vals)))
+        g7 = half * complex(math.fsum(map(mul, _G7_WEIGHTS, vals[1::2])))
+    except (TypeError, ValueError):   # complex values, or fsum's "-inf + inf"
+        k15 = half * _fsum(list(map(mul, _K15_WEIGHTS, vals)))
+        g7 = half * _fsum(list(map(mul, _G7_WEIGHTS, vals[1::2])))
     return k15, abs(k15 - g7)
 
 
@@ -191,19 +195,15 @@ def integrate_decaying_halfline(g: Callable[[float], complex],
     s_max = max(TAIL_MARGIN, math.log(envelope / policy.abs_tol) / decay_rate + TAIL_MARGIN)
     tail = envelope * math.exp(-decay_rate * s_max) / decay_rate
 
-    n0 = 8
-    panels = []  # entries: (left, right, value, err)
-    for i in range(n0):
-        a = s_max * i / n0
-        b = s_max * (i + 1) / n0
+    heap = []  # entries: (-err, left, right, value); summed in panel order, then heapified
+    for i in range(8):
+        a, b = s_max * i / 8, s_max * (i + 1) / 8
         val, err = gauss_kronrod_panel(g, a, b)
-        panels.append((a, b, val, err))
+        heap.append((-err, a, b, val))
         used += 15
-
-    heap = [(-err, a, b, val) for (a, b, val, err) in panels]
+    running = reduce(add, (p[3] for p in heap), 0.0)
+    err_total = reduce(add, (-p[0] for p in heap), 0.0)
     heapq.heapify(heap)
-    running = reduce(add, (val for (_, _, val, _) in panels), 0.0)
-    err_total = reduce(add, (err for (_, _, _, err) in panels), 0.0)
 
     while err_total + tail > policy.target(running) and used + 30 <= policy.max_nodes:
         neg_err, a, b, val = heapq.heappop(heap)
@@ -221,8 +221,7 @@ def integrate_decaying_halfline(g: Callable[[float], complex],
 
     value = _fsum([p[3] for p in heap])
     err_total = math.fsum(-p[0] for p in heap) + tail
-    converged = err_total <= policy.target(value)
-    return IntegralEstimate(value, err_total, used, converged)
+    return IntegralEstimate(value, err_total, used, err_total <= policy.target(value))
 
 
 def integrate_even_trapezoid(f: Callable[[float], Sequence[float]], t_max: float,

@@ -19,8 +19,8 @@ class CheckRecord:
 
     lhs is the numerically computed side, rhs the closed form.  A record
     passes when abs_err <= tolerance or rel_err <= tolerance; quadrature
-    that did not reach its own target demotes the record to "unconverged",
-    and a degenerate parameter point is reported as "skipped" (lhs/rhs None).
+    that did not reach its own target demotes the record to "unconverged"
+    (lhs/rhs None if it stopped early); a degenerate point is "skipped" (lhs/rhs None).
     Checks that assert several sub-identities at once may also demote a
     record to "fail" through their internal consistency flags.
     """
@@ -90,8 +90,9 @@ def build_record(rid: str, lhs: complex, rhs: complex, tolerance: float,
 
 
 def skipped_record(rid: str, reason: str, tolerance: float,
-                   metadata: dict | None = None) -> CheckRecord:
+                   metadata: dict | None = None, status: str = SKIPPED) -> CheckRecord:
+    """A record without a value, and why: a skipped point, or a check stopped unconverged."""
     md = dict(metadata or {})
     md["reason"] = reason
     return CheckRecord(id=rid, lhs=None, rhs=None, abs_err=0.0, rel_err=0.0,
-                       tolerance=tolerance, status=SKIPPED, metadata=md)
+                       tolerance=tolerance, status=status, metadata=md)

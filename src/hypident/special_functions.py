@@ -41,9 +41,13 @@ _LANCZOS = (
     9.9843695780195716e-6,
     1.5056327351493116e-7,
 )
+# the sum's first term, and the others as (coefficient, float(i)): zm + i rounds as zm + float(i)
+_LANCZOS_0 = complex(_LANCZOS[0], 0.0)
+_LANCZOS_TERMS = tuple((c, float(i)) for i, c in enumerate(_LANCZOS) if i)
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
-_LOG_PI = math.log(math.pi)
-_LN_2 = math.log(2.0)
+_LOG_PI = complex(math.log(math.pi), 0.0)
+_LOG_HALF_I = complex(-math.log(2.0), 0.5 * math.pi)   # log(i/2)
+_2I_PI, _I_PI = 2j * math.pi, 1j * math.pi
 
 
 def _require_finite(z: complex, name: str) -> None:
@@ -60,18 +64,19 @@ def log_gamma(z: complex) -> complex:
     reproduces gamma(z) for every admissible z.
     """
     z = complex(z)
-    _require_finite(z, "z")
+    if not cmath.isfinite(z):   # _require_finite's test, without its call
+        raise DomainError(f"z must be finite, got {z!r}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise DomainError(
             f"log_gamma: z = {z.real:g} is a pole of gamma (non-positive integer)")
     if z.imag < 0.0:
         return log_gamma(z.conjugate()).conjugate()
     if z.real < 0.5:
-        return complex(_LOG_PI, 0.0) - _log_sin_pi(z) - log_gamma(1.0 - z)
+        return _LOG_PI - _log_sin_pi(z) - log_gamma(1.0 - z)
     zm = z - 1.0
-    s = complex(_LANCZOS[0], 0.0)
-    for i in range(1, len(_LANCZOS)):
-        s += _LANCZOS[i] / (zm + i)
+    s = _LANCZOS_0
+    for c, i in _LANCZOS_TERMS:
+        s += c / (zm + i)
     t = zm + (_LANCZOS_G + 0.5)
     return _HALF_LOG_TWO_PI + (zm + 0.5) * cmath.log(t) - t + cmath.log(s)
 
@@ -80,8 +85,8 @@ def _log_sin_pi(z: complex) -> complex:
     # Valid for Im z >= 0:  sin(pi z) = (i/2) e^{-i pi z} (1 - e^{2 i pi z}),
     # and |e^{2 i pi z}| <= 1 keeps 1 - e^{2 i pi z} in the right half-plane,
     # so the principal log of that factor never wraps.
-    w = cmath.exp(2j * math.pi * z)
-    return complex(-_LN_2, 0.5 * math.pi) - 1j * math.pi * z + cmath.log(1.0 - w)
+    w = cmath.exp(_2I_PI * z)
+    return _LOG_HALF_I - _I_PI * z + cmath.log(1.0 - w)
 
 
 def f_it(t: complex, x: float) -> complex:

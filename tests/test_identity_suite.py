@@ -1,15 +1,18 @@
 """Tests for the identity checks: main integral, Barnes and sech-weighted
 spectral integrals, kernel factorization, Q integral, obstruction."""
 
+import json
 import math
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypident as hy
-from hypident import DegenerateConfigurationError, DomainError, cli, identity_suite
+from hypident import DegenerateConfigurationError, DomainError, cli, identity_suite, quadrature
 from hypident.identity_suite import _main_kernel, _poly_coeffs
 
 PAIR = hy.ParameterPair(0.25, 0.5)
@@ -152,7 +155,9 @@ class TestSpectralProduct:
     def test_b_zero_bitwise_match(self):
         for a_shift in (-0.5, 0.25, 3.0):
             for r in (0.5, 1.0, 10.0):
+                identity_suite.shift_memo.cache_clear()   # both computed cold
                 prod = hy.check_spectral_product(a_shift, r, 0.0)
+                identity_suite.shift_memo.cache_clear()
                 res = hy.check_spectral_resolvent(a_shift, r)
                 assert prod.lhs == res.lhs
                 assert prod.rhs == res.rhs
@@ -195,6 +200,89 @@ class TestSpectralProduct:
         assert doc.summary["skipped"] == doc.summary["total"] == 21
         assert all("vacuous" in rec.metadata["reason"] for rec in doc.records)
         assert cli.exit_code(doc) == 3
+
+
+def _halfline_calls(monkeypatch) -> list:
+    """Count the integrand calls made through identity_suite's half-line
+    engine, as the CI step does; the list holds the running count."""
+    calls = [0]
+    engine = identity_suite.integrate_decaying_halfline
+
+    def counting(f, *args, **kwargs):
+        def g(x):
+            calls[0] += 1
+            return f(x)
+        return engine(g, *args, **kwargs)
+
+    monkeypatch.setattr(identity_suite, "integrate_decaying_halfline", counting)
+    return calls
+
+
+def _report(doc) -> str:
+    return "".join(line for line in cli.render_json(doc).splitlines(True)
+                   if "wall_time_seconds" not in line)
+
+
+class TestShiftMemo:
+    def test_product_b_zero_rows_same_bytes_with_or_without_resolvent(self, monkeypatch):
+        # the product's B = 0 rows reuse the resolvent's estimate within a run,
+        # whichever suite runs first, and read as if computed cold
+        calls = _halfline_calls(monkeypatch)
+        rows, paid = {}, {}
+        for suites in (["spectral_product"], ["spectral_resolvent", "spectral_product"],
+                       ["spectral_product", "spectral_resolvent"]):
+            calls[0] = 0
+            doc = cli.run(cli.GridConfig.from_dict({"suites": suites}))
+            paid[tuple(suites)] = calls[0]
+            rows[tuple(suites)] = [cli._record_json(rec) for rec in doc.records
+                                   if rec.id.startswith("spectral_product/")
+                                   and rec.id.endswith("/B=0")]
+        assert len(set(map(tuple, rows.values()))) == 1
+        assert len(rows[("spectral_product",)]) == 3 * len(cli.DEFAULT_R_VALUES)
+        # the resolvent's integrals are the product's B = 0 rows, paid once
+        assert len(set(paid.values())) == 1 and paid[("spectral_product",)] > 0
+
+    def test_memo_hit_equals_cold_record(self):
+        identity_suite.shift_memo.cache_clear()
+        cold = hy.check_spectral_product(-0.5, 10.0, 0.0)
+        warm = hy.check_spectral_resolvent(-0.5, 10.0)
+        identity_suite.shift_memo.cache_clear()
+        assert hy.check_spectral_resolvent(-0.5, 10.0) == warm
+        assert (warm.lhs, warm.metadata["nodes"]) == (cold.lhs, cold.metadata["nodes"])
+
+    def test_policy_is_part_of_the_key(self, monkeypatch):
+        loose = hy.EvaluationPolicy(abs_tol=1e-6, rel_tol=1e-6)
+        identity_suite.shift_memo.cache_clear()
+        cold = hy.check_spectral_resolvent(0.25, 1.0, loose)
+        identity_suite.shift_memo.cache_clear()
+        default = hy.check_spectral_resolvent(0.25, 1.0)
+        calls = _halfline_calls(monkeypatch)
+        assert hy.check_spectral_resolvent(0.25, 1.0, loose) == cold
+        assert calls[0] == cold.metadata["nodes"] != default.metadata["nodes"]
+
+    def test_runs_do_equal_work_and_share_nothing(self, monkeypatch):
+        # cli.run empties the memo: two runs in one process give the same
+        # report and pay the same calls, and a run with another policy is
+        # not served the first run's estimates
+        calls = _halfline_calls(monkeypatch)
+        suites = ["spectral_resolvent", "spectral_product"]
+        reports, paid = [], []
+        for policy in ({}, {}, {"abs_tol": 1e-9}):
+            calls[0] = 0
+            doc = cli.run(cli.GridConfig.from_dict({"suites": suites, "policy": policy}))
+            reports.append(_report(doc))
+            paid.append(calls[0])
+        assert reports[0] == reports[1] and paid[0] == paid[1] > 0
+        assert paid[2] == sum(rec.metadata["nodes"] for rec in doc.records
+                              if not rec.id.endswith("/B=0"))
+        assert paid[2] != paid[0]
+
+    def test_memo_is_bounded(self):
+        # direct calls outside cli.run never empty it, so it must not grow;
+        # a run holds at most 9 estimates per r value between the resolvent's
+        # use of one and the product's, so 100 r values still hit every time
+        info = identity_suite.shift_memo.cache_info()
+        assert info.maxsize is not None and info.maxsize >= 9 * 100
 
 
 class TestSpectralKernel:
@@ -377,6 +465,39 @@ class TestWeightedResidual:
         assert rec.status == hy.PASS
         assert rec.metadata["inner_unconverged"] == 0
 
+    def test_unconverged_inner_integral_stops_the_record(self, tmp_path):
+        # at S = 1 - 2**-53 the inner integral M(0) comes back unconverged at
+        # 32,752 evaluations; the outer rule used to halve on, one such
+        # integral per node, for more than a minute
+        config = tmp_path / "edge.json"
+        config.write_text(json.dumps({"pairs": [[0.5, 0.9999999999999999]],
+                                      "suites": ["weighted_residual"], "r_values": [1.0]}))
+        report = tmp_path / "report.json"
+        proc = subprocess.run([sys.executable, "-m", "hypident", "--config", str(config),
+                               "--output", str(report)], capture_output=True, timeout=10)
+        assert proc.returncode == 3
+        [rec] = json.loads(report.read_text())["records"]
+        md = rec["metadata"]
+        assert rec["status"] == hy.UNCONVERGED and rec["lhs"] is None
+        assert md["inner_unconverged"] == 1 and md["nodes"] == 1 + 32752
+        assert md["reason"] == ("the inner integral M(t) at t = 0 did not converge in 32752 "
+                                "evaluations, so the outer rule stopped at its node 1")
+
+    def test_other_radii_stop_at_the_memoized_failure(self, monkeypatch):
+        # a smaller inner budget fails every M(t) of the edge pair at once; the
+        # pair's first record pays it, the next stops on the memoized failure
+        monkeypatch.setattr(identity_suite, "WR_INNER_POLICY",
+                            hy.EvaluationPolicy(abs_tol=2e-10, rel_tol=1e-9, max_nodes=112))
+        calls = _count_engine_calls(monkeypatch)
+        doc = cli.run(cli.GridConfig.from_dict({"pairs": [[0.5, 0.9999999999999999]],
+                                                "suites": ["weighted_residual"],
+                                                "r_values": [1.0, 10.0]}))
+        assert calls == {"integrate_chebyshev_weighted": 112, "integrate_even_trapezoid": 2}
+        for rec in doc.records:
+            assert rec.status == hy.UNCONVERGED and rec.lhs is None
+            assert rec.metadata["nodes"] == 1 + 112 and rec.metadata["inner_unconverged"] == 1
+            assert "at t = 0 did not converge in 112 evaluations" in rec.metadata["reason"]
+
     def test_scale_below_tolerance_is_degenerate(self):
         # at r = 1e160 the whole weight is below 1e-80, so any lhs would pass
         with pytest.raises(DegenerateConfigurationError, match="vacuous"):
@@ -557,7 +678,57 @@ def _reference_residual_weight(r):
     return weight
 
 
+def _reference_ln_cosh(u):
+    u = abs(u)
+    return u + math.log1p(math.exp(-2.0 * u)) - math.log(2.0)
+
+
+def _reference_spectral_integrand(a_shift, r, b_shift, c):
+    # _spectral_integrand's closures as first written, through _ln_cosh
+    pc, c2 = math.pi * c, 2.0 * c
+    ln_4pi2 = math.log(4.0 * math.pi * math.pi)
+    lr = math.asinh(math.sqrt(r))
+    inv_sqrt_1pr = 1.0 / math.sqrt(1.0 + r)
+    lb = math.asinh(math.sqrt(b_shift))
+    if a_shift >= 0.0:
+        la = math.asinh(math.sqrt(a_shift))
+
+        def g(s):
+            u = c2 * s
+            w = math.exp(ln_4pi2 - _reference_ln_cosh(pc * s))
+            return (w * math.cos(u * lr) * inv_sqrt_1pr
+                    * math.cos(u * la) * math.cos(u * lb))
+    else:
+        ga = math.asin(math.sqrt(-a_shift))
+
+        def g(s):
+            u = c2 * s
+            w = math.exp(ln_4pi2 - _reference_ln_cosh(pc * s) + _reference_ln_cosh(u * ga))
+            return w * math.cos(u * lr) * inv_sqrt_1pr * math.cos(u * lb)
+
+    return g
+
+
 class TestSpectralIntegrand:
+    def test_bit_identical_to_ln_cosh_reference(self):
+        # both branches, c = 1 and 2, at Kronrod nodes, near s = 0, and out
+        # where exp(-2v) and then the weight itself underflow to 0
+        rng = random.Random(15)
+        near_zero = [0.0, 5e-324, 1e-300, 1e-12, 1e-6]
+        kronrod = [0.5 * (b - a) * x + 0.5 * (a + b) for (a, b) in ((0.0, 1.0), (1.0, 7.5))
+                   for x in quadrature._K15_NODES]
+        far = [60.0, 130.0, 250.0, 400.0, 1000.0]
+        for c in (1.0, 2.0):
+            for a_shift in (-0.9, -0.5, -1e-9, -0.0, 0.0, 1e-9, 0.25, 3.0):
+                for b_shift in (0.0, 1e-9, 1.5, 40.0):
+                    for r in (0.01, 1.0, 100.0):
+                        got, _ = identity_suite._spectral_integrand(a_shift, r, b_shift, c)
+                        ref = _reference_spectral_integrand(a_shift, r, b_shift, c)
+                        ss = near_zero + kronrod + far + [rng.uniform(0.0, 12.0)
+                                                          for _ in range(20)]
+                        assert ([got(s).hex() for s in ss] == [ref(s).hex() for s in ss]), (
+                            c, a_shift, b_shift, r)
+
     def test_residual_weight_bit_identical_to_reference(self):
         rng = random.Random(1)
         for r in (0.01, 0.5, 1.0, 10.0, 100.0, 1e6):

@@ -264,6 +264,23 @@ def _bits(z):
     return z.real.hex(), z.imag.hex()     # tells -0.0 from 0.0
 
 
+def _reference_panel(g, a, b):
+    # gauss_kronrod_panel as first written, every sum through _fsum
+    half, mid = 0.5 * (b - a), 0.5 * (a + b)
+    vals = [g(mid + half * x) for x in quadrature._K15_NODES]
+    k15 = half * quadrature._fsum(list(map(mul, quadrature._K15_WEIGHTS, vals)))
+    g7 = half * quadrature._fsum(list(map(mul, quadrature._G7_WEIGHTS, vals[1::2])))
+    return k15, abs(k15 - g7)
+
+
+def _panel_outcome(panel, g, a, b):
+    try:
+        val, err = panel(g, a, b)
+    except OverflowError as exc:
+        return "OverflowError", str(exc)
+    return type(val), _bits(val), err.hex()
+
+
 def _value_lists(n, rng):
     mags = [rng.choice((1e-300, 1e-9, 1.0, 3.7e5, 1e16)) * rng.uniform(-1.0, 1.0)
             for _ in range(n)]
@@ -358,6 +375,19 @@ class TestNodeSums:
                 g7 = half * _exact_sum(list(map(mul, quadrature._G7_WEIGHTS, vals[1::2])))
                 assert type(val) is complex and val == k15, (name, a, b)
                 assert err == abs(k15 - g7)
+
+    def test_gauss_kronrod_panel_bit_identical_to_reference(self):
+        # the panel sums real values without _fsum's list copies; real,
+        # complex, int, mixed and signed-zero values, infinities and an
+        # inf - inf sum must come out as the _fsum form does
+        cases = dict(_integrands(), inf=lambda z: math.inf if z > 0.3 else z,
+                     opposite=lambda z: math.inf if z > 0.5 else -math.inf,
+                     complex_inf=lambda z: complex(math.inf, z))
+        for name, f in cases.items():
+            for a, b in ((0.0, 1.0), (0.1, 0.35), (-2.0, 3.5)):
+                got, want = (_panel_outcome(panel, f, a, b) for panel in
+                             (hy.gauss_kronrod_panel, _reference_panel))
+                assert got == want, (name, a, b)
 
     def test_adaptive_engines_count_every_call(self):
         counted, calls = _counted(lambda z: complex(math.cos(5.0 * z), z) / (1.05 - z))

@@ -3,6 +3,7 @@ forms of the F(it,-it;1/2;x) family, judged against mpmath at 30 digits."""
 
 import cmath
 import math
+import random
 
 import mpmath
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypident as hy
-from hypident import DomainError
+from hypident import DomainError, special_functions
 
 mpmath.mp.dps = 30
 
@@ -60,6 +61,52 @@ class TestLogGamma:
             got = cmath.exp(hy.log_gamma(x))
             ref = complex(mpmath.gamma(x))
             assert abs(got - ref) <= 1e-13 * abs(ref)
+
+    def test_bit_identical_to_reference(self):
+        # each half-plane's path: the Lanczos sum (Re z >= 1/2), the
+        # reflection (Re z < 1/2, with Barnes' z = 2is), the conjugate
+        # (Im z < 0), and points a hair from the poles
+        rng = random.Random(15)
+        points = [complex(rng.uniform(-30.0, 30.0), rng.uniform(-60.0, 60.0))
+                  for _ in range(3000)]
+        points += [complex(x, s) for x in (0.0, 0.5, 0.75, 1.0, 1.5) for s in
+                   (5e-324, 1e-300, 1e-12, 0.01, 0.37, 1.0, 6.5, 40.0, 200.0)]
+        for k in range(9):
+            for d in (1e-15, 1e-9, 1e-4, 0.3):
+                points += [complex(-k + d, 0.0), complex(-k - d, 0.0), complex(-k, d),
+                           complex(-k, -d), complex(-k + d, -d)]
+        points += [complex(0.5, -0.0), complex(-0.0, 2.0), complex(2.5, 0.0), 3]
+        for z in points:
+            assert _outcome(hy.log_gamma, z) == _outcome(_reference_log_gamma, z), z
+
+
+def _outcome(f, z):
+    """f(z)'s bits (telling -0.0 from 0.0), or the exception it raised."""
+    try:
+        v = f(z)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return v.real.hex(), v.imag.hex()
+
+
+def _reference_log_gamma(z):
+    # log_gamma as first written: the Lanczos loop over range() and every
+    # constant formed at each call; the module must reproduce it bit for bit
+    z = complex(z)
+    if z.imag < 0.0:
+        return _reference_log_gamma(z.conjugate()).conjugate()
+    if z.real < 0.5:
+        w = cmath.exp(2j * math.pi * z)
+        log_sin_pi = (complex(-math.log(2.0), 0.5 * math.pi) - 1j * math.pi * z
+                      + cmath.log(1.0 - w))
+        return complex(math.log(math.pi), 0.0) - log_sin_pi - _reference_log_gamma(1.0 - z)
+    coeffs = special_functions._LANCZOS
+    zm = z - 1.0
+    s = complex(coeffs[0], 0.0)
+    for i in range(1, len(coeffs)):
+        s += coeffs[i] / (zm + i)
+    t = zm + (7.0 + 0.5)
+    return 0.5 * math.log(2.0 * math.pi) + (zm + 0.5) * cmath.log(t) - t + cmath.log(s)
 
 
 class TestClosedForms:
