@@ -20,7 +20,7 @@ from .records import (FAIL, PASS, SKIPPED, UNCONVERGED, CheckRecord,
                       build_record, record_id)
 from .special_functions import (check_product_formula,
                                 check_quadratic_transform, f_2it_unit_interval,
-                                f_half_shifted, f_it, log_gamma)
+                                f_it, log_gamma)
 
 __all__ = [
     "__version__",
@@ -29,7 +29,7 @@ __all__ = [
     "EvaluationPolicy", "DEFAULT_POLICY",
     "CheckRecord", "PASS", "FAIL", "UNCONVERGED", "SKIPPED",
     "build_record", "record_id",
-    "log_gamma", "f_it", "f_2it_unit_interval", "f_half_shifted",
+    "log_gamma", "f_it", "f_2it_unit_interval",
     "check_quadratic_transform", "check_product_formula",
     "IntegralEstimate", "chebyshev_rule", "integrate_chebyshev_weighted",
     "gauss_kronrod_panel", "integrate_decaying_halfline",

@@ -15,7 +15,6 @@ import sys
 import time
 from dataclasses import dataclass
 from io import StringIO
-from json.encoder import encode_basestring_ascii as _str
 from typing import Callable, NamedTuple
 
 from . import __version__
@@ -28,7 +27,7 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_weighted_residual, shift_memo, wr_inner_memo)
 from .policy import EvaluationPolicy
 from .records import (FAIL, PASS, SKIPPED, STATUSES, UNCONVERGED, CheckRecord,
-                      fmt_complex, fmt_float, record_id, skipped_record)
+                      fmt_complex, fmt_float, json_writer, record_id, skipped_record)
 from .special_functions import check_product_formula, check_quadratic_transform
 
 DEFAULT_PAIRS = ((0.25, 0.5), (0.1, 0.9), (0.4, 0.45))
@@ -90,11 +89,11 @@ SUITE_TABLE = {
         lambda cfg: ({"T": T, "S": S, "t": t}
                      for (T, S) in cfg.pairs for t in cfg.t_values)),
     "quadratic_transform": Suite(
-        lambda p, pol, tol: check_quadratic_transform(p["t"], p["w"], pol, tolerance=tol),
+        lambda p, pol, tol: check_quadratic_transform(p["t"], p["w"], tolerance=tol),
         None,
         lambda cfg: ({"t": t, "w": w} for t in cfg.t_values for w in TRANSFORM_W_GRID)),
     "product_formula": Suite(
-        lambda p, pol, tol: check_product_formula(p["t"], p["x"], p["y"], pol, tolerance=tol),
+        lambda p, pol, tol: check_product_formula(p["t"], p["x"], p["y"], tolerance=tol),
         None,
         lambda cfg: ({"t": t, "x": x, "y": y}
                      for t in cfg.t_values for (x, y) in PRODUCT_XY_GRID)),
@@ -306,12 +305,14 @@ def run(cfg: GridConfig) -> ReportDocument:
     Records are computed one after another, each independently, and sorted
     by id.  The checks are CPU-bound pure Python, so a thread pool would run
     them no faster under the interpreter lock.  The run memos (wr_inner_memo,
-    shift_memo) are emptied first, so every run does the same work.
+    shift_memo) are emptied first, so every run does the same work, and
+    record_id's slots after, so that no value of the run outlives it.
     """
     start = time.perf_counter()
     wr_inner_memo.cache_clear()
     shift_memo.cache_clear()
     records = list(map(run_task, build_tasks(cfg)))
+    record_id.cache_clear()
     records.sort(key=lambda rec: rec.id)
     summary = dict.fromkeys(STATUSES, 0)
     for rec in records:
@@ -323,39 +324,10 @@ def run(cfg: GridConfig) -> ReportDocument:
                           wall_time_seconds=wall)
 
 
-def _num(x) -> str:
-    """A number as json.dumps writes it; finite floats skip the encoder."""
-    return float.__repr__(x) if isinstance(x, float) and math.isfinite(x) else json.dumps(x)
-
-
-def _value(v, pad: str) -> str:
-    """A value at indent `pad`: complex as [re, im], non-finite float as null."""
-    if isinstance(v, float):
-        return float.__repr__(v) if math.isfinite(v) else "null"
-    if isinstance(v, complex):
-        return f"[\n{pad}  {_num(v.real)},\n{pad}  {_num(v.imag)}\n{pad}]"
-    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
-
-
-def _record_json(rec: CheckRecord) -> str:
-    key, item = " " * 6, " " * 8   # indent of the record's keys and of nested items
-    md = rec.metadata
-    meta = ("{\n" + ",\n".join(f"{item}{_str(k)}: {_value(md[k], item)}"
-                               for k in sorted(md)) + f"\n{key}}}") if md else "{}"
-    return (f'{{\n{key}"abs_err": {_value(rec.abs_err, key)},\n'
-            f'{key}"id": {_str(rec.id)},\n'
-            f'{key}"lhs": {_value(rec.lhs, key)},\n'
-            f'{key}"metadata": {meta},\n'
-            f'{key}"rel_err": {_value(rec.rel_err, key)},\n'
-            f'{key}"rhs": {_value(rec.rhs, key)},\n'
-            f'{key}"status": {_str(rec.status)},\n'
-            f'{key}"suite": {_str(rec.suite)},\n'
-            f'{key}"tolerance": {_num(rec.tolerance)}\n    }}')
-
-
 def render_json(doc: ReportDocument) -> str:
-    """The report as json.dumps(payload, indent=2, sort_keys=True) writes it; records are
-    formatted directly, since that encoder runs in pure Python when it indents."""
+    """The report as json.dumps(payload, indent=2, sort_keys=True) writes it.
+    With indent that encoder runs in pure Python, so the records are written
+    directly (records.json_writer); the small envelope is json.dumps's."""
     envelope = json.dumps({"tool_version": doc.tool_version, "config": doc.config,
                            "summary": doc.summary, "records": [],
                            "wall_time_seconds": doc.wall_time_seconds},
@@ -363,17 +335,13 @@ def render_json(doc: ReportDocument) -> str:
     if not doc.records:
         return envelope + "\n"
     head, tail = envelope.split('"records": []', 1)   # no config key holds it
-    body = ",\n    ".join(map(_record_json, doc.records))
+    body = ",\n    ".join(map(json_writer(), doc.records))
     return "".join((head, '"records": [\n    ', body, "\n  ]", tail, "\n"))
 
 
 def render_csv(doc: ReportDocument) -> str:
-    def cell(value) -> str:
-        if value is None:
-            return ""
-        if isinstance(value, float):
-            return repr(value)
-        return str(value)
+    def cell(value) -> str:   # str of a float is its repr
+        return "" if value is None else str(value)
 
     out = StringIO()
     out.write(",".join(CSV_COLUMNS) + "\n")

@@ -1,9 +1,13 @@
-"""Check records: one verified identity instance with its errors and status."""
+"""Check records: one verified identity instance with its errors and status; id and JSON text."""
 
 from __future__ import annotations
 
+import cmath
+import json
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _str
+from typing import Callable
 
 PASS = "pass"
 FAIL = "fail"
@@ -52,16 +56,25 @@ def fmt_complex(v: complex) -> str:
     return "%.12g%+.12gi" % (v.real, v.imag)
 
 
+# key -> (value, "key=text") of the last parameter formatted under that key: a grid
+# reuses its value objects, and `is`, unlike a value key, tells -0.0 from 0.0
+_last_param = {}
+
+
 def record_id(suite: str, **params) -> str:
     """Deterministic id of the form suite/key=value/...; insertion order of
     params is preserved, so callers pass them in canonical order."""
     parts = [suite]
     for key, val in params.items():
-        if isinstance(val, complex):
-            parts.append("%s=%s" % (key, fmt_complex(val)))
-        else:
-            parts.append("%s=%s" % (key, fmt_float(val)))
+        slot = _last_param.get(key)
+        if slot is None or slot[0] is not val:
+            text = fmt_complex(val) if isinstance(val, complex) else fmt_float(val)
+            slot = _last_param[key] = (val, f"{key}={text}")
+        parts.append(slot[1])
     return "/".join(parts)
+
+
+record_id.cache_clear = _last_param.clear   # as lru_cache's; cli.run calls it after a run
 
 
 def build_record(rid: str, lhs: complex, rhs: complex, tolerance: float,
@@ -96,3 +109,60 @@ def skipped_record(rid: str, reason: str, tolerance: float,
     md["reason"] = reason
     return CheckRecord(id=rid, lhs=None, rhs=None, abs_err=0.0, rel_err=0.0,
                        tolerance=tolerance, status=status, metadata=md)
+
+
+def _num(x: float) -> str:
+    """A number as json.dumps writes it: NaN and Infinity kept."""
+    return float.__repr__(x) if type(x) is float and math.isfinite(x) else json.dumps(x)
+
+
+def _text(v, pad: str) -> str:
+    """A record value at indent `pad`: a float by its repr (null if not
+    finite), a complex as [re, im], the rare kinds through json.dumps."""
+    if isinstance(v, float):
+        return float.__repr__(v) if math.isfinite(v) else "null"
+    if isinstance(v, complex):
+        return f"[\n{pad}  {_num(v.real)},\n{pad}  {_num(v.imag)}\n{pad}]"
+    return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
+
+
+def json_writer() -> Callable[[CheckRecord], str]:
+    """A function writing one report's records in one pass each, as json.dumps(indent=2,
+    sort_keys=True) does.  Complex lhs and rhs and float abs_err and rel_err, all finite
+    (one test per record), are written by float.__repr__, other values by _text.  The
+    tolerance and each metadata key keep their last value and its text, so an object that
+    a grid repeats (a t, the tolerance) is formatted once; compared with `is`, as a value
+    key would give -0.0 the text of 0.0."""
+    last, heads = {}, {}   # key -> (value, text); key tuple -> [(key, head)]
+    tol_slot = (object(), "")
+
+    def write(rec: CheckRecord) -> str:
+        nonlocal tol_slot
+        lhs, rhs, a, r, tol, md = (rec.lhs, rec.rhs, rec.abs_err, rec.rel_err,
+                                   rec.tolerance, rec.metadata)
+        if (type(lhs) is complex is type(rhs) and type(a) is float is type(r)
+                and cmath.isfinite(lhs + rhs + a + r)):   # every part finite, and no overflow
+            lhs = f"[\n        {lhs.real!r},\n        {lhs.imag!r}\n      ]"
+            rhs = f"[\n        {rhs.real!r},\n        {rhs.imag!r}\n      ]"
+            a, r = f"{a!r}", f"{r!r}"
+        else:
+            lhs, rhs, a, r = (_text(v, " " * 6) for v in (lhs, rhs, a, r))
+        if tol_slot[0] is not tol:
+            tol_slot = (tol, _num(tol))
+        spec = heads.get(keys := tuple(md))
+        if spec is None:
+            spec = heads[keys] = [(k, f"\n        {_str(k)}: ") for k in sorted(md)]
+        parts = []
+        for k, head in spec:
+            slot = last.get(k)
+            if slot is None or slot[0] is not md[k]:
+                slot = last[k] = (md[k], _text(md[k], " " * 8))
+            parts.append(head + slot[1])
+        meta = "{" + ",".join(parts) + "\n      }" if parts else "{}"
+        return (f'{{\n      "abs_err": {a},\n      "id": {_str(rec.id)},\n'
+                f'      "lhs": {lhs},\n      "metadata": {meta},\n'
+                f'      "rel_err": {r},\n      "rhs": {rhs},\n'
+                f'      "status": {_str(rec.status)},\n      "suite": {_str(rec.suite)},\n'
+                f'      "tolerance": {tol_slot[1]}\n    }}')
+
+    return write

@@ -14,14 +14,13 @@ import cmath
 import math
 
 from .errors import DomainError
-from .policy import DEFAULT_POLICY, EvaluationPolicy
+from .policy import DEFAULT_POLICY
 from .records import CheckRecord, build_record, record_id
 
 __all__ = [
     "log_gamma",
     "f_it",
     "f_2it_unit_interval",
-    "f_half_shifted",
     "check_quadratic_transform",
     "check_product_formula",
 ]
@@ -50,11 +49,6 @@ _LOG_HALF_I = complex(-math.log(2.0), 0.5 * math.pi)   # log(i/2)
 _2I_PI, _I_PI = 2j * math.pi, 1j * math.pi
 
 
-def _require_finite(z: complex, name: str) -> None:
-    if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-        raise DomainError(f"{name} must be finite, got {z!r}")
-
-
 def log_gamma(z: complex) -> complex:
     """Principal-branch log of the gamma function.
 
@@ -64,7 +58,7 @@ def log_gamma(z: complex) -> complex:
     reproduces gamma(z) for every admissible z.
     """
     z = complex(z)
-    if not cmath.isfinite(z):   # _require_finite's test, without its call
+    if not cmath.isfinite(z):
         raise DomainError(f"z must be finite, got {z!r}")
     if z.imag == 0.0 and z.real <= 0.0 and z.real == math.floor(z.real):
         raise DomainError(
@@ -101,7 +95,8 @@ def f_it(t: complex, x: float) -> complex:
     if x <= -1.0:
         raise DomainError(f"f_it requires x > -1, got {x:g}")
     t = complex(t)
-    _require_finite(t, "t")
+    if not cmath.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     w = cmath.sqrt(x + 1.0) + cmath.sqrt(complex(x))
     return cmath.cos(2.0 * t * cmath.log(w))
 
@@ -116,27 +111,13 @@ def f_2it_unit_interval(t: complex, y: float) -> complex:
     if not 0.0 < y < 1.0:
         raise DomainError(f"f_2it_unit_interval requires 0 < Y < 1, got {y:g}")
     t = complex(t)
-    _require_finite(t, "t")
+    if not cmath.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     return cmath.cos(4j * t * math.asin(math.sqrt(y)))
 
 
-def f_half_shifted(s: complex, r: float) -> complex:
-    """F(1/2+is,1/2-is;1/2;-r) for r > -1.
-
-    Closed form (1+r)^(-1/2) cos(2 s log(sqrt(r+1) + sqrt(r))).
-    """
-    r = float(r)
-    if r <= -1.0:
-        raise DomainError(f"f_half_shifted requires r > -1, got {r:g}")
-    s = complex(s)
-    _require_finite(s, "s")
-    w = cmath.sqrt(r + 1.0) + cmath.sqrt(complex(r))
-    return cmath.cos(2.0 * s * cmath.log(w)) / math.sqrt(1.0 + r)
-
-
 def check_quadratic_transform(t: complex, w: float,
-                              policy: EvaluationPolicy = DEFAULT_POLICY,
-                              tolerance: float | None = None) -> CheckRecord:
+                              tolerance: float = DEFAULT_POLICY.abs_tol) -> CheckRecord:
     """Verify F(it,-it;1/2;4w(1-w)) = F(2it,-2it;1/2;w) for w <= 1/2.
 
     Both sides are evaluated through independent closed forms (single and
@@ -149,9 +130,8 @@ def check_quadratic_transform(t: complex, w: float,
         raise DomainError(
             f"quadratic transformation is not valid for w > 1/2, got w = {w:g}")
     t = complex(t)
-    _require_finite(t, "t")
-    if tolerance is None:
-        tolerance = policy.abs_tol
+    if not cmath.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
     if w > 0.0:
         # closed form cos(2it asin(sqrt(4w(1-w)))); the complementary angle
         # pi/2 - asin(1-2w) evaluates that phase exactly through w = 1/2,
@@ -171,8 +151,7 @@ def check_quadratic_transform(t: complex, w: float,
 
 
 def check_product_formula(t: complex, x: float, y: float,
-                          policy: EvaluationPolicy = DEFAULT_POLICY,
-                          tolerance: float | None = None) -> CheckRecord:
+                          tolerance: float = DEFAULT_POLICY.abs_tol) -> CheckRecord:
     """Verify the product formula for f_it at positive arguments x, y:
 
         2 f_it(t,x) f_it(t,y) = f_it(t, X+) + f_it(t, X-),
@@ -185,10 +164,7 @@ def check_product_formula(t: complex, x: float, y: float,
     x, y = float(x), float(y)
     if x <= 0.0 or y <= 0.0:
         raise DomainError(f"product formula requires x > 0 and y > 0, got ({x:g}, {y:g})")
-    t = complex(t)
-    _require_finite(t, "t")
-    if tolerance is None:
-        tolerance = policy.abs_tol
+    t = complex(t)   # f_it rejects a non-finite t
     sx, sy = math.sqrt(x), math.sqrt(y)
     sx1, sy1 = math.sqrt(x + 1.0), math.sqrt(y + 1.0)
     x_plus = (sx * sy1 + sy * sx1) ** 2

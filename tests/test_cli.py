@@ -169,13 +169,16 @@ class TestRun:
         assert tuple(checks) == SUITES
         for suite, name in checks.items():
             default = inspect.signature(getattr(hy, name)).parameters["tolerance"].default
-            assert cli.SUITE_TABLE[suite].tolerance == default, suite
+            # a table tolerance of None is the policy's abs_tol, whose default
+            # the check defaults to
+            table = cli.SUITE_TABLE[suite].tolerance
+            assert (hy.DEFAULT_POLICY.abs_tol if table is None else table) == default, suite
             # and the suite's tasks do call that check, with the tolerance
             seen = []
             monkeypatch.setattr(cli, name, lambda *a, tolerance: seen.append(tolerance))
             task = build_tasks(GridConfig.from_dict({"suites": [suite]}))[0]
             run_task(task)
-            expected = task[2].abs_tol if default is None else default
+            expected = task[2].abs_tol if table is None else table
             assert seen == [expected] and task[3] == expected, suite
 
     def test_checks_are_reached_through_module_names(self, monkeypatch):
@@ -247,6 +250,11 @@ class TestReports:
         assert record_id("m", t=0.3 - 0.4j) == "m/t=0.3-0.4i"
         assert record_id("m", t=0.5j) == "m/t=0.5i"
         assert record_id("m", T=0.25, t=2 + 0j) == "m/T=0.25/t=2"
+        # 0 and -0 compare equal; each keeps its own text, in either order
+        zero, minus_zero = complex(0.0, 0.0), complex(-0.0, 0.0)
+        assert [record_id("m", t=t) for t in (zero, minus_zero, zero)] == [
+            "m/t=0", "m/t=-0", "m/t=0"]
+        assert [record_id("m", r=r) for r in (0.0, -0.0, 0.0)] == ["m/r=0", "m/r=-0", "m/r=0"]
 
     def test_csv_columns(self):
         cfg = GridConfig.from_dict({"suites": ["main_identity"],
@@ -337,6 +345,16 @@ class TestJsonWriter:
             hy.CheckRecord("barnes/b", complex(-0.0, 0.0), complex(1e300, -5e-324),
                            -inf, -0.0, inf, hy.PASS, {"tiny": 5e-324, "big": -1.7e308}),
             hy.CheckRecord("q_integral/c", 1j, 1j, 0.0, 0.0, nan, hy.PASS, {}),
+            # adjacent values that compare equal but differ in sign: a writer
+            # that reuses a value's text must not reuse it for its twin
+            hy.CheckRecord("product_formula/d", 1j, 1j, 0.0, 0.0, 1e-10, hy.PASS,
+                           {"t": complex(1.0, 0.0), "w": 0.0}),
+            hy.CheckRecord("product_formula/e", 1j, 1j, 0.0, 0.0, 1e-10, hy.PASS,
+                           {"t": complex(1.0, -0.0), "w": -0.0}),
+            hy.CheckRecord("product_formula/f", 1j, 1j, 0.0, 0.0, 1.0, hy.PASS,
+                           {"t": complex(1.0, 0.0), "w": 0.0}),
+            # int errors and tolerance, beside finite complex sides; 1 == 1.0
+            hy.CheckRecord("barnes/g", 2 + 0j, 2 + 0j, 0, 0.0, 1, hy.PASS, {"w": 0}),
         ]
         doc = _document(records)
         text = render_json(doc)
@@ -570,6 +588,27 @@ class TestCommandLine:
         strip = lambda s: "\n".join(ln for ln in s.splitlines()
                                     if "wall_time_seconds" not in ln)
         assert strip(out1.stdout) == strip(out8.stdout)
+
+    def test_in_process_runs_match_a_fresh_run(self, tmp_path, capsys):
+        # the report writer and record_id keep per-key slots of the last
+        # value they formatted; runs in one process, as a benchmark makes,
+        # must not see each other's
+        rng = random.Random(7)
+        many = tmp_path / "many.json"
+        many.write_text(json.dumps({
+            "suites": ["quadratic_transform", "product_formula"],
+            "t_values": [[round(rng.uniform(-2.0, 2.0), 6), round(rng.uniform(-1.0, 1.0), 6)]
+                         for _ in range(50)]}))
+        strip = lambda s: "\n".join(ln for ln in s.splitlines()
+                                    if "wall_time_seconds" not in ln)
+        texts = []
+        for argv in ([], ["--config", str(many)], []):
+            assert main(argv) == 0
+            texts.append(strip(capsys.readouterr().out))
+        assert texts[0] == texts[2]
+        assert texts[1] != texts[0]
+        assert texts[0] == strip(run_cli([]).stdout)
+        assert texts[1] == strip(run_cli(["--config", str(many)]).stdout)
 
     def test_kernel_denominator_rounded_to_zero_skipped(self, tmp_path):
         # near S = 1 the kernel denominator E + F z + G z^2 rounds to 0 at

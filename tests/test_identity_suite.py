@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypident as hy
-from hypident import DegenerateConfigurationError, DomainError, cli, identity_suite, quadrature
+from hypident import (DegenerateConfigurationError, DomainError, cli, identity_suite,
+                      quadrature, records)
 from hypident.identity_suite import _main_kernel, _poly_coeffs
 
 PAIR = hy.ParameterPair(0.25, 0.5)
@@ -234,9 +235,9 @@ class TestShiftMemo:
             calls[0] = 0
             doc = cli.run(cli.GridConfig.from_dict({"suites": suites}))
             paid[tuple(suites)] = calls[0]
-            rows[tuple(suites)] = [cli._record_json(rec) for rec in doc.records
-                                   if rec.id.startswith("spectral_product/")
-                                   and rec.id.endswith("/B=0")]
+            rows[tuple(suites)] = list(map(records.json_writer(), (
+                rec for rec in doc.records
+                if rec.id.startswith("spectral_product/") and rec.id.endswith("/B=0"))))
         assert len(set(map(tuple, rows.values()))) == 1
         assert len(rows[("spectral_product",)]) == 3 * len(cli.DEFAULT_R_VALUES)
         # the resolvent's integrals are the product's B = 0 rows, paid once
