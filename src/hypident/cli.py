@@ -27,7 +27,7 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_weighted_residual, shift_memo, wr_inner_memo)
 from .policy import EvaluationPolicy
 from .records import (FAIL, PASS, SKIPPED, STATUSES, UNCONVERGED, CheckRecord,
-                      fmt_complex, fmt_float, json_writer, record_id, skipped_record)
+                      id_text, json_writer, skipped_record)
 from .special_functions import check_product_formula, check_quadratic_transform
 
 DEFAULT_PAIRS = ((0.25, 0.5), (0.1, 0.9), (0.4, 0.45))
@@ -166,6 +166,9 @@ class GridConfig:
             raise UsageError(f"suites: unknown suite names {bad}; "
                              f"known: {list(SUITES)}")
 
+        for key in ("pairs", "t_values", "r_values"):
+            if not isinstance(raw.get(key, []), list):
+                raise UsageError(f"{key}: must be a list, got {raw[key]!r}")
         pairs = []
         for entry in raw.get("pairs", [list(p) for p in DEFAULT_PAIRS]):
             if (not isinstance(entry, (list, tuple)) or len(entry) != 2
@@ -200,15 +203,14 @@ class GridConfig:
             if len(set(values)) < len(values):   # a repeat would run its points twice
                 repeat = next(v for i, v in enumerate(values) if v in values[:i])
                 raise UsageError(f"{key}: {repeat!r} is repeated; each entry must be distinct")
-        # record ids print values to 12 significant digits, as these texts
-        # do; values that print alike would give two records one id.  The
-        # texts are only built when each coordinate holds such near twins.
+        # record ids print values to 12 significant digits; values that print
+        # alike would give two records one id.  Their id texts (records.id_text)
+        # are only built when each coordinate holds such near twins.
         for key, values, coords, text in (
-                ("pairs", pairs, zip(*pairs),
-                 lambda p: f"T={fmt_float(p[0])}/S={fmt_float(p[1])}"),
+                ("pairs", pairs, zip(*pairs), lambda p: id_text({"T": p[0], "S": p[1]})),
                 ("t_values", t_values, ([t.real for t in t_values], [t.imag for t in t_values]),
-                 lambda t: "t=" + fmt_complex(t)),
-                ("r_values", r_values, (r_values,), lambda r: "r=" + fmt_float(r))):
+                 lambda t: id_text({"t": t})),
+                ("r_values", r_values, (r_values,), lambda r: id_text({"r": r}))):
             if not all(map(_near_twins, coords)):
                 continue
             first = {}
@@ -286,7 +288,8 @@ def build_tasks(cfg: GridConfig) -> list:
 def run_task(task: tuple) -> CheckRecord:
     """The record of one task.  A point where the check raises
     DegenerateConfigurationError, leaves the float range (OverflowError) or
-    divides by a rounded-off zero (ZeroDivisionError) is skipped with the reason."""
+    divides by a rounded-off zero (ZeroDivisionError) is skipped with the reason;
+    records.skipped_record names it from (suite, params), as the check would have."""
     suite, params, policy, tolerance = task
     try:
         return SUITE_TABLE[suite].check(params, policy, tolerance)
@@ -296,7 +299,7 @@ def run_task(task: tuple) -> CheckRecord:
         reason = f"the point overflows the float range: {exc}"
     except ZeroDivisionError as exc:
         reason = f"the point divides by zero: {exc}"
-    return skipped_record(record_id(suite, **params), reason, tolerance, metadata=params)
+    return skipped_record(suite, params, reason, tolerance)
 
 
 def run(cfg: GridConfig) -> ReportDocument:
@@ -306,13 +309,13 @@ def run(cfg: GridConfig) -> ReportDocument:
     by id.  The checks are CPU-bound pure Python, so a thread pool would run
     them no faster under the interpreter lock.  The run memos (wr_inner_memo,
     shift_memo) are emptied first, so every run does the same work, and
-    record_id's slots after, so that no value of the run outlives it.
+    id_text's slots after, so that no value of the run outlives it.
     """
     start = time.perf_counter()
     wr_inner_memo.cache_clear()
     shift_memo.cache_clear()
     records = list(map(run_task, build_tasks(cfg)))
-    record_id.cache_clear()
+    id_text.cache_clear()
     records.sort(key=lambda rec: rec.id)
     summary = dict.fromkeys(STATUSES, 0)
     for rec in records:

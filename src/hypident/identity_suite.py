@@ -25,7 +25,7 @@ from .errors import DegenerateConfigurationError, DomainError
 from .policy import DEFAULT_POLICY, EvaluationPolicy
 from .quadrature import (IntegralEstimate, integrate_chebyshev_weighted,
                          integrate_decaying_halfline, integrate_even_trapezoid)
-from .records import UNCONVERGED, CheckRecord, build_record, record_id, skipped_record
+from .records import UNCONVERGED, CheckRecord, build_record, skipped_record
 from .special_functions import log_gamma
 
 __all__ = [
@@ -222,12 +222,10 @@ def check_main_identity(pair: ParameterPair, t: complex,
     est = integrate_chebyshev_weighted(f, pair.T, pair.S, policy)
     rhs = pair.main_closed_form()
     digits_lost = math.log10(peak[0] / rhs) if peak[0] > 0.0 else 0.0
-    rid = record_id("main_identity", T=pair.T, S=pair.S, t=t)
     return build_record(
-        rid, est.value, rhs, tolerance, converged=est.converged,
-        metadata={"T": pair.T, "S": pair.S, "t": t,
-                  "nodes": est.nodes_used, "digits_lost": digits_lost,
-                  "quadrature_error": est.error_estimate})
+        "main_identity", {"T": pair.T, "S": pair.S, "t": t}, est.value, rhs, tolerance,
+        converged=est.converged, metadata={"nodes": est.nodes_used, "digits_lost": digits_lost,
+                                           "quadrature_error": est.error_estimate})
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +264,8 @@ def check_barnes_triple(a: float, b: float, c: float,
     est = integrate_decaying_halfline(g, 0.9 * PI, policy)
     lhs = est.value / (2.0 * PI)
     rhs = math.gamma(a + b) * math.gamma(a + c) * math.gamma(b + c)
-    rid = record_id("barnes", a=a, b=b, c=c)
-    return build_record(rid, lhs, rhs, tolerance, converged=est.converged,
-                        metadata={"a": a, "b": b, "c": c,
-                                  "nodes": est.nodes_used})
+    return build_record("barnes", {"a": a, "b": b, "c": c}, lhs, rhs, tolerance,
+                        converged=est.converged, metadata={"nodes": est.nodes_used})
 
 
 def check_spectral_power(a_shift: float, tau: float,
@@ -307,10 +303,8 @@ def check_spectral_power(a_shift: float, tau: float,
     lhs = est.value / (2.0 * PI)
     rhs = (_SQRT_PI * math.gamma(1.0 + tau) * math.gamma(0.5 + tau)
            * (1.0 + a_shift) ** (-0.5 - tau))
-    rid = record_id("spectral_power", A=a_shift, tau=tau)
-    return build_record(rid, lhs, rhs, tolerance, converged=est.converged,
-                        metadata={"A": a_shift, "tau": tau,
-                                  "nodes": est.nodes_used})
+    return build_record("spectral_power", {"A": a_shift, "tau": tau}, lhs, rhs, tolerance,
+                        converged=est.converged, metadata={"nodes": est.nodes_used})
 
 
 def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0):
@@ -402,9 +396,8 @@ def check_spectral_resolvent(a_shift: float, r: float,
       = pi sqrt(1+A) / (1+r+A),   A > -1, r > 0.
     """
     lhs, rhs, _, est = _shift_integral(a_shift, r, None, policy, tolerance)
-    rid = record_id("spectral_resolvent", A=a_shift, r=r)
-    return build_record(rid, lhs, rhs, tolerance, converged=est.converged,
-                        metadata={"A": a_shift, "r": r, "nodes": est.nodes_used})
+    return build_record("spectral_resolvent", {"A": a_shift, "r": r}, lhs, rhs, tolerance,
+                        converged=est.converged, metadata={"nodes": est.nodes_used})
 
 
 def check_spectral_product(a_shift: float, r: float, b_shift: float,
@@ -420,12 +413,9 @@ def check_spectral_product(a_shift: float, r: float, b_shift: float,
     the B = 0 rows are the resolvent check's values (_shift_integral).
     """
     lhs, rhs, denom, est = _shift_integral(a_shift, r, b_shift, policy, tolerance)
-    rid = record_id("spectral_product", A=a_shift, r=r, B=b_shift)
-    return build_record(rid, lhs, rhs, tolerance, converged=est.converged,
-                        consistent=denom > 0.0,
-                        metadata={"A": a_shift, "r": r, "B": b_shift,
-                                  "denominator": denom,
-                                  "nodes": est.nodes_used})
+    return build_record("spectral_product", {"A": a_shift, "r": r, "B": b_shift},
+                        lhs, rhs, tolerance, converged=est.converged, consistent=denom > 0.0,
+                        metadata={"denominator": denom, "nodes": est.nodes_used})
 
 
 # ---------------------------------------------------------------------------
@@ -452,10 +442,9 @@ def check_spectral_kernel(z: float, r: float, pair: ParameterPair,
     i1, i2 = kernel_factors(z, r, pair)   # raises DomainError for r <= 0
     rhs = _above_tolerance(i1 * i2, tolerance)
     est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift, 2.0), policy)
-    rid = record_id("spectral_kernel", T=pair.T, S=pair.S, z=z, r=r)
-    return build_record(rid, est.value / PI, rhs, tolerance, converged=est.converged,
-                        metadata={"T": pair.T, "S": pair.S, "z": z, "r": r,
-                                  "nodes": est.nodes_used})
+    return build_record("spectral_kernel", {"T": pair.T, "S": pair.S, "z": z, "r": r},
+                        est.value / PI, rhs, tolerance, converged=est.converged,
+                        metadata={"nodes": est.nodes_used})
 
 
 # ---------------------------------------------------------------------------
@@ -514,10 +503,9 @@ def check_q_integral(r: float, pair: ParameterPair,
     defect_est = integrate_chebyshev_weighted(
         defect, 0.0, 1.0, replace(policy, rel_tol=DEFECT_REL_TOL))
 
-    rid = record_id("q_integral", T=pair.T, S=pair.S, r=r)
-    return build_record(rid, lhs, rhs, tolerance, converged=est.converged,
-                        metadata={"T": pair.T, "S": pair.S, "r": r,
-                                  "nodes": est.nodes_used + defect_est.nodes_used,
+    return build_record("q_integral", {"T": pair.T, "S": pair.S, "r": r},
+                        lhs, rhs, tolerance, converged=est.converged,
+                        metadata={"nodes": est.nodes_used + defect_est.nodes_used,
                                   "kernel_defect": defect_est.value.real,
                                   "kernel_defect_error": defect_est.error_estimate})
 
@@ -684,16 +672,13 @@ def check_obstruction_integer(r: float, pair: ParameterPair,
     if r >= STRICT_R:
         ok = ok and n_int == 0 and abs(n_r) <= INTEGER_TOLERANCE
 
-    rid = record_id("obstruction", T=pair.T, S=pair.S, r=r)
     return build_record(
-        rid, d_sum, residual, tolerance, converged=est.converged,
-        consistent=ok,
-        metadata={"T": pair.T, "S": pair.S, "r": r,
-                  "n_r": n_r, "n_int": n_int, "n_dist": n_dist,
+        "obstruction", {"T": pair.T, "S": pair.S, "r": r}, d_sum, residual, tolerance,
+        converged=est.converged, consistent=ok,
+        metadata={"n_r": n_r, "n_int": n_int, "n_dist": n_dist,
                   "d_abs_spread": spread, "d_square_residual": sq_resid,
                   "q_value": q_val, "q_closed_form": closed,
-                  "pf_residual": fam.pf_residual,
-                  "nodes": est.nodes_used})
+                  "pf_residual": fam.pf_residual, "nodes": est.nodes_used})
 
 
 # ---------------------------------------------------------------------------
@@ -763,14 +748,14 @@ def check_weighted_residual(r: float, pair: ParameterPair,
         w = weight(t)
         return w, w * (est.value.real - rhs_const)
 
-    rid = record_id("weighted_residual", T=pair.T, S=pair.S, r=r)
-    md = {"T": pair.T, "S": pair.S, "r": r, "inner_unconverged": 0}
+    params = {"T": pair.T, "S": pair.S, "r": r}
     try:
         unit, resid = integrate_even_trapezoid(sums, WR_T_MAX, WR_TAIL * rhs_const,
                                                WR_OUTER_POLICY)
     except _InnerUnconverged as exc:
-        md.update(nodes=sum(spent), inner_unconverged=1)
-        return skipped_record(rid, str(exc), tolerance, md, status=UNCONVERGED)
-    md.update(nodes=sum(spent), unit_residual=abs(unit.value / PI - PI / (1.0 + r)))
-    return build_record(rid, resid.value / PI, 0.0, tolerance,
-                        converged=unit.converged and resid.converged, metadata=md)
+        return skipped_record("weighted_residual", params, str(exc), tolerance,
+                              {"inner_unconverged": 1, "nodes": sum(spent)}, UNCONVERGED)
+    return build_record("weighted_residual", params, resid.value / PI, 0.0, tolerance,
+                        converged=unit.converged and resid.converged,
+                        metadata={"inner_unconverged": 0, "nodes": sum(spent),
+                                  "unit_residual": abs(unit.value / PI - PI / (1.0 + r))})

@@ -61,10 +61,9 @@ def fmt_complex(v: complex) -> str:
 _last_param = {}
 
 
-def record_id(suite: str, **params) -> str:
-    """Deterministic id of the form suite/key=value/...; insertion order of
-    params is preserved, so callers pass them in canonical order."""
-    parts = [suite]
+def id_text(params: dict) -> str:
+    """A parameter point as its id writes it: key=value/... in the order of params."""
+    parts = []
     for key, val in params.items():
         slot = _last_param.get(key)
         if slot is None or slot[0] is not val:
@@ -74,13 +73,22 @@ def record_id(suite: str, **params) -> str:
     return "/".join(parts)
 
 
-record_id.cache_clear = _last_param.clear   # as lru_cache's; cli.run calls it after a run
+id_text.cache_clear = _last_param.clear   # as lru_cache's; cli.run calls it after a run
 
 
-def build_record(rid: str, lhs: complex, rhs: complex, tolerance: float,
+def record_id(suite: str, **params) -> str:
+    """Deterministic id suite/key=value/..., params in the order given (the grid's)."""
+    return f"{suite}/{id_text(params)}"
+
+
+def build_record(suite: str, params: dict, lhs: complex, rhs: complex, tolerance: float,
                  converged: bool = True, consistent: bool = True,
                  metadata: dict | None = None) -> CheckRecord:
-    """Assemble a record from computed lhs/rhs and the pass tolerance.
+    """Assemble the record of `suite` at the point `params` from computed
+    lhs/rhs and the pass tolerance.  This module names every record: its id
+    is record_id(suite, **params) (formed from the dict, not re-packed), and
+    its metadata is params, in order, then the check's own fields.  The record
+    keeps params itself as its metadata, so each check passes a dict of its own.
 
     `converged` reflects the quadrature flags; `consistent` lets a check
     fold extra sub-identity assertions into the pass/fail decision.
@@ -97,18 +105,21 @@ def build_record(rid: str, lhs: complex, rhs: complex, tolerance: float,
         status = UNCONVERGED
     else:
         status = PASS if ok else FAIL
-    return CheckRecord(id=rid, lhs=lhs, rhs=rhs, abs_err=abs_err,
-                       rel_err=rel_err, tolerance=tolerance, status=status,
-                       metadata=metadata or {})
+    rid = f"{suite}/{id_text(params)}"
+    if metadata:
+        params.update(metadata)
+    return CheckRecord(id=rid, lhs=lhs, rhs=rhs, abs_err=abs_err, rel_err=rel_err,
+                       tolerance=tolerance, status=status, metadata=params)
 
 
-def skipped_record(rid: str, reason: str, tolerance: float,
+def skipped_record(suite: str, params: dict, reason: str, tolerance: float,
                    metadata: dict | None = None, status: str = SKIPPED) -> CheckRecord:
-    """A record without a value, and why: a skipped point, or a check stopped unconverged."""
-    md = dict(metadata or {})
-    md["reason"] = reason
-    return CheckRecord(id=rid, lhs=None, rhs=None, abs_err=0.0, rel_err=0.0,
-                       tolerance=tolerance, status=status, metadata=md)
+    """A record without a value, and why: a skipped point, or a check stopped
+    unconverged.  Named as build_record names it, but from a copy of params,
+    as run_task passes its task's dict; metadata ends with `reason`."""
+    return CheckRecord(id=f"{suite}/{id_text(params)}", lhs=None, rhs=None, abs_err=0.0,
+                       rel_err=0.0, tolerance=tolerance, status=status,
+                       metadata={**params, **(metadata or {}), "reason": reason})
 
 
 def _num(x: float) -> str:

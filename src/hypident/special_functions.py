@@ -15,7 +15,7 @@ import math
 
 from .errors import DomainError
 from .policy import DEFAULT_POLICY
-from .records import CheckRecord, build_record, record_id
+from .records import CheckRecord, build_record
 
 __all__ = [
     "log_gamma",
@@ -145,9 +145,7 @@ def check_quadratic_transform(t: complex, w: float,
     else:
         lhs = f_it(t, -4.0 * w * (1.0 - w))
         rhs = f_it(2.0 * t, -w)
-    rid = record_id("quadratic_transform", t=t, w=w)
-    return build_record(rid, lhs, rhs, tolerance,
-                        metadata={"t": t, "w": w})
+    return build_record("quadratic_transform", {"t": t, "w": w}, lhs, rhs, tolerance)
 
 
 def check_product_formula(t: complex, x: float, y: float,
@@ -175,8 +173,6 @@ def check_product_formula(t: complex, x: float, y: float,
         abs((x_plus + 1.0) - (sx1 * sy1 + sx * sy) ** 2) / (x_plus + 1.0),
         abs((x_minus + 1.0) - (sx1 * sy1 - sx * sy) ** 2) / (x_minus + 1.0),
     )
-    rid = record_id("product_formula", t=t, x=x, y=y)
-    return build_record(rid, lhs, rhs, tolerance,
+    return build_record("product_formula", {"t": t, "x": x, "y": y}, lhs, rhs, tolerance,
                         consistent=companion <= 1e-12,
-                        metadata={"t": t, "x": x, "y": y,
-                                  "companion_residual": companion})
+                        metadata={"companion_residual": companion})

@@ -15,11 +15,24 @@ import pytest
 
 import hypident as hy
 from hypident import UsageError
-from hypident import cli
+from hypident import DegenerateConfigurationError, cli, identity_suite, records, special_functions
 from hypident.cli import (CSV_COLUMNS, GridConfig, ReportDocument, SUITES,
                           build_tasks, exit_code, main, render_csv, render_json,
                           run, run_task)
 from hypident.records import record_id
+
+# each suite's check, by its name in the cli module
+CHECKS = {"main_identity": "check_main_identity",
+          "quadratic_transform": "check_quadratic_transform",
+          "product_formula": "check_product_formula",
+          "barnes": "check_barnes_triple",
+          "spectral_power": "check_spectral_power",
+          "spectral_resolvent": "check_spectral_resolvent",
+          "spectral_product": "check_spectral_product",
+          "spectral_kernel": "check_spectral_kernel",
+          "q_integral": "check_q_integral",
+          "obstruction": "check_obstruction_integer",
+          "weighted_residual": "check_weighted_residual"}
 
 FAST_CONFIG = {
     "suites": ["main_identity", "q_integral"],
@@ -155,19 +168,8 @@ class TestRun:
         assert len(build_tasks(cfg)) == sizes[suite]
 
     def test_table_tolerances_are_the_checks_defaults(self, monkeypatch):
-        checks = {"main_identity": "check_main_identity",
-                  "quadratic_transform": "check_quadratic_transform",
-                  "product_formula": "check_product_formula",
-                  "barnes": "check_barnes_triple",
-                  "spectral_power": "check_spectral_power",
-                  "spectral_resolvent": "check_spectral_resolvent",
-                  "spectral_product": "check_spectral_product",
-                  "spectral_kernel": "check_spectral_kernel",
-                  "q_integral": "check_q_integral",
-                  "obstruction": "check_obstruction_integer",
-                  "weighted_residual": "check_weighted_residual"}
-        assert tuple(checks) == SUITES
-        for suite, name in checks.items():
+        assert tuple(CHECKS) == SUITES
+        for suite, name in CHECKS.items():
             default = inspect.signature(getattr(hy, name)).parameters["tolerance"].default
             # a table tolerance of None is the policy's abs_tol, whose default
             # the check defaults to
@@ -180,6 +182,43 @@ class TestRun:
             run_task(task)
             expected = task[2].abs_tol if table is None else table
             assert seen == [expected] and task[3] == expected, suite
+
+    @pytest.mark.parametrize("suite", SUITES)
+    def test_skipped_and_computed_records_share_names(self, suite, monkeypatch):
+        # a check and run_task's skip both name a record through records.py,
+        # from the grid's params; the two must agree on every id and echo
+        computed = run(GridConfig.from_dict({"suites": [suite]})).records
+
+        def degenerate(*args, **kwargs):
+            raise DegenerateConfigurationError("forced")
+
+        monkeypatch.setattr(cli, CHECKS[suite], degenerate)
+        skipped = run(GridConfig.from_dict({"suites": [suite]})).records
+        assert computed and all(rec.status == hy.SKIPPED for rec in skipped)
+        assert [rec.id for rec in skipped] == [rec.id for rec in computed]
+        for done, skip in zip(computed, skipped):
+            params = {k: v for k, v in skip.metadata.items() if k != "reason"}
+            # the echo is the id's keys, in its order, first in the computed metadata
+            assert list(params) == [part.split("=")[0] for part in done.id.split("/")[1:]]
+            assert list(done.metadata)[:len(params)] == list(params)
+            assert all(repr(done.metadata[k]) == repr(v) for k, v in params.items()), done.id
+
+    def test_every_suite_fails_when_its_closed_form_moves(self, monkeypatch):
+        # every record is built by records.build_record; moving each rhs by
+        # 10 x tolerance x max(1, |rhs|) there must flip every pass to fail
+        computed = run(GridConfig.from_dict({})).records
+        original = records.build_record
+
+        def moved(suite, params, lhs, rhs, tolerance, *args, **kwargs):
+            rhs += 10.0 * tolerance * max(1.0, abs(rhs))
+            return original(suite, params, lhs, rhs, tolerance, *args, **kwargs)
+
+        for module in (identity_suite, special_functions):
+            monkeypatch.setattr(module, "build_record", moved)
+        moved_status = {rec.id: rec.status for rec in run(GridConfig.from_dict({})).records}
+        passed = [rec for rec in computed if rec.status == hy.PASS]
+        assert {rec.suite for rec in passed} == set(SUITES)
+        assert [rec.id for rec in passed if moved_status[rec.id] != hy.FAIL] == []
 
     def test_checks_are_reached_through_module_names(self, monkeypatch):
         # a tracer rebinds cli.check_q_integral; every task must call the
@@ -467,8 +506,13 @@ class TestCommandLine:
         ('{}', ["--tol", "inf"], "--tol"),
         ('{"r_values": [1%s]}' % ("0" * 400), [], "r_values"),
         ('{"policy": {"max_terms": 2400}}', [], "max_terms"),
+        ('{"pairs": 5}', [], "pairs"),
+        ('{"pairs": null}', [], "pairs"),
+        ('{"t_values": null}', [], "t_values"),
+        ('{"t_values": 5}', [], "t_values"),
+        ('{"r_values": null}', [], "r_values"),
     ], ids=["r_inf", "t_im_inf", "t_nan", "r_true", "t_true", "tol_inf", "r_huge_int",
-            "max_terms"])
+            "max_terms", "pairs_int", "pairs_null", "t_null", "t_int", "r_null"])
     def test_non_finite_bool_or_unknown_value_usage_error(self, config, args, named,
                                                           tmp_path, capsys):
         # JSON reads NaN, Infinity and true as numbers, and ints past the float
@@ -524,7 +568,8 @@ class TestCommandLine:
         def check(a, b, c, policy, tolerance):
             est = hy.integrate_chebyshev_weighted(
                 lambda z: math.inf if z < 0.5 else -math.inf, 0.0, 1.0, policy)
-            return hy.build_record("barnes/a=%g" % a, est.value, 1.0, tolerance)
+            return hy.build_record("barnes", {"a": a, "b": b, "c": c}, est.value, 1.0,
+                                   tolerance)
 
         monkeypatch.setattr(cli, "check_barnes_triple", check)
         doc = run(GridConfig.from_dict({"suites": ["barnes"]}))

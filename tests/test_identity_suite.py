@@ -763,14 +763,27 @@ class TestCheckRecordInvariant:
     @given(lhs=st.floats(-1e3, 1e3), rhs=st.floats(-1e3, 1e3),
            tol=st.floats(1e-12, 1e3))
     def test_status_rule(self, lhs, rhs, tol):
-        rec = hy.build_record("x/y=1", lhs, rhs, tol)
+        rec = hy.build_record("x", {"y": 1.0}, lhs, rhs, tol)
         ok = rec.abs_err <= rec.tolerance or rec.rel_err <= rec.tolerance
         assert (rec.status == hy.PASS) == ok
 
     def test_unconverged_priority(self):
-        rec = hy.build_record("x/y=1", 1.0, 1.0, 1e-9, converged=False)
+        rec = hy.build_record("x", {"y": 1.0}, 1.0, 1.0, 1e-9, converged=False)
         assert rec.status == hy.UNCONVERGED
 
     def test_consistency_flag(self):
-        rec = hy.build_record("x/y=1", 1.0, 1.0, 1e-9, consistent=False)
+        rec = hy.build_record("x", {"y": 1.0}, 1.0, 1.0, 1e-9, consistent=False)
         assert rec.status == hy.FAIL
+
+    def test_record_names_itself_from_suite_and_params(self):
+        # the id and the metadata echo both come from (suite, params), in
+        # the order of params, with the check's own fields after them
+        params = {"T": 0.25, "S": 0.5, "t": 0.5j}
+        rec = hy.build_record("x", dict(params), 1.0, 1.0, 1e-9, metadata={"nodes": 3})
+        assert rec.id == "x/T=0.25/S=0.5/t=0.5i" == hy.record_id("x", **params)
+        assert list(rec.metadata.items()) == [*params.items(), ("nodes", 3)]
+        skip = records.skipped_record("x", params, "why", 1e-9, {"nodes": 3})
+        assert skip.id == rec.id and skip.status == hy.SKIPPED
+        assert list(skip.metadata.items()) == [*params.items(), ("nodes", 3), ("reason", "why")]
+        # a skip leaves the task's dict alone, which run_task may pass again
+        assert params == {"T": 0.25, "S": 0.5, "t": 0.5j}
