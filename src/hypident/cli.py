@@ -27,8 +27,9 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_weighted_residual, shift_memo, wr_inner_memo)
 from .policy import EvaluationPolicy
 from .records import (FAIL, PASS, SKIPPED, STATUSES, UNCONVERGED, CheckRecord,
-                      id_text, json_writer, skipped_record)
-from .special_functions import check_product_formula, check_quadratic_transform
+                      id_text, json_text, json_writer, skipped_record)
+from .special_functions import (check_product_formula, check_quadratic_transform,
+                                log_base, product_geometry)
 
 DEFAULT_PAIRS = ((0.25, 0.5), (0.1, 0.9), (0.4, 0.45))
 DEFAULT_T_VALUES = (complex(0.0), complex(0.5), complex(1.0), complex(2.0),
@@ -196,10 +197,10 @@ class GridConfig:
                 raise UsageError(
                     f"r_values: entries must be positive finite numbers, got {entry!r}")
             r_values.append(float(entry))
-        if not r_values:
-            raise UsageError("r_values: must not be empty")
         for key, values in (("suites", suites), ("pairs", pairs),
                             ("t_values", t_values), ("r_values", r_values)):
+            if not values:   # a run without records would exit 0, as if all passed
+                raise UsageError(f"{key}: must not be empty")
             if len(set(values)) < len(values):   # a repeat would run its points twice
                 repeat = next(v for i, v in enumerate(values) if v in values[:i])
                 raise UsageError(f"{key}: {repeat!r} is repeated; each entry must be distinct")
@@ -308,12 +309,12 @@ def run(cfg: GridConfig) -> ReportDocument:
     Records are computed one after another, each independently, and sorted
     by id.  The checks are CPU-bound pure Python, so a thread pool would run
     them no faster under the interpreter lock.  The run memos (wr_inner_memo,
-    shift_memo) are emptied first, so every run does the same work, and
-    id_text's slots after, so that no value of the run outlives it.
+    shift_memo, log_base, product_geometry) are emptied first, so every run does
+    the same work, and id_text's slots after, so that no value of the run outlives it.
     """
     start = time.perf_counter()
-    wr_inner_memo.cache_clear()
-    shift_memo.cache_clear()
+    for memo in (wr_inner_memo, shift_memo, log_base, product_geometry):
+        memo.cache_clear()
     records = list(map(run_task, build_tasks(cfg)))
     id_text.cache_clear()
     records.sort(key=lambda rec: rec.id)
@@ -328,18 +329,22 @@ def run(cfg: GridConfig) -> ReportDocument:
 
 
 def render_json(doc: ReportDocument) -> str:
-    """The report as json.dumps(payload, indent=2, sort_keys=True) writes it.
-    With indent that encoder runs in pure Python, so the records are written
-    directly (records.json_writer); the small envelope is json.dumps's."""
-    envelope = json.dumps({"tool_version": doc.tool_version, "config": doc.config,
+    """The report as json.dumps(payload, indent=2, sort_keys=True) writes it.  With
+    indent that encoder runs in pure Python, so it writes the small envelope, and the
+    records and config t_values, [re, im], are written directly (json_writer, json_text)
+    in place of its first "records": [] and "t_values": [] (a string escapes quotes)."""
+    envelope = json.dumps({"tool_version": doc.tool_version,
+                           "config": {**doc.config, "t_values": []},
                            "summary": doc.summary, "records": [],
                            "wall_time_seconds": doc.wall_time_seconds},
                           indent=2, sort_keys=True)
-    if not doc.records:
-        return envelope + "\n"
-    head, tail = envelope.split('"records": []', 1)   # no config key holds it
-    body = ",\n    ".join(map(json_writer(), doc.records))
-    return "".join((head, '"records": [\n    ', body, "\n  ]", tail, "\n"))
+    ts = ",\n      ".join(json_text(complex(*t), " " * 6) for t in doc.config["t_values"])
+    body = ",\n    ".join(map(json_writer(), doc.records))   # copied only by the join below
+    head, tail = envelope.split('"t_values": []', 1)
+    mid, tail = tail.split('"records": []', 1)
+    return "".join((head, f'"t_values": [\n      {ts}\n    ]' if ts else '"t_values": []', mid,
+                    *(('"records": [\n    ', body, "\n  ]") if body else ('"records": []',)),
+                    tail, "\n"))
 
 
 def render_csv(doc: ReportDocument) -> str:

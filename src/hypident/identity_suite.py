@@ -315,8 +315,8 @@ def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0
     and the rate 0.9 (pi c - c growth(A)) at which it decays.  c = 1 gives the
     resolvent (B = 0) and product integrands in s; c = 2 gives the spectral
     kernel's (at the kernel shifts) and the weighted residual's weight
-    (A = B = 0) in t = s/2.  The B factor multiplies last, so B = 0 adds
-    nothing to the bits (cos(0) == 1.0 exactly).
+    (A = B = 0) in t = s/2.  Where A or B is 0, g leaves out its factor
+    cos(u * 0.0) == 1.0 (x * 1.0 == x); at A = B = 0 it keeps one.
     """
     pc, c2 = PI * c, 2.0 * c
     lr = math.asinh(math.sqrt(r))
@@ -327,22 +327,36 @@ def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0
 
     if a_shift >= 0.0:
         la = math.asinh(math.sqrt(a_shift))
+        l1, l2 = (la, lb) if la else (lb, 0.0)   # a zero frequency last, then left out
 
-        def g(s: float) -> float:
-            u = c2 * s
-            v = abs(pc * s)
-            w = exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2))
-            return w * cos(u * lr) * inv_sqrt_1pr * cos(u * la) * cos(u * lb)
+        def g2(s: float) -> float:
+            u, v = c2 * s, abs(pc * s)
+            w = exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)) * cos(u * lr) * inv_sqrt_1pr
+            return w * cos(u * l1) * cos(u * l2)
+
+        def g1(s: float) -> float:
+            u, v = c2 * s, abs(pc * s)
+            w = exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)) * cos(u * lr) * inv_sqrt_1pr
+            return w * cos(u * l1)
+
+        g = g2 if l2 else g1
     else:
         ga = math.asin(math.sqrt(-a_shift))
 
-        def g(s: float) -> float:
+        def h1(s: float) -> float:
             u = c2 * s
             v, va = abs(pc * s), abs(u * ga)
             w = exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)
-                    + (va + log1p(exp(-2.0 * va)) - ln_2))
-            return w * cos(u * lr) * inv_sqrt_1pr * cos(u * lb)
+                    + (va + log1p(exp(-2.0 * va)) - ln_2)) * cos(u * lr) * inv_sqrt_1pr
+            return w * cos(u * lb)
 
+        def h0(s: float) -> float:
+            u = c2 * s
+            v, va = abs(pc * s), abs(u * ga)
+            return exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)
+                       + (va + log1p(exp(-2.0 * va)) - ln_2)) * cos(u * lr) * inv_sqrt_1pr
+
+        g = h1 if lb else h0
     return g, 0.9 * (pc - c * _growth_rate(a_shift))
 
 

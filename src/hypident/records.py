@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+from collections import defaultdict
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _str
 from typing import Callable
@@ -56,24 +57,28 @@ def fmt_complex(v: complex) -> str:
     return "%.12g%+.12gi" % (v.real, v.imag)
 
 
-# key -> (value, "key=text") of the last parameter formatted under that key: a grid
-# reuses its value objects, and `is`, unlike a value key, tells -0.0 from 0.0
-_last_param = {}
+def remember(slots: dict, val, text: str) -> tuple:
+    """Put (val, text) in one key's map id(value) -> (value, text), emptied at 16 entries.
+    The entry holds val, so its id names val alone: -0.0 never takes 0.0's text."""
+    if len(slots) >= 16:
+        slots.clear()
+    slots[id(val)] = hit = (val, text)
+    return hit
+
+
+_id_slots = defaultdict(dict)   # key -> {id(value): (value, "key=text")}
 
 
 def id_text(params: dict) -> str:
     """A parameter point as its id writes it: key=value/... in the order of params."""
     parts = []
     for key, val in params.items():
-        slot = _last_param.get(key)
-        if slot is None or slot[0] is not val:
-            text = fmt_complex(val) if isinstance(val, complex) else fmt_float(val)
-            slot = _last_param[key] = (val, f"{key}={text}")
-        parts.append(slot[1])
+        slots = _id_slots[key]
+        parts.append((slots.get(id(val)) or remember(slots, val, f"{key}={fmt_complex(val)}"))[1])
     return "/".join(parts)
 
 
-id_text.cache_clear = _last_param.clear   # as lru_cache's; cli.run calls it after a run
+id_text.cache_clear = _id_slots.clear   # as lru_cache's; cli.run calls it after a run
 
 
 def record_id(suite: str, **params) -> str:
@@ -127,7 +132,7 @@ def _num(x: float) -> str:
     return float.__repr__(x) if type(x) is float and math.isfinite(x) else json.dumps(x)
 
 
-def _text(v, pad: str) -> str:
+def json_text(v, pad: str) -> str:
     """A record value at indent `pad`: a float by its repr (null if not
     finite), a complex as [re, im], the rare kinds through json.dumps."""
     if isinstance(v, float):
@@ -140,15 +145,13 @@ def _text(v, pad: str) -> str:
 def json_writer() -> Callable[[CheckRecord], str]:
     """A function writing one report's records in one pass each, as json.dumps(indent=2,
     sort_keys=True) does.  Complex lhs and rhs and float abs_err and rel_err, all finite
-    (one test per record), are written by float.__repr__, other values by _text.  The
-    tolerance and each metadata key keep their last value and its text, so an object that
-    a grid repeats (a t, the tolerance) is formatted once; compared with `is`, as a value
-    key would give -0.0 the text of 0.0."""
-    last, heads = {}, {}   # key -> (value, text); key tuple -> [(key, head)]
-    tol_slot = (object(), "")
+    (one test per record), are written by float.__repr__, other values by json_text.  The
+    tolerance and each metadata key remember the texts of their last few value objects
+    (remember), so an object that a grid repeats (a t, an x, the tolerance) is formatted
+    once."""
+    slots, heads, tol_slots = defaultdict(dict), {}, {}   # per key, key tuple; tolerance
 
     def write(rec: CheckRecord) -> str:
-        nonlocal tol_slot
         lhs, rhs, a, r, tol, md = (rec.lhs, rec.rhs, rec.abs_err, rec.rel_err,
                                    rec.tolerance, rec.metadata)
         if (type(lhs) is complex is type(rhs) and type(a) is float is type(r)
@@ -157,23 +160,18 @@ def json_writer() -> Callable[[CheckRecord], str]:
             rhs = f"[\n        {rhs.real!r},\n        {rhs.imag!r}\n      ]"
             a, r = f"{a!r}", f"{r!r}"
         else:
-            lhs, rhs, a, r = (_text(v, " " * 6) for v in (lhs, rhs, a, r))
-        if tol_slot[0] is not tol:
-            tol_slot = (tol, _num(tol))
+            lhs, rhs, a, r = (json_text(v, " " * 6) for v in (lhs, rhs, a, r))
+        tol = (tol_slots.get(id(tol)) or remember(tol_slots, tol, _num(tol)))[1]
         spec = heads.get(keys := tuple(md))
-        if spec is None:
-            spec = heads[keys] = [(k, f"\n        {_str(k)}: ") for k in sorted(md)]
-        parts = []
-        for k, head in spec:
-            slot = last.get(k)
-            if slot is None or slot[0] is not md[k]:
-                slot = last[k] = (md[k], _text(md[k], " " * 8))
-            parts.append(head + slot[1])
+        if spec is None:   # (key, its slots, the text before its value)
+            spec = heads[keys] = [(k, slots[k], f"\n        {_str(k)}: ") for k in sorted(md)]
+        parts = [(ks.get(id(v := md[k])) or remember(ks, v, head + json_text(v, " " * 8)))[1]
+                 for k, ks, head in spec]
         meta = "{" + ",".join(parts) + "\n      }" if parts else "{}"
         return (f'{{\n      "abs_err": {a},\n      "id": {_str(rec.id)},\n'
                 f'      "lhs": {lhs},\n      "metadata": {meta},\n'
                 f'      "rel_err": {r},\n      "rhs": {rhs},\n'
                 f'      "status": {_str(rec.status)},\n      "suite": {_str(rec.suite)},\n'
-                f'      "tolerance": {tol_slot[1]}\n    }}')
+                f'      "tolerance": {tol}\n    }}')
 
     return write

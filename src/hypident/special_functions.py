@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from functools import lru_cache
 
 from .errors import DomainError
 from .policy import DEFAULT_POLICY
@@ -97,8 +98,12 @@ def f_it(t: complex, x: float) -> complex:
     t = complex(t)
     if not cmath.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
-    w = cmath.sqrt(x + 1.0) + cmath.sqrt(complex(x))
-    return cmath.cos(2.0 * t * cmath.log(w))
+    return cmath.cos(2.0 * t * log_base(x))
+
+
+@lru_cache(maxsize=64)   # a grid's few x, once per run (cli.run empties it); -0.0 is 0.0's
+def log_base(x: float) -> complex:   # f_it's t-free part, log(sqrt(x+1) + sqrt(x))
+    return cmath.log(cmath.sqrt(x + 1.0) + cmath.sqrt(complex(x)))
 
 
 def f_2it_unit_interval(t: complex, y: float) -> complex:
@@ -163,16 +168,20 @@ def check_product_formula(t: complex, x: float, y: float,
     if x <= 0.0 or y <= 0.0:
         raise DomainError(f"product formula requires x > 0 and y > 0, got ({x:g}, {y:g})")
     t = complex(t)   # f_it rejects a non-finite t
+    x_plus, x_minus, companion = product_geometry(x, y)
+    lhs = 2.0 * f_it(t, x) * f_it(t, y)
+    rhs = f_it(t, x_plus) + f_it(t, x_minus)
+    return build_record("product_formula", {"t": t, "x": x, "y": y}, lhs, rhs, tolerance,
+                        consistent=companion <= 1e-12,
+                        metadata={"companion_residual": companion})
+
+
+@lru_cache(maxsize=64)   # a grid's few (x, y), once per run; cli.run empties it
+def product_geometry(x: float, y: float) -> tuple:   # (X+, X-, companion residual)
     sx, sy = math.sqrt(x), math.sqrt(y)
     sx1, sy1 = math.sqrt(x + 1.0), math.sqrt(y + 1.0)
     x_plus = (sx * sy1 + sy * sx1) ** 2
     x_minus = (sx * sy1 - sy * sx1) ** 2
-    lhs = 2.0 * f_it(t, x) * f_it(t, y)
-    rhs = f_it(t, x_plus) + f_it(t, x_minus)
-    companion = max(
+    return x_plus, x_minus, max(
         abs((x_plus + 1.0) - (sx1 * sy1 + sx * sy) ** 2) / (x_plus + 1.0),
-        abs((x_minus + 1.0) - (sx1 * sy1 - sx * sy) ** 2) / (x_minus + 1.0),
-    )
-    return build_record("product_formula", {"t": t, "x": x, "y": y}, lhs, rhs, tolerance,
-                        consistent=companion <= 1e-12,
-                        metadata={"companion_residual": companion})
+        abs((x_minus + 1.0) - (sx1 * sy1 - sx * sy) ** 2) / (x_minus + 1.0))

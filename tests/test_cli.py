@@ -2,6 +2,7 @@
 determinism across --jobs values."""
 
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -81,6 +82,12 @@ class TestGridConfig:
         with pytest.raises(UsageError):
             GridConfig.from_dict({"t_values": ["x"]})
 
+    @pytest.mark.parametrize("key", ["pairs", "t_values", "r_values"])
+    def test_empty_grid_list_rejected(self, key):
+        with pytest.raises(UsageError) as exc:
+            GridConfig.from_dict({key: []})
+        assert str(exc.value) == f"{key}: must not be empty"
+
     def test_unknown_key_rejected(self):
         with pytest.raises(UsageError):
             GridConfig.from_dict({"sutes": ["barnes"]})
@@ -144,9 +151,10 @@ class TestRun:
         assert ids == sorted(ids)
 
     def test_summary_matches_tally(self):
-        empty = {"suites": ["main_identity"], "pairs": []}   # no task at all
-        for raw in (FAST_CONFIG, empty):
-            doc = run(GridConfig.from_dict(raw))
+        cfg = GridConfig.from_dict(FAST_CONFIG)
+        empty = dataclasses.replace(cfg, suites=["main_identity"], pairs=[])   # no task at all
+        for cfg in (cfg, empty):
+            doc = run(cfg)
             for status in (hy.PASS, hy.FAIL, hy.UNCONVERGED, hy.SKIPPED):
                 assert doc.summary[status] == sum(1 for rec in doc.records
                                                   if rec.status == status)
@@ -237,6 +245,13 @@ class TestRun:
         doc = run(cfg)
         assert doc.summary["total"] == len(calls) == 6
         assert sorted(calls) == sorted(rec.metadata["r"] for rec in doc.records)
+
+    def test_run_empties_the_closed_form_caches_first(self):
+        special_functions.log_base(0.123)
+        special_functions.product_geometry(0.123, 4.5)
+        run(GridConfig.from_dict({"suites": ["barnes"]}))
+        assert special_functions.log_base.cache_info().currsize == 0
+        assert special_functions.product_geometry.cache_info().currsize == 0
 
     def test_kernel_point_at_s_never_overshoots(self):
         # for some pairs T + 1.0 * (S - T) rounds above S, outside the
@@ -423,12 +438,48 @@ class TestJsonWriter:
         assert '"records": []' in render_json(doc)
 
     def test_envelope_holding_the_records_key_text(self):
-        config = GridConfig.from_dict({"output_path": '"records": [] x.json',
-                                       "pairs": []}).echo()
+        config = GridConfig.from_dict({"output_path": '"records": [] x.json'}).echo()
         records = [hy.CheckRecord("barnes/a", 1j, 1j, 0.0, 0.0, 1e-8, hy.PASS, {})]
         for recs in (records, []):
             doc = _document(recs, config)
             assert render_json(doc) == _oracle_render_json(doc)
+
+
+    def test_envelope_holding_the_t_values_key_text(self):
+        # the config's t_values are written in place of the first "t_values": [],
+        # which a string value cannot hold: json.dumps escapes its quotes
+        cfg = GridConfig.from_dict({"output_path": '"t_values": [] "records": [] x.json',
+                                    "t_values": [[0.5, -0.0], -0.0, [1e-300, 2.5]]})
+        records = [hy.CheckRecord("barnes/a", 1j, 1j, 0.0, 0.0, 1e-8, hy.PASS, {})]
+        for config in (cfg.echo(), dataclasses.replace(cfg, t_values=[]).echo()):
+            for recs in (records, []):
+                doc = _document(recs, config)
+                assert render_json(doc) == _oracle_render_json(doc)
+
+    def test_slots_cycling_past_their_bound(self):
+        # id_text and the writer remember a few value objects per key: w cycles
+        # through 0.0, -0.0 and 0.5, which a value key would merge; x through more
+        # objects than a key keeps; the tolerance through fresh objects of one value
+        ws = (0.0, -0.0, 0.5)
+        xs = [k / 7.0 for k in range(40)]
+        ts = (complex(0.5, 0.0), complex(0.5, -0.0), complex(-0.0, 1.5))
+        recs = []
+        for i in range(480):
+            params = {"t": ts[i % 3], "w": ws[i % 3 - 1], "x": xs[i % 40]}
+            want = "product_formula/" + "/".join(
+                f"{k}={records.fmt_complex(v) if k == 't' else records.fmt_float(v)}"
+                for k, v in params.items())
+            rec = hy.build_record("product_formula", params, 1j, 1j, float("1e-10"),
+                                  metadata={"companion_residual": xs[(7 * i) % 40]})
+            assert rec.id == want
+            recs.append(rec)
+        doc = _document(recs)
+        assert render_json(doc) == _oracle_render_json(doc)
+        # a value whose only other holder is gone: its entry keeps its id from reuse
+        for k in range(100):
+            r = float(f"{k}.25")
+            assert record_id("m", r=r) == f"m/r={records.fmt_float(r)}"
+            del r
 
 
 class TestCommandLine:
@@ -466,6 +517,15 @@ class TestCommandLine:
         assert proc.returncode == 64
         assert proc.stdout == ""
         assert "r_values: 1.0 and 1.0000000000001 share the record id text 'r=1'" in proc.stderr
+
+    @pytest.mark.parametrize("key", ["pairs", "t_values"])
+    def test_empty_grid_list_usage_error(self, key, tmp_path, capsys):
+        # a run without records used to exit 0, as if every record had passed
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: []}))
+        assert main(["--config", str(path)]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and f"{key}: must not be empty" in err
 
     def test_unknown_flag_usage_error(self, tmp_path):
         proc = run_cli(["--bogus"])

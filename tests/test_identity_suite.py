@@ -730,6 +730,18 @@ class TestSpectralIntegrand:
                         assert ([got(s).hex() for s in ss] == [ref(s).hex() for s in ss]), (
                             c, a_shift, b_shift, r)
 
+    @pytest.mark.parametrize("a_shift, b_shift, factors", [
+        (0.25, 1.5, 3), (0.25, 0.0, 2), (0.0, 1.5, 2), (-0.0, 1.5, 2), (0.0, 0.0, 2),
+        (-0.5, 1.5, 2), (-0.5, 0.0, 1), (-0.5, -0.0, 1)])
+    def test_no_cos_factor_of_a_zero_shift(self, a_shift, b_shift, factors, monkeypatch):
+        # cos(u * 0.0) == 1.0: the closure built at A = 0 or B = 0 leaves it out
+        # (at A = B = 0 one stays); the bit-identity test above holds the values
+        calls = []
+        monkeypatch.setattr(math, "cos", lambda x: calls.append(x) or 1.0)
+        g, _ = identity_suite._spectral_integrand(a_shift, 1.0, b_shift, 2.0)
+        g(0.3)
+        assert len(calls) == factors
+
     def test_residual_weight_bit_identical_to_reference(self):
         rng = random.Random(1)
         for r in (0.01, 0.5, 1.0, 10.0, 100.0, 1e6):

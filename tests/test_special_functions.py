@@ -262,3 +262,44 @@ class TestProductFormula:
     def test_property_grid(self, t, x, y):
         rec = hy.check_product_formula(t, x, y, tolerance=1e-10)
         assert rec.status == hy.PASS
+
+
+def _uncached_f_it(t, x):
+    # f_it's closed form with its base formed at every call
+    w = cmath.sqrt(x + 1.0) + cmath.sqrt(complex(x))
+    return cmath.cos(2.0 * complex(t) * cmath.log(w))
+
+
+class TestRunCaches:
+    """f_it's base and the product formula's geometry are cached by value per run."""
+
+    XS = (-0.0, 0.0, 5e-324, -0.999999, 0.3, 1e300)
+    TS = (0.0, -0.0, 0.7, -2.5, complex(0.0, 0.4), complex(-0.0, -0.4), complex(0.3, 0.4),
+          complex(0.3, -0.0), complex(-0.3, 0.0), complex(-0.0, -0.0), complex(1.5, -0.7))
+
+    def test_f_it_bit_identical_to_uncached_formula(self):
+        # each x cold, then from the cache, and in the other order of the signed zeros
+        special_functions.log_base.cache_clear()
+        for x in self.XS + self.XS[::-1]:
+            for t in self.TS:
+                assert (_outcome(lambda t: hy.f_it(t, x), t)
+                        == _outcome(lambda t: _uncached_f_it(t, x), t)), (t, x)
+
+    @pytest.mark.parametrize("first", [0.0, -0.0])
+    def test_signed_zero_x_share_one_base(self, first):
+        # -0.0 and 0.0 are one cache key; the uncached formula gives them the same bits
+        special_functions.log_base.cache_clear()
+        base = special_functions.log_base(first)
+        assert special_functions.log_base(-first) is base
+        assert special_functions.log_base.cache_info().currsize == 1
+        for x in (0.0, -0.0):
+            w = cmath.sqrt(x + 1.0) + cmath.sqrt(complex(x))
+            assert _outcome(cmath.log, w) == (base.real.hex(), base.imag.hex())
+
+    def test_product_geometry_once_per_point(self):
+        special_functions.product_geometry.cache_clear()
+        cold = hy.check_product_formula(0.8 + 0.2j, 0.3, 2.0)
+        warm = hy.check_product_formula(0.8 + 0.2j, 0.3, 2.0)
+        info = special_functions.product_geometry.cache_info()
+        assert (info.hits, info.misses) == (1, 1)
+        assert warm == cold
