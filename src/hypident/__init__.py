@@ -7,20 +7,19 @@ from .errors import (DegenerateConfigurationError, DomainError,
                      HypidentError, UsageError)
 from .identity_suite import (ParameterPair, QuadraticFamily,
                              check_barnes_triple, check_main_identity,
-                             check_obstruction_integer, check_q_integral,
+                             check_obstruction_integer, check_product_formula,
+                             check_q_integral, check_quadratic_transform,
                              check_spectral_kernel, check_spectral_power,
                              check_spectral_product, check_spectral_resolvent,
                              check_weighted_residual, kernel_factors,
                              kernel_shifts, quadratic_family)
-from .policy import DEFAULT_POLICY, EvaluationPolicy
-from .quadrature import (IntegralEstimate, chebyshev_rule,
-                         gauss_kronrod_panel, integrate_chebyshev_weighted,
+from .quadrature import (DEFAULT_POLICY, EvaluationPolicy, IntegralEstimate,
+                         chebyshev_rule, gauss_kronrod_panel,
+                         integrate_chebyshev_weighted,
                          integrate_decaying_halfline)
 from .records import (FAIL, PASS, SKIPPED, UNCONVERGED, CheckRecord,
                       build_record, record_id)
-from .special_functions import (check_product_formula,
-                                check_quadratic_transform, f_2it_unit_interval,
-                                f_it, log_gamma)
+from .special_functions import f_2it_unit_interval, f_it, log_gamma
 
 __all__ = [
     "__version__",

@@ -11,9 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from io import StringIO
 from typing import Callable, NamedTuple
 
@@ -21,15 +22,15 @@ from . import __version__
 from .errors import DegenerateConfigurationError, UsageError
 from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_main_identity, check_obstruction_integer,
-                             check_q_integral, check_spectral_kernel,
+                             check_product_formula, check_q_integral,
+                             check_quadratic_transform, check_spectral_kernel,
                              check_spectral_power, check_spectral_product,
-                             check_spectral_resolvent,
-                             check_weighted_residual, shift_memo, wr_inner_memo)
-from .policy import EvaluationPolicy
+                             check_spectral_resolvent, check_weighted_residual,
+                             product_geometry, shift_memo, wr_inner_memo)
+from .quadrature import EvaluationPolicy
 from .records import (FAIL, PASS, SKIPPED, STATUSES, UNCONVERGED, CheckRecord,
                       id_text, json_text, json_writer, skipped_record)
-from .special_functions import (check_product_formula, check_quadratic_transform,
-                                log_base, product_geometry)
+from .special_functions import log_base
 
 DEFAULT_PAIRS = ((0.25, 0.5), (0.1, 0.9), (0.4, 0.45))
 DEFAULT_T_VALUES = (complex(0.0), complex(0.5), complex(1.0), complex(2.0),
@@ -255,9 +256,7 @@ class GridConfig:
             "pairs": [[t, s] for (t, s) in self.pairs],
             "t_values": [[t.real, t.imag] for t in self.t_values],
             "r_values": list(self.r_values),
-            "policy": {"abs_tol": self.policy.abs_tol,
-                       "rel_tol": self.policy.rel_tol,
-                       "max_nodes": self.policy.max_nodes},
+            "policy": asdict(self.policy),
             "output_path": self.output_path,
             "format": self.format,
             "tol_override": self.tol_override,
@@ -450,15 +449,18 @@ def main(argv: list | None = None) -> int:
 
     doc = run(cfg)
     text = render_csv(doc) if cfg.format == "csv" else render_json(doc)
-    if cfg.output_path:
-        try:
+    try:
+        if cfg.output_path:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-        except OSError as exc:
-            print(f"error: cannot write report: {exc}", file=sys.stderr)
-            return 74
-    else:
-        sys.stdout.write(text)
+        else:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        if not cfg.output_path:   # at exit stdout is flushed again: on devnull it cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 74
 
     counts = doc.summary
     print(f"{counts['total']} records: {counts[PASS]} pass, {counts[FAIL]} fail, "

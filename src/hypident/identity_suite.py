@@ -1,12 +1,13 @@
-"""Named, parameterized identity checks.
+"""Named, parameterized identity checks: all eleven of the suite.
 
-Every check evaluates one side of an identity numerically (quadrature over
-closed-form integrands) and compares it against the closed form of the
-other side, returning a CheckRecord.  The family under test:
+Every check computes one side of an identity, by quadrature over closed-form
+integrands or by a second closed form, and compares it against the closed
+form of the other side, returning a CheckRecord.  The family under test:
 
 * the main identity: the weighted integral over (T, S) of a product of two
   hypergeometric closed forms is independent of the spectral parameter t
   and equals pi / sqrt((1-T)(1-S));
+* the quadratic transformation and the product formula of those closed forms;
 * Barnes-type gamma integrals and three sech-weighted spectral integrals
   with shift parameters (A, tau, r, B);
 * the rational-kernel route to the same result: the spectral kernel
@@ -22,11 +23,11 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 from .errors import DegenerateConfigurationError, DomainError
-from .policy import DEFAULT_POLICY, EvaluationPolicy
-from .quadrature import (IntegralEstimate, integrate_chebyshev_weighted,
-                         integrate_decaying_halfline, integrate_even_trapezoid)
+from .quadrature import (DEFAULT_POLICY, EvaluationPolicy, IntegralEstimate,
+                         integrate_chebyshev_weighted, integrate_decaying_halfline,
+                         integrate_even_trapezoid)
 from .records import UNCONVERGED, CheckRecord, build_record, skipped_record
-from .special_functions import log_gamma
+from .special_functions import f_2it_unit_interval, f_it, log_gamma
 
 __all__ = [
     "ParameterPair",
@@ -35,6 +36,8 @@ __all__ = [
     "kernel_factors",
     "quadratic_family",
     "check_main_identity",
+    "check_quadratic_transform",
+    "check_product_formula",
     "check_barnes_triple",
     "check_spectral_power",
     "check_spectral_resolvent",
@@ -101,6 +104,10 @@ def _growth_rate(a: float) -> float:
 # ---------------------------------------------------------------------------
 # kernels on [T, S]
 
+def _y(sz: complex, st: float) -> complex:   # the main integrand's Y and -A; sz = sqrt(z)
+    return (1.0 + sz) * (sz - st) / (2.0 * (1.0 - st) * sz)
+
+
 def kernel_shifts(z: float, pair: ParameterPair) -> tuple[float, float]:
     """Shift arguments (A(z), B(z)) feeding the spectral product identity:
 
@@ -108,13 +115,13 @@ def kernel_shifts(z: float, pair: ParameterPair) -> tuple[float, float]:
         B(z) =  (1+sqrt(z))(sqrt(S)-sqrt(z)) / (2(1-sqrt(S)) sqrt(z))
 
     For T <= z <= S these satisfy A > -1 and B >= 0.  B is formed from S - z
-    and 1 - S, so it keeps a few ulps as z -> S or S -> 1; A keeps the main
-    integrand's -Y bit for bit, its absolute error a few ulps over 1 - sqrt(T).
+    and 1 - S, so it keeps a few ulps as z -> S or S -> 1; A is the main
+    integrand's -Y (_y), its absolute error a few ulps over 1 - sqrt(T).
     """
     if not pair.T <= z <= pair.S:
         raise DomainError(f"z = {z:g} outside [{pair.T:g}, {pair.S:g}]")
     sz, ss = math.sqrt(z), pair.sqrt_S
-    a = -(1.0 + sz) * (sz - pair.sqrt_T) / (2.0 * (1.0 - pair.sqrt_T) * sz)
+    a = -_y(sz, pair.sqrt_T)
     b = (1.0 + sz) * (pair.S - z) * (1.0 + ss) / (2.0 * (1.0 - pair.S) * (ss + sz) * sz)
     return a, b
 
@@ -122,6 +129,8 @@ def kernel_shifts(z: float, pair: ParameterPair) -> tuple[float, float]:
 def _poly_coeffs(r: float, pair: ParameterPair) -> tuple[float, ...]:
     # R, the kernel numerator's constant and z coefficients m, k, and the
     # quadratic-in-z coefficients E, F, G of its denominator
+    if r <= 0.0:
+        raise DomainError(f"r must be positive, got {r:g}")
     st, ss = pair.sqrt_T, pair.sqrt_S
     rr = 2.0 * r * (1.0 - st) * (1.0 - ss)
     m = st + ss - 2.0 * ss * st
@@ -145,8 +154,6 @@ def kernel_factors(z: float, r: float, pair: ParameterPair) -> tuple[float, floa
     """
     if not pair.T <= z <= pair.S:
         raise DomainError(f"z = {z:g} outside [{pair.T:g}, {pair.S:g}]")
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r:g}")
     st, ss = pair.sqrt_T, pair.sqrt_S
     sz = math.sqrt(z)
     i1 = (PI * (1.0 - sz) * math.sqrt(sz + st) * math.sqrt(sz + ss)
@@ -168,9 +175,8 @@ def _main_kernel(pair: ParameterPair):
 
     def node(z: float) -> tuple[float, float, float]:
         sz = math.sqrt(z)
-        y = (1.0 + sz) * (sz - st) / (2.0 * (1.0 - st) * sz)
         x = (s_hi - z) * (1.0 - z) * inv_ss / z
-        g = geometry[z] = (math.asin(math.sqrt(y)), math.asinh(math.sqrt(x)), 1.0 - z)
+        g = geometry[z] = (math.asin(math.sqrt(_y(sz, st))), math.asinh(math.sqrt(x)), 1.0 - z)
         return g
 
     def at(t: complex):
@@ -226,6 +232,75 @@ def check_main_identity(pair: ParameterPair, t: complex,
         "main_identity", {"T": pair.T, "S": pair.S, "t": t}, est.value, rhs, tolerance,
         converged=est.converged, metadata={"nodes": est.nodes_used, "digits_lost": digits_lost,
                                            "quadrature_error": est.error_estimate})
+
+
+# ---------------------------------------------------------------------------
+# quadratic transformation and product formula of the closed forms
+
+def check_quadratic_transform(t: complex, w: float,
+                              tolerance: float = DEFAULT_POLICY.abs_tol) -> CheckRecord:
+    """Verify F(it,-it;1/2;4w(1-w)) = F(2it,-2it;1/2;w) for w <= 1/2.
+
+    Both sides are evaluated through independent closed forms (single and
+    doubled spectral parameter).  The transformation does not hold for
+    w > 1/2, which is rejected as a domain error; the w = 1/2 endpoint is
+    the continuous limit of both closed forms.
+    """
+    w = float(w)
+    if w > 0.5:
+        raise DomainError(
+            f"quadratic transformation is not valid for w > 1/2, got w = {w:g}")
+    t = complex(t)
+    if not cmath.isfinite(t):
+        raise DomainError(f"t must be finite, got {t!r}")
+    if w > 0.0:
+        # closed form cos(2it asin(sqrt(4w(1-w)))); the complementary angle
+        # pi/2 - asin(1-2w) evaluates that phase exactly through w = 1/2,
+        # where 4w(1-w) itself rounds to 1
+        phase = 0.5 * math.pi - math.asin(1.0 - 2.0 * w)
+        lhs = cmath.cos(2j * t * phase)
+        rhs = f_2it_unit_interval(t, w)
+    elif w == 0.0:
+        lhs = complex(1.0, 0.0)
+        rhs = complex(1.0, 0.0)
+    else:
+        lhs = f_it(t, -4.0 * w * (1.0 - w))
+        rhs = f_it(2.0 * t, -w)
+    return build_record("quadratic_transform", {"t": t, "w": w}, lhs, rhs, tolerance)
+
+
+def check_product_formula(t: complex, x: float, y: float,
+                          tolerance: float = DEFAULT_POLICY.abs_tol) -> CheckRecord:
+    """Verify the product formula for f_it at positive arguments x, y:
+
+        2 f_it(t,x) f_it(t,y) = f_it(t, X+) + f_it(t, X-),
+        X_eps = (sqrt(x) sqrt(y+1) + eps sqrt(y) sqrt(x+1))^2.
+
+    The companion identity X_eps + 1 = (sqrt(x+1) sqrt(y+1) + eps sqrt(x)
+    sqrt(y))^2 is asserted as an internal consistency condition and folded
+    into the record status.
+    """
+    x, y = float(x), float(y)
+    if x <= 0.0 or y <= 0.0:
+        raise DomainError(f"product formula requires x > 0 and y > 0, got ({x:g}, {y:g})")
+    t = complex(t)   # f_it rejects a non-finite t
+    x_plus, x_minus, companion = product_geometry(x, y)
+    lhs = 2.0 * f_it(t, x) * f_it(t, y)
+    rhs = f_it(t, x_plus) + f_it(t, x_minus)
+    return build_record("product_formula", {"t": t, "x": x, "y": y}, lhs, rhs, tolerance,
+                        consistent=companion <= 1e-12,
+                        metadata={"companion_residual": companion})
+
+
+@lru_cache(maxsize=64)   # a grid's few (x, y), once per run; cli.run empties it
+def product_geometry(x: float, y: float) -> tuple:   # (X+, X-, companion residual)
+    sx, sy = math.sqrt(x), math.sqrt(y)
+    sx1, sy1 = math.sqrt(x + 1.0), math.sqrt(y + 1.0)
+    x_plus = (sx * sy1 + sy * sx1) ** 2
+    x_minus = (sx * sy1 - sy * sx1) ** 2
+    return x_plus, x_minus, max(
+        abs((x_plus + 1.0) - (sx1 * sy1 + sx * sy) ** 2) / (x_plus + 1.0),
+        abs((x_minus + 1.0) - (sx1 * sy1 - sx * sy) ** 2) / (x_minus + 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -478,9 +553,8 @@ def _q_integrand(pair: ParameterPair, r: float):
     return h
 
 
-def _q_estimate(pair: ParameterPair, r: float,
-                policy: EvaluationPolicy) -> tuple[complex, IntegralEstimate]:
-    est = integrate_chebyshev_weighted(_q_integrand(pair, r), 0.0, 1.0, policy)
+def _q_estimate(h, r: float, policy: EvaluationPolicy) -> tuple[complex, IntegralEstimate]:
+    est = integrate_chebyshev_weighted(h, 0.0, 1.0, policy)
     return (1.0 + r) * est.value, est
 
 
@@ -494,17 +568,16 @@ def check_q_integral(r: float, pair: ParameterPair,
     The identity holds for every r > 0.  The record also carries the
     integrated magnitude of the O(1/r) kernel defect
     (1+r) i2(r,z) - 1/(2(1-sqrt(T))(1-sqrt(S)) sqrt(z)), the quantity whose
-    decay rate the large-r analysis rests on, as `kernel_defect` with the
-    engine's error estimate `kernel_defect_error`.  The defect goes through
-    the same engine as Q, to relative accuracy DEFECT_REL_TOL; it does not
-    decide the record's status, and `nodes` counts both integrals.
+    decay rate the large-r analysis rests on, as `kernel_defect`, with the
+    engine's last level difference `kernel_defect_error` (not a bound: the
+    kink slows the levels).  The defect goes through the same engine as Q, to
+    relative accuracy DEFECT_REL_TOL; it does not decide the record's status,
+    and `nodes` counts both integrals.
     """
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r:g}")
-    lhs, est = _q_estimate(pair, r, policy)
+    h = _q_integrand(pair, r)   # raises DomainError for r <= 0
+    lhs, est = _q_estimate(h, r, policy)
     rhs = pair.q_closed_form()
 
-    h = _q_integrand(pair, r)
     st, span = pair.sqrt_T, pair.sqrt_S - pair.sqrt_T
     base = 1.0 / ((1.0 - st) * (1.0 - pair.sqrt_S))
 
@@ -572,8 +645,6 @@ def quadratic_family(r: float, pair: ParameterPair) -> QuadraticFamily:
     A double root, a root at z = 0 or z = 1, or a partial-fraction
     residual above PF_TOLERANCE raises DegenerateConfigurationError.
     """
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r:g}")
     st, ss = pair.sqrt_T, pair.sqrt_S
     rr, m, k, e_c, f_c, g_c = _poly_coeffs(r, pair)
 
@@ -601,7 +672,7 @@ def quadratic_family(r: float, pair: ParameterPair) -> QuadraticFamily:
 
     def one_plus_shifts(y: complex) -> complex:
         # 1 + A + r + B continued to complex sqrt(z) = y
-        a_s = -(1.0 + y) * (y - st) / (2.0 * (1.0 - st) * y)
+        a_s = -_y(y, st)
         b_s = (1.0 + y) * (ss - y) / (2.0 * (1.0 - ss) * y)
         return 1.0 + a_s + r + b_s
 
@@ -660,7 +731,7 @@ def check_obstruction_integer(r: float, pair: ParameterPair,
     fam = quadratic_family(r, pair)
     tight = replace(policy, abs_tol=min(policy.abs_tol, 1e-12),
                     rel_tol=min(policy.rel_tol, 1e-12))
-    q_val, est = _q_estimate(pair, r, tight)
+    q_val, est = _q_estimate(_q_integrand(pair, r), r, tight)
     closed = pair.q_closed_form()
     residual = q_val - closed
 

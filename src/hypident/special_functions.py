@@ -1,8 +1,8 @@
 """Scalar special-function kernels.
 
 Complex log-gamma and the closed trigonometric forms of the family
-F(it,-it;1/2;x), together with two checks (quadratic transformation,
-product formula) built on those closed forms.
+F(it,-it;1/2;x).  The checks built on them, the quadratic transformation
+and the product formula among them, live in identity_suite.
 
 All powers and logarithms are taken on the principal branch, with the
 argument of a nonzero complex number in (-pi, pi].
@@ -15,15 +15,11 @@ import math
 from functools import lru_cache
 
 from .errors import DomainError
-from .policy import DEFAULT_POLICY
-from .records import CheckRecord, build_record
 
 __all__ = [
     "log_gamma",
     "f_it",
     "f_2it_unit_interval",
-    "check_quadratic_transform",
-    "check_product_formula",
 ]
 
 # Lanczos approximation, g = 7 with 9 coefficients.  Standard double
@@ -120,68 +116,3 @@ def f_2it_unit_interval(t: complex, y: float) -> complex:
         raise DomainError(f"t must be finite, got {t!r}")
     return cmath.cos(4j * t * math.asin(math.sqrt(y)))
 
-
-def check_quadratic_transform(t: complex, w: float,
-                              tolerance: float = DEFAULT_POLICY.abs_tol) -> CheckRecord:
-    """Verify F(it,-it;1/2;4w(1-w)) = F(2it,-2it;1/2;w) for w <= 1/2.
-
-    Both sides are evaluated through independent closed forms (single and
-    doubled spectral parameter).  The transformation does not hold for
-    w > 1/2, which is rejected as a domain error; the w = 1/2 endpoint is
-    the continuous limit of both closed forms.
-    """
-    w = float(w)
-    if w > 0.5:
-        raise DomainError(
-            f"quadratic transformation is not valid for w > 1/2, got w = {w:g}")
-    t = complex(t)
-    if not cmath.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
-    if w > 0.0:
-        # closed form cos(2it asin(sqrt(4w(1-w)))); the complementary angle
-        # pi/2 - asin(1-2w) evaluates that phase exactly through w = 1/2,
-        # where 4w(1-w) itself rounds to 1
-        phase = 0.5 * math.pi - math.asin(1.0 - 2.0 * w)
-        lhs = cmath.cos(2j * t * phase)
-        rhs = f_2it_unit_interval(t, w)
-    elif w == 0.0:
-        lhs = complex(1.0, 0.0)
-        rhs = complex(1.0, 0.0)
-    else:
-        lhs = f_it(t, -4.0 * w * (1.0 - w))
-        rhs = f_it(2.0 * t, -w)
-    return build_record("quadratic_transform", {"t": t, "w": w}, lhs, rhs, tolerance)
-
-
-def check_product_formula(t: complex, x: float, y: float,
-                          tolerance: float = DEFAULT_POLICY.abs_tol) -> CheckRecord:
-    """Verify the product formula for f_it at positive arguments x, y:
-
-        2 f_it(t,x) f_it(t,y) = f_it(t, X+) + f_it(t, X-),
-        X_eps = (sqrt(x) sqrt(y+1) + eps sqrt(y) sqrt(x+1))^2.
-
-    The companion identity X_eps + 1 = (sqrt(x+1) sqrt(y+1) + eps sqrt(x)
-    sqrt(y))^2 is asserted as an internal consistency condition and folded
-    into the record status.
-    """
-    x, y = float(x), float(y)
-    if x <= 0.0 or y <= 0.0:
-        raise DomainError(f"product formula requires x > 0 and y > 0, got ({x:g}, {y:g})")
-    t = complex(t)   # f_it rejects a non-finite t
-    x_plus, x_minus, companion = product_geometry(x, y)
-    lhs = 2.0 * f_it(t, x) * f_it(t, y)
-    rhs = f_it(t, x_plus) + f_it(t, x_minus)
-    return build_record("product_formula", {"t": t, "x": x, "y": y}, lhs, rhs, tolerance,
-                        consistent=companion <= 1e-12,
-                        metadata={"companion_residual": companion})
-
-
-@lru_cache(maxsize=64)   # a grid's few (x, y), once per run; cli.run empties it
-def product_geometry(x: float, y: float) -> tuple:   # (X+, X-, companion residual)
-    sx, sy = math.sqrt(x), math.sqrt(y)
-    sx1, sy1 = math.sqrt(x + 1.0), math.sqrt(y + 1.0)
-    x_plus = (sx * sy1 + sy * sx1) ** 2
-    x_minus = (sx * sy1 - sy * sx1) ** 2
-    return x_plus, x_minus, max(
-        abs((x_plus + 1.0) - (sx1 * sy1 + sx * sy) ** 2) / (x_plus + 1.0),
-        abs((x_minus + 1.0) - (sx1 * sy1 - sx * sy) ** 2) / (x_minus + 1.0))

@@ -3,6 +3,7 @@ determinism across --jobs values."""
 
 import csv
 import dataclasses
+import errno
 import inspect
 import io
 import json
@@ -221,8 +222,7 @@ class TestRun:
             rhs += 10.0 * tolerance * max(1.0, abs(rhs))
             return original(suite, params, lhs, rhs, tolerance, *args, **kwargs)
 
-        for module in (identity_suite, special_functions):
-            monkeypatch.setattr(module, "build_record", moved)
+        monkeypatch.setattr(identity_suite, "build_record", moved)
         moved_status = {rec.id: rec.status for rec in run(GridConfig.from_dict({})).records}
         passed = [rec for rec in computed if rec.status == hy.PASS]
         assert {rec.suite for rec in passed} == set(SUITES)
@@ -248,10 +248,10 @@ class TestRun:
 
     def test_run_empties_the_closed_form_caches_first(self):
         special_functions.log_base(0.123)
-        special_functions.product_geometry(0.123, 4.5)
+        identity_suite.product_geometry(0.123, 4.5)
         run(GridConfig.from_dict({"suites": ["barnes"]}))
         assert special_functions.log_base.cache_info().currsize == 0
-        assert special_functions.product_geometry.cache_info().currsize == 0
+        assert identity_suite.product_geometry.cache_info().currsize == 0
 
     def test_kernel_point_at_s_never_overshoots(self):
         # for some pairs T + 1.0 * (S - T) rounds above S, outside the
@@ -526,6 +526,27 @@ class TestCommandLine:
         assert main(["--config", str(path)]) == 64
         out, err = capsys.readouterr()
         assert out == "" and f"{key}: must not be empty" in err
+
+    def test_unwritable_stdout_exits_74(self, capsys, monkeypatch, tmp_path):
+        # `hypident > /dev/full` used to end in a traceback and exit 1; stdout's
+        # descriptor is then pointed at devnull, so the flush at exit cannot fail
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+
+        class FullStdout(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def fileno(self):
+                return fd
+
+        monkeypatch.setattr(sys, "stdout", FullStdout())
+        try:
+            assert main(["--suite", "barnes"]) == 74
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        err = capsys.readouterr().err
+        assert err == "error: cannot write report: [Errno 28] No space left on device\n"
 
     def test_unknown_flag_usage_error(self, tmp_path):
         proc = run_cli(["--bogus"])

@@ -1,6 +1,10 @@
 """Tests for the identity checks: main integral, Barnes and sech-weighted
-spectral integrals, kernel factorization, Q integral, obstruction."""
+spectral integrals, kernel factorization, Q integral, obstruction; each
+check's teeth against a moved closed form, and the layers below the checks."""
 
+import ast
+import dataclasses
+import inspect
 import json
 import math
 import random
@@ -13,7 +17,7 @@ from hypothesis import strategies as st
 
 import hypident as hy
 from hypident import (DegenerateConfigurationError, DomainError, cli, identity_suite,
-                      quadrature, records)
+                      quadrature, records, special_functions)
 from hypident.identity_suite import _main_kernel, _poly_coeffs
 
 PAIR = hy.ParameterPair(0.25, 0.5)
@@ -799,3 +803,87 @@ class TestCheckRecordInvariant:
         assert list(skip.metadata.items()) == [*params.items(), ("nodes", 3), ("reason", "why")]
         # a skip leaves the task's dict alone, which run_task may pass again
         assert params == {"T": 0.25, "S": 0.5, "t": 0.5j}
+
+
+def _moved(value, tolerance):
+    return value + 10.0 * tolerance * max(1.0, abs(value))
+
+
+def _moved_d1(fam, tolerance):
+    d_sum = fam.D1 + fam.D2 + fam.D3 + fam.D4
+    return dataclasses.replace(fam, D1=fam.D1 + _moved(d_sum, tolerance) - d_sum)
+
+
+# suite -> (owner, name, patch): patch(original, tolerance) replaces owner.name so
+# that the check computes its closed form moved by 10 x tolerance x max(1, |value|)
+CLOSED_FORM_SITES = {
+    "main_identity": (hy.ParameterPair, "main_closed_form",
+                      lambda orig, tol: lambda pair: _moved(orig(pair), tol)),
+    "weighted_residual": (hy.ParameterPair, "main_closed_form",   # C inside the lhs
+                          lambda orig, tol: lambda pair: _moved(orig(pair), tol)),
+    "q_integral": (hy.ParameterPair, "q_closed_form",
+                   lambda orig, tol: lambda pair: _moved(orig(pair), tol)),
+    "spectral_kernel": (identity_suite, "kernel_factors",
+                        lambda orig, tol: lambda *a: (1.0, _moved(math.prod(orig(*a)), tol))),
+    "obstruction": (identity_suite, "quadratic_family",
+                    lambda orig, tol: lambda *a: _moved_d1(orig(*a), tol)),
+    "quadratic_transform": (identity_suite, "f_2it_unit_interval",   # its rows with w > 0
+                            lambda orig, tol: lambda t, w: _moved(orig(t, w), tol)),
+}
+# these checks write their closed form inline, as do quadratic_transform's rows with
+# w <= 0; product_formula's rhs takes product_geometry's X+ and X-, but at t = 0 it is
+# 2 whatever they are.  Only test_every_suite_fails_when_its_closed_form_moves
+# (test_cli, which moves every rhs in build_record) covers them.
+INLINE_CLOSED_FORMS = ("barnes", "spectral_power", "spectral_resolvent", "spectral_product",
+                       "product_formula")
+
+
+class TestClosedFormTeeth:
+    """Each check fails every default-grid pass when the closed form it computes moves."""
+
+    def test_every_suite_is_classified(self):
+        assert sorted([*CLOSED_FORM_SITES, *INLINE_CLOSED_FORMS]) == sorted(cli.SUITES)
+
+    @pytest.mark.parametrize("suite", sorted(CLOSED_FORM_SITES))
+    def test_moved_closed_form_fails_every_pass(self, suite, monkeypatch):
+        cfg = cli.GridConfig.from_dict({"suites": [suite]})
+        passed = [rec.id for rec in cli.run(cfg).records if rec.status == hy.PASS
+                  and (suite != "quadratic_transform" or rec.metadata["w"] > 0.0)]
+        owner, name, patch = CLOSED_FORM_SITES[suite]
+        monkeypatch.setattr(owner, name, patch(getattr(owner, name), cli.build_tasks(cfg)[0][3]))
+        moved = {rec.id: rec.status for rec in cli.run(cfg).records}
+        assert passed and [rid for rid in passed if moved[rid] != hy.FAIL] == []
+
+
+class TestLayers:
+    """The scalar and engine layers stay below the checks, and every check is here."""
+
+    def test_scalar_and_engine_layers_import_only_errors(self):
+        for module in (special_functions, quadrature):
+            tree = ast.parse(inspect.getsource(module))
+            package = [node.module for node in ast.walk(tree)
+                       if isinstance(node, ast.ImportFrom) and node.level]
+            package += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                        for alias in node.names if alias.name.startswith("hypident")]
+            assert package == ["errors"], module.__name__
+
+    def test_every_check_lives_in_identity_suite(self):
+        checks = [name for name in hy.__all__ if name.startswith("check_")]
+        assert len(checks) == 11
+        assert {getattr(hy, name).__module__ for name in checks} == {"hypident.identity_suite"}
+
+
+class TestRGuard:
+    """_poly_coeffs owns the r <= 0 guard of the kernel's three users."""
+
+    @pytest.mark.parametrize("call", [lambda r: hy.kernel_factors(0.375, r, PAIR),
+                                      lambda r: hy.quadratic_family(r, PAIR),
+                                      lambda r: hy.check_q_integral(r, PAIR)],
+                             ids=["kernel_factors", "quadratic_family", "check_q_integral"])
+    def test_one_message(self, call):
+        with pytest.raises(DomainError, match="^r must be positive, got 0$"):
+            call(0.0)
+
+    def test_kernel_factors_checks_z_before_r(self):
+        with pytest.raises(DomainError, match="outside"):
+            hy.kernel_factors(0.2, 0.0, PAIR)

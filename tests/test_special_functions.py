@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypident as hy
-from hypident import DomainError, special_functions
+from hypident import DomainError, identity_suite, special_functions
 
 mpmath.mp.dps = 30
 
@@ -297,9 +297,9 @@ class TestRunCaches:
             assert _outcome(cmath.log, w) == (base.real.hex(), base.imag.hex())
 
     def test_product_geometry_once_per_point(self):
-        special_functions.product_geometry.cache_clear()
+        identity_suite.product_geometry.cache_clear()
         cold = hy.check_product_formula(0.8 + 0.2j, 0.3, 2.0)
         warm = hy.check_product_formula(0.8 + 0.2j, 0.3, 2.0)
-        info = special_functions.product_geometry.cache_info()
+        info = identity_suite.product_geometry.cache_info()
         assert (info.hits, info.misses) == (1, 1)
         assert warm == cold
