@@ -14,12 +14,11 @@ import math
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass
 from io import StringIO
 from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import DegenerateConfigurationError, UsageError
+from .errors import DegenerateConfigurationError, UsageError, Value
 from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_main_identity, check_obstruction_integer,
                              check_product_formula, check_q_integral,
@@ -141,16 +140,15 @@ CSV_COLUMNS = ("id", "suite", "T", "S", "t_re", "t_im", "r",
                "digits_lost")
 
 
-@dataclass
-class GridConfig:
-    suites: list
-    pairs: list
-    t_values: list
-    r_values: list
-    policy: EvaluationPolicy
-    output_path: str | None
-    format: str
-    tol_override: float | None = None
+class GridConfig(Value):
+    __slots__ = ("suites", "pairs", "t_values", "r_values", "policy", "output_path", "format",
+                 "tol_override")
+
+    def __init__(self, suites, pairs, t_values, r_values, policy, output_path, format,
+                 tol_override=None):
+        self.suites, self.pairs, self.t_values, self.r_values = suites, pairs, t_values, r_values
+        self.policy, self.output_path, self.format = policy, output_path, format
+        self.tol_override = tol_override
 
     @classmethod
     def from_dict(cls, raw: dict) -> "GridConfig":
@@ -227,7 +225,7 @@ class GridConfig:
         if not isinstance(pol_raw, dict):
             raise UsageError("policy: must be an object of EvaluationPolicy fields")
         # checked here, as the grid values are, rather than in EvaluationPolicy,
-        # whose __post_init__ runs again at every replace()
+        # whose constructor runs again at every replace()
         for key, value in pol_raw.items():
             if key == "max_nodes" and type(value) is not int:   # bool is an int subclass
                 raise UsageError(f"policy: max_nodes must be an integer, got {value!r}")
@@ -246,30 +244,21 @@ class GridConfig:
         if output_path is not None and not isinstance(output_path, str):
             raise UsageError("output_path: must be a string path")
 
-        return cls(suites=list(suites), pairs=pairs, t_values=t_values,
-                   r_values=r_values, policy=policy,
-                   output_path=output_path, format=fmt)
+        return cls(list(suites), pairs, t_values, r_values, policy, output_path, fmt)
 
     def echo(self) -> dict:
-        return {
-            "suites": list(self.suites),
-            "pairs": [[t, s] for (t, s) in self.pairs],
-            "t_values": [[t.real, t.imag] for t in self.t_values],
-            "r_values": list(self.r_values),
-            "policy": asdict(self.policy),
-            "output_path": self.output_path,
-            "format": self.format,
-            "tol_override": self.tol_override,
-        }
+        return {**self.as_dict(), "suites": list(self.suites),
+                "pairs": [[t, s] for (t, s) in self.pairs],
+                "t_values": [[t.real, t.imag] for t in self.t_values],
+                "r_values": list(self.r_values), "policy": self.policy.as_dict()}
 
 
-@dataclass
-class ReportDocument:
-    tool_version: str
-    config: dict
-    records: list
-    summary: dict
-    wall_time_seconds: float
+class ReportDocument(Value):
+    __slots__ = ("tool_version", "config", "records", "summary", "wall_time_seconds")
+
+    def __init__(self, tool_version, config, records, summary, wall_time_seconds):
+        self.tool_version, self.config, self.records = tool_version, config, records
+        self.summary, self.wall_time_seconds = summary, wall_time_seconds
 
 
 def build_tasks(cfg: GridConfig) -> list:
@@ -322,9 +311,7 @@ def run(cfg: GridConfig) -> ReportDocument:
         summary[rec.status] += 1
     summary["total"] = len(records)
     wall = time.perf_counter() - start
-    return ReportDocument(tool_version=__version__, config=cfg.echo(),
-                          records=records, summary=summary,
-                          wall_time_seconds=wall)
+    return ReportDocument(__version__, cfg.echo(), records, summary, wall)
 
 
 def render_json(doc: ReportDocument) -> str:
@@ -419,7 +406,7 @@ def main(argv: list | None = None) -> int:
         except OSError as exc:
             print(f"error: cannot read config: {exc}", file=sys.stderr)
             return 64
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
             print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
             return 64
         if not isinstance(raw, dict):

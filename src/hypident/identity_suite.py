@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .errors import DegenerateConfigurationError, DomainError
+from .errors import DegenerateConfigurationError, DomainError, FrozenValue
 from .quadrature import (DEFAULT_POLICY, EvaluationPolicy, IntegralEstimate,
                          integrate_chebyshev_weighted, integrate_decaying_halfline,
                          integrate_even_trapezoid)
@@ -57,17 +56,16 @@ _SQRT_PI = math.sqrt(PI)
 DEFECT_REL_TOL = 1e-3   # q_integral's kernel_defect needs three digits, not nine
 
 
-@dataclass(frozen=True)
-class ParameterPair:
+class ParameterPair(FrozenValue):
     """The fixed pair (T, S) with 0 < T < S < 1."""
 
-    T: float
-    S: float
+    __slots__ = ("T", "S")
 
-    def __post_init__(self):
-        if not (0.0 < self.T < self.S < 1.0):
-            raise DomainError(
-                f"parameter pair must satisfy 0 < T < S < 1, got ({self.T:g}, {self.S:g})")
+    def __init__(self, T: float, S: float):
+        if not (0.0 < T < S < 1.0):
+            raise DomainError(f"parameter pair must satisfy 0 < T < S < 1, got ({T:g}, {S:g})")
+        object.__setattr__(self, "T", T)
+        object.__setattr__(self, "S", S)
 
     @property
     def sqrt_T(self) -> float:
@@ -588,7 +586,7 @@ def check_q_integral(r: float, pair: ParameterPair,
     # |defect| has an interior kink, so the levels converge only
     # algebraically; three digits are more than the rate comparison needs
     defect_est = integrate_chebyshev_weighted(
-        defect, 0.0, 1.0, replace(policy, rel_tol=DEFECT_REL_TOL))
+        defect, 0.0, 1.0, policy.replace(rel_tol=DEFECT_REL_TOL))
 
     return build_record("q_integral", {"T": pair.T, "S": pair.S, "r": r},
                         lhs, rhs, tolerance, converged=est.converged,
@@ -603,8 +601,7 @@ LARGE_R = 10.0              # from this r on, n_r must be an integer
 STRICT_R = 50.0             # from this r on, n_r must be 0
 
 
-@dataclass(frozen=True)
-class QuadraticFamily:
+class QuadraticFamily(FrozenValue):
     """All r-dependent algebra of the rational kernel at one r.
 
     E + F z + G z^2 = E (1 - alpha1 z)(1 - alpha2 z); sqrt_alpha1/2 are the
@@ -612,28 +609,17 @@ class QuadraticFamily:
     partial-fraction coefficients a..e and the four closed-form integral
     terms D1..D4.  pf_residual is the worst relative mismatch between the
     rational kernel and its partial-fraction expansion at five interior
-    sample points.
+    sample points.  r, R, E, F, G and pf_residual are floats, the rest complex.
     """
 
-    r: float
-    R: float
-    E: float
-    F: float
-    G: float
-    alpha1: complex
-    alpha2: complex
-    sqrt_alpha1: complex
-    sqrt_alpha2: complex
-    a: complex
-    b: complex
-    c: complex
-    d: complex
-    e: complex
-    D1: complex
-    D2: complex
-    D3: complex
-    D4: complex
-    pf_residual: float
+    __slots__ = ("r", "R", "E", "F", "G", "alpha1", "alpha2", "sqrt_alpha1", "sqrt_alpha2",
+                 "a", "b", "c", "d", "e", "D1", "D2", "D3", "D4", "pf_residual")
+
+    def __init__(self, r, R, E, F, G, alpha1, alpha2, sqrt_alpha1, sqrt_alpha2,
+                 a, b, c, d, e, D1, D2, D3, D4, pf_residual):
+        fields = locals()   # the parameters by name; a run builds at most 48 families
+        for name in self.__slots__:
+            object.__setattr__(self, name, fields[name])
 
 
 def quadratic_family(r: float, pair: ParameterPair) -> QuadraticFamily:
@@ -707,11 +693,9 @@ def quadratic_family(r: float, pair: ParameterPair) -> QuadraticFamily:
     d3 = closed_term(d_co, sqa2)
     d4 = closed_term(e_co, -sqa2)
 
-    return QuadraticFamily(r=r, R=rr, E=e_c, F=f_c, G=g_c,
-                           alpha1=alpha1, alpha2=alpha2,
-                           sqrt_alpha1=sqa1, sqrt_alpha2=sqa2,
-                           a=a_co, b=b_co, c=c_co, d=d_co, e=e_co,
-                           D1=d1, D2=d2, D3=d3, D4=d4, pf_residual=worst)
+    return QuadraticFamily(r=r, R=rr, E=e_c, F=f_c, G=g_c, alpha1=alpha1, alpha2=alpha2,
+                           sqrt_alpha1=sqa1, sqrt_alpha2=sqa2, a=a_co, b=b_co, c=c_co, d=d_co,
+                           e=e_co, D1=d1, D2=d2, D3=d3, D4=d4, pf_residual=worst)
 
 
 def check_obstruction_integer(r: float, pair: ParameterPair,
@@ -729,8 +713,8 @@ def check_obstruction_integer(r: float, pair: ParameterPair,
     INTEGER_TOLERANCE) for r >= LARGE_R, and n_r = 0 for r >= STRICT_R.
     """
     fam = quadratic_family(r, pair)
-    tight = replace(policy, abs_tol=min(policy.abs_tol, 1e-12),
-                    rel_tol=min(policy.rel_tol, 1e-12))
+    tight = policy.replace(abs_tol=min(policy.abs_tol, 1e-12),
+                           rel_tol=min(policy.rel_tol, 1e-12))
     q_val, est = _q_estimate(_q_integrand(pair, r), r, tight)
     closed = pair.q_closed_form()
     residual = q_val - closed
@@ -821,8 +805,7 @@ def check_weighted_residual(r: float, pair: ParameterPair,
         est = inner_at.get(t)
         if est is None:
             loosen = math.cosh(min(TWO_PI * t, 700.0))
-            scaled = replace(WR_INNER_POLICY,
-                             abs_tol=min(WR_INNER_POLICY.abs_tol * loosen, 1e6))
+            scaled = WR_INNER_POLICY.replace(abs_tol=min(WR_INNER_POLICY.abs_tol * loosen, 1e6))
             est = inner_at[t] = integrate_chebyshev_weighted(main_at(t), pair.T, pair.S, scaled)
         spent[0] += 1
         spent[1] += est.nodes_used

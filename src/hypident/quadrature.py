@@ -17,12 +17,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from operator import add, attrgetter, mul
 from typing import Callable, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, FrozenValue, Value
 
 __all__ = [
     "EvaluationPolicy",
@@ -39,25 +38,25 @@ COARSE_GUARD = 1e-3   # n = 32 needs |M32 - M16|, and a truncated tail, this far
 TAIL_MARGIN = 2.0     # added to the half-line truncation point s_max, in units of s
 
 
-@dataclass(frozen=True)
-class EvaluationPolicy:
+class EvaluationPolicy(FrozenValue):
     """Accuracy targets and a node cap for numerical evaluation.
 
     abs_tol / rel_tol are the convergence targets; an estimate is accepted
     once its error indicator drops below max(abs_tol, rel_tol * |value|).
     max_nodes caps the total number of integrand evaluations in one
-    quadrature call.
+    quadrature call.  Immutable and hashable: run memos take it as a key.
     """
 
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_nodes: int = 60000
+    __slots__ = ("abs_tol", "rel_tol", "max_nodes")
 
-    def __post_init__(self):
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
+    def __init__(self, abs_tol: float = 1e-10, rel_tol: float = 1e-9, max_nodes: int = 60000):
+        if not (abs_tol > 0.0 and rel_tol > 0.0):
             raise ValueError("tolerances must be positive")
-        if self.max_nodes < 8:
+        if max_nodes < 8:
             raise ValueError("max_nodes must be at least 8")
+        object.__setattr__(self, "abs_tol", abs_tol)
+        object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "max_nodes", max_nodes)
 
     def target(self, scale: complex) -> float:
         """Accuracy target for a quantity of the given magnitude."""
@@ -67,14 +66,14 @@ class EvaluationPolicy:
 DEFAULT_POLICY = EvaluationPolicy()
 
 
-@dataclass
-class IntegralEstimate:
+class IntegralEstimate(Value):
     """Value, absolute error estimate, evaluation count, convergence flag."""
 
-    value: complex
-    error_estimate: float
-    nodes_used: int
-    converged: bool
+    __slots__ = ("value", "error_estimate", "nodes_used", "converged")
+
+    def __init__(self, value: complex, error_estimate: float, nodes_used: int, converged: bool):
+        self.value, self.error_estimate = value, error_estimate
+        self.nodes_used, self.converged = nodes_used, converged
 
 
 def _fsum(values: Sequence[complex]) -> complex:

@@ -6,9 +6,10 @@ import cmath
 import json
 import math
 from collections import defaultdict
-from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _str
 from typing import Callable
+
+from .errors import Value
 
 PASS = "pass"
 FAIL = "fail"
@@ -18,8 +19,7 @@ SKIPPED = "skipped"
 STATUSES = (PASS, FAIL, UNCONVERGED, SKIPPED)
 
 
-@dataclass
-class CheckRecord:
+class CheckRecord(Value):
     """Outcome of one identity check.
 
     lhs is the numerically computed side, rhs the closed form.  A record
@@ -30,14 +30,13 @@ class CheckRecord:
     record to "fail" through their internal consistency flags.
     """
 
-    id: str
-    lhs: complex | None
-    rhs: complex | None
-    abs_err: float
-    rel_err: float
-    tolerance: float
-    status: str
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ("id", "lhs", "rhs", "abs_err", "rel_err", "tolerance", "status", "metadata")
+
+    def __init__(self, id: str, lhs: complex | None, rhs: complex | None, abs_err: float,
+                 rel_err: float, tolerance: float, status: str, metadata: dict | None = None):
+        self.id, self.lhs, self.rhs, self.abs_err = id, lhs, rhs, abs_err
+        self.rel_err, self.tolerance, self.status = rel_err, tolerance, status
+        self.metadata = {} if metadata is None else metadata
 
     @property
     def suite(self) -> str:
@@ -113,8 +112,7 @@ def build_record(suite: str, params: dict, lhs: complex, rhs: complex, tolerance
     rid = f"{suite}/{id_text(params)}"
     if metadata:
         params.update(metadata)
-    return CheckRecord(id=rid, lhs=lhs, rhs=rhs, abs_err=abs_err, rel_err=rel_err,
-                       tolerance=tolerance, status=status, metadata=params)
+    return CheckRecord(rid, lhs, rhs, abs_err, rel_err, tolerance, status, params)
 
 
 def skipped_record(suite: str, params: dict, reason: str, tolerance: float,
@@ -122,9 +120,8 @@ def skipped_record(suite: str, params: dict, reason: str, tolerance: float,
     """A record without a value, and why: a skipped point, or a check stopped
     unconverged.  Named as build_record names it, but from a copy of params,
     as run_task passes its task's dict; metadata ends with `reason`."""
-    return CheckRecord(id=f"{suite}/{id_text(params)}", lhs=None, rhs=None, abs_err=0.0,
-                       rel_err=0.0, tolerance=tolerance, status=status,
-                       metadata={**params, **(metadata or {}), "reason": reason})
+    return CheckRecord(f"{suite}/{id_text(params)}", None, None, 0.0, 0.0, tolerance, status,
+                       {**params, **(metadata or {}), "reason": reason})
 
 
 def _num(x: float) -> str:

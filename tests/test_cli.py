@@ -2,7 +2,6 @@
 determinism across --jobs values."""
 
 import csv
-import dataclasses
 import errno
 import inspect
 import io
@@ -153,7 +152,7 @@ class TestRun:
 
     def test_summary_matches_tally(self):
         cfg = GridConfig.from_dict(FAST_CONFIG)
-        empty = dataclasses.replace(cfg, suites=["main_identity"], pairs=[])   # no task at all
+        empty = cfg.replace(suites=["main_identity"], pairs=[])   # no task at all
         for cfg in (cfg, empty):
             doc = run(cfg)
             for status in (hy.PASS, hy.FAIL, hy.UNCONVERGED, hy.SKIPPED):
@@ -451,7 +450,7 @@ class TestJsonWriter:
         cfg = GridConfig.from_dict({"output_path": '"t_values": [] "records": [] x.json',
                                     "t_values": [[0.5, -0.0], -0.0, [1e-300, 2.5]]})
         records = [hy.CheckRecord("barnes/a", 1j, 1j, 0.0, 0.0, 1e-8, hy.PASS, {})]
-        for config in (cfg.echo(), dataclasses.replace(cfg, t_values=[]).echo()):
+        for config in (cfg.echo(), cfg.replace(t_values=[]).echo()):
             for recs in (records, []):
                 doc = _document(recs, config)
                 assert render_json(doc) == _oracle_render_json(doc)
@@ -664,6 +663,17 @@ class TestCommandLine:
         path.write_text("{not json")
         proc = run_cli(["--config", str(path)])
         assert proc.returncode == 64
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100000 + b"]" * 100000],
+                             ids=["not_utf8", "nested_100000_deep"])
+    def test_undecodable_config(self, tmp_path, content):
+        # json.load raises UnicodeDecodeError and RecursionError, not JSONDecodeError
+        path = tmp_path / "undecodable.json"
+        path.write_bytes(content)
+        proc = run_cli(["--config", str(path)])
+        assert proc.returncode == 64
+        assert proc.stderr.startswith("error: config is not valid JSON: ")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
 
     def test_missing_config_file(self):
         proc = run_cli(["--config", "/nonexistent/config.json"])

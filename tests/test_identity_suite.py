@@ -3,7 +3,6 @@ spectral integrals, kernel factorization, Q integral, obstruction; each
 check's teeth against a moved closed form, and the layers below the checks."""
 
 import ast
-import dataclasses
 import inspect
 import json
 import math
@@ -811,7 +810,7 @@ def _moved(value, tolerance):
 
 def _moved_d1(fam, tolerance):
     d_sum = fam.D1 + fam.D2 + fam.D3 + fam.D4
-    return dataclasses.replace(fam, D1=fam.D1 + _moved(d_sum, tolerance) - d_sum)
+    return fam.replace(D1=fam.D1 + _moved(d_sum, tolerance) - d_sum)
 
 
 # suite -> (owner, name, patch): patch(original, tolerance) replaces owner.name so
