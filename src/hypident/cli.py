@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import marshal
 import math
 import os
 import sys
 import time
+from collections import namedtuple
 from io import StringIO
-from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import DegenerateConfigurationError, UsageError, Value
@@ -73,14 +74,24 @@ def _near_twins(xs) -> bool:
     return any(b - a <= 1e-10 * max(abs(a), abs(b)) for a, b in zip(s, s[1:]))
 
 
-class Suite(NamedTuple):
+class Suite(namedtuple("Suite", "check tolerance grid share")):
     """One check suite as data.  `check(params, policy, tolerance)` looks the
     check up by this module's name at call time, so rebinding that name (as a
-    tracer does) reaches every task."""
+    tracer does) reaches every task.  `tolerance` is the default pass tolerance
+    (None: the policy's abs_tol), `grid(cfg)` yields params dicts, keys in
+    record-id order.  `share(params)` names the task's group, which runs in one
+    process (deal): tasks that fill one run memo share a key, `id` puts each task
+    alone, and the closed-form suites, None, stay in the parent."""
 
-    check: Callable          # (params, policy, tolerance) -> CheckRecord
-    tolerance: float | None  # default pass tolerance; None: the policy's abs_tol
-    grid: Callable           # GridConfig -> params dicts, keys in record-id order
+    __slots__ = ()
+
+
+def _pair_share(p: dict) -> tuple:   # wr_inner_memo holds one pair's inner integrals
+    return ("pair", p["T"], p["S"])
+
+
+def _shift_share(p: dict) -> tuple:   # shift_memo's key, spectral_product's B = 0 rows
+    return ("shift", p["A"], p["r"])
 
 
 SUITE_TABLE = {
@@ -88,49 +99,52 @@ SUITE_TABLE = {
         lambda p, pol, tol: check_main_identity(_pair(p), p["t"], pol, tolerance=tol),
         1e-7,
         lambda cfg: ({"T": T, "S": S, "t": t}
-                     for (T, S) in cfg.pairs for t in cfg.t_values)),
+                     for (T, S) in cfg.pairs for t in cfg.t_values), id),
     "quadratic_transform": Suite(
         lambda p, pol, tol: check_quadratic_transform(p["t"], p["w"], tolerance=tol),
         None,
-        lambda cfg: ({"t": t, "w": w} for t in cfg.t_values for w in TRANSFORM_W_GRID)),
+        lambda cfg: ({"t": t, "w": w} for t in cfg.t_values for w in TRANSFORM_W_GRID),
+        None),
     "product_formula": Suite(
         lambda p, pol, tol: check_product_formula(p["t"], p["x"], p["y"], tolerance=tol),
         None,
         lambda cfg: ({"t": t, "x": x, "y": y}
-                     for t in cfg.t_values for (x, y) in PRODUCT_XY_GRID)),
+                     for t in cfg.t_values for (x, y) in PRODUCT_XY_GRID), None),
     "barnes": Suite(
         lambda p, pol, tol: check_barnes_triple(p["a"], p["b"], p["c"], pol, tolerance=tol),
         1e-8,
-        lambda cfg: ({"a": a, "b": b, "c": c} for (a, b, c) in BARNES_TRIPLES)),
+        lambda cfg: ({"a": a, "b": b, "c": c} for (a, b, c) in BARNES_TRIPLES), id),
     "spectral_power": Suite(
         lambda p, pol, tol: check_spectral_power(p["A"], p["tau"], pol, tolerance=tol),
         1e-8,
-        lambda cfg: ({"A": a, "tau": tau} for a in SHIFT_A_GRID for tau in SHIFT_TAU_GRID)),
+        lambda cfg: ({"A": a, "tau": tau} for a in SHIFT_A_GRID for tau in SHIFT_TAU_GRID),
+        id),
     "spectral_resolvent": Suite(
         lambda p, pol, tol: check_spectral_resolvent(p["A"], p["r"], pol, tolerance=tol),
         1e-8,
-        lambda cfg: ({"A": a, "r": r} for a in SHIFT_A_GRID for r in cfg.r_values)),
+        lambda cfg: ({"A": a, "r": r} for a in SHIFT_A_GRID for r in cfg.r_values),
+        _shift_share),
     "spectral_product": Suite(
         lambda p, pol, tol: check_spectral_product(p["A"], p["r"], p["B"], pol, tolerance=tol),
         1e-8,
         lambda cfg: ({"A": a, "r": r, "B": b} for a in SHIFT_A_GRID for r in cfg.r_values
-                     for b in SHIFT_B_GRID)),
+                     for b in SHIFT_B_GRID), _shift_share),
     "spectral_kernel": Suite(
         lambda p, pol, tol: check_spectral_kernel(p["z"], p["r"], _pair(p), pol, tolerance=tol),
         1e-7,
         # z is clamped: T + 1.0 * (S - T) may round above S
         lambda cfg: ({"T": T, "S": S, "z": min(T + frac * (S - T), S), "r": r}
                      for (T, S) in cfg.pairs for frac in KERNEL_Z_FRACTIONS
-                     for r in cfg.r_values)),
+                     for r in cfg.r_values), id),
     "q_integral": Suite(
         lambda p, pol, tol: check_q_integral(p["r"], _pair(p), pol, tolerance=tol),
-        1e-7, _pairs_by_r),
+        1e-7, _pairs_by_r, id),
     "obstruction": Suite(
         lambda p, pol, tol: check_obstruction_integer(p["r"], _pair(p), pol, tolerance=tol),
-        1e-8, _pairs_by_r),
+        1e-8, _pairs_by_r, id),
     "weighted_residual": Suite(   # runs on its own fixed inner and outer policies
         lambda p, pol, tol: check_weighted_residual(p["r"], _pair(p), tolerance=tol),
-        1e-6, _pairs_by_r),
+        1e-6, _pairs_by_r, _pair_share),
 }
 SUITES = tuple(SUITE_TABLE)
 
@@ -291,19 +305,105 @@ def run_task(task: tuple) -> CheckRecord:
     return skipped_record(suite, params, reason, tolerance)
 
 
-def run(cfg: GridConfig) -> ReportDocument:
+def usable_cpus() -> int:
+    """The CPUs this process may run on: --jobs' default and its bound."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:   # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def deal(tasks: list, jobs: int) -> list:
+    """Split tasks into at most `jobs` shares, one per process, the parent's first.
+    Tasks of a suite without a share key stay in the parent; the others form
+    groups by key (Suite.share), dealt round-robin in task order."""
+    local, groups = [], {}
+    for task in tasks:
+        share = SUITE_TABLE[task[0]].share
+        if share:
+            groups.setdefault(share(task[1]), []).append(task)
+        else:
+            local.append(task)
+    shares = [local] + [[] for _ in range(min(jobs, len(groups)) - 1)]
+    for i, group in enumerate(groups.values()):
+        shares[i % len(shares)] += group
+    return shares
+
+
+def _fork(share: list) -> tuple | None:
+    """Start a child that runs `share` and writes its records to a pipe, as marshal
+    tuples of their fields; (pid, read end), or None if no child could start.
+    The child leaves only through os._exit, 0 once every record is written."""
+    rfd, wfd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None
+    if pid:
+        os.close(wfd)
+        return pid, rfd
+    code = 1
+    try:
+        os.close(rfd)
+        with open(wfd, "wb") as pipe:   # __reduce__: the fields in constructor order
+            pipe.write(marshal.dumps([rec.__reduce__()[1] for rec in map(run_task, share)]))
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _reap(children: list) -> list:
+    """Each child's records, or None where it failed.  Every pipe is read to its end
+    or closed before any child is waited for, so none is left blocked on a full
+    pipe, and every child is waited for, also when a read raises."""
+    data = []
+    try:
+        for _, rfd in children:
+            with open(rfd, "rb") as pipe:
+                data.append(pipe.read())
+    finally:
+        for _, rfd in children[len(data) + 1:]:
+            os.close(rfd)
+        failed = [os.waitpid(pid, 0)[1] != 0 for pid, _ in children]
+    return [None if bad else [CheckRecord(*fields) for fields in marshal.loads(d)]
+            for d, bad in zip(data, failed)]
+
+
+def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
     """Execute the configured grid and assemble the report.
 
-    Records are computed one after another, each independently, and sorted
-    by id.  The checks are CPU-bound pure Python, so a thread pool would run
-    them no faster under the interpreter lock.  The run memos (wr_inner_memo,
-    shift_memo, log_base, product_geometry) are emptied first, so every run does
-    the same work, and id_text's slots after, so that no value of the run outlives it.
+    Every record is a pure function of its task.  The tasks are dealt into at
+    most min(jobs, usable_cpus()) shares (deal); the parent runs the first and
+    forks one child per other share, where os.fork exists and no other thread
+    runs.  jobs = 1, the default here, forks nothing.  A share whose child
+    fails is run again in the parent, so an error surfaces as in a serial run.
+    The records are sorted by id, so the report is byte-identical for every jobs.
+    The run memos (wr_inner_memo, shift_memo, log_base, product_geometry) are
+    emptied first, so every run does the same work, and id_text's slots after,
+    so that no value of the run outlives it.
     """
     start = time.perf_counter()
     for memo in (wr_inner_memo, shift_memo, log_base, product_geometry):
         memo.cache_clear()
-    records = list(map(run_task, build_tasks(cfg)))
+    threading = sys.modules.get("threading")   # asked about, not imported
+    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
+        jobs = 1
+    shares = deal(build_tasks(cfg), min(jobs, usable_cpus()))
+    children = []
+    try:
+        for share in shares[1:]:
+            child = _fork(share)
+            if child:
+                children.append((share, child))
+            else:   # no process could start: the parent runs the share
+                shares[0] += share
+        records = list(map(run_task, shares[0]))
+    finally:
+        results = _reap([child for _, child in children])
+    for (share, _), got in zip(children, results):
+        records += map(run_task, share) if got is None else got
     id_text.cache_clear()
     records.sort(key=lambda rec: rec.id)
     summary = dict.fromkeys(STATUSES, 0)
@@ -389,9 +489,10 @@ def main(argv: list | None = None) -> int:
                         help="report format (default: config format or json)")
     parser.add_argument("--tol", type=float, metavar="X",
                         help="override every record's pass tolerance")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="accepted for compatibility (N >= 1); records "
-                             "are always evaluated serially")
+    parser.add_argument("--jobs", type=int, default=usable_cpus(), metavar="N",
+                        help="processes to run records on (N >= 1; default: the "
+                             "CPUs this process may use, which also bound N); "
+                             "1 runs serially, and every N prints the same report")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -434,7 +535,7 @@ def main(argv: list | None = None) -> int:
         print("error: --jobs must be at least 1", file=sys.stderr)
         return 64
 
-    doc = run(cfg)
+    doc = run(cfg, args.jobs)
     text = render_csv(doc) if cfg.format == "csv" else render_json(doc)
     try:
         if cfg.output_path:

@@ -19,7 +19,6 @@ import heapq
 import math
 from functools import lru_cache, reduce
 from operator import add, attrgetter, mul
-from typing import Callable, Sequence
 
 from .errors import DomainError, FrozenValue, Value
 
@@ -76,7 +75,7 @@ class IntegralEstimate(Value):
         self.nodes_used, self.converged = nodes_used, converged
 
 
-def _fsum(values: Sequence[complex]) -> complex:
+def _fsum(values: list | tuple) -> complex:
     """Correctly rounded sum of int, float or complex values, complex ones by
     their real and imaginary parts.  +inf with -inf raises OverflowError."""
     try:
@@ -99,8 +98,7 @@ def _chebyshev_nodes(lo: float, hi: float, n: int) -> tuple[float, ...]:
                  for k in range(n))
 
 
-def chebyshev_rule(f: Callable[[float], complex], lo: float, hi: float,
-                   n: int) -> complex:
+def chebyshev_rule(f, lo: float, hi: float, n: int) -> complex:
     """n-point Gauss-Chebyshev approximation of
     integral_lo^hi f(z) / sqrt((z-lo)(hi-z)) dz.
 
@@ -113,8 +111,7 @@ def chebyshev_rule(f: Callable[[float], complex], lo: float, hi: float,
     return (math.pi / n) * _fsum(vals)
 
 
-def integrate_chebyshev_weighted(f: Callable[[float], complex], lo: float,
-                                 hi: float,
+def integrate_chebyshev_weighted(f, lo: float, hi: float,
                                  policy: EvaluationPolicy = DEFAULT_POLICY,
                                  ) -> IntegralEstimate:
     """Adaptive node-doubling wrapper around chebyshev_rule.
@@ -166,8 +163,7 @@ _G7_WEIGHTS = (
 )
 
 
-def gauss_kronrod_panel(g: Callable[[float], complex], a: float,
-                        b: float) -> tuple[complex, float]:
+def gauss_kronrod_panel(g, a: float, b: float) -> tuple[complex, float]:
     """15-point Kronrod value and |K15 - G7| error indicator on [a, b]."""
     half = 0.5 * (b - a)
     mid = 0.5 * (a + b)
@@ -181,8 +177,7 @@ def gauss_kronrod_panel(g: Callable[[float], complex], a: float,
     return k15, abs(k15 - g7)
 
 
-def integrate_decaying_halfline(g: Callable[[float], complex],
-                                decay_rate: float,
+def integrate_decaying_halfline(g, decay_rate: float,
                                 policy: EvaluationPolicy = DEFAULT_POLICY,
                                 ) -> IntegralEstimate:
     """Integrate g over (0, infinity) assuming |g(s)| <= C exp(-decay_rate s).
@@ -252,9 +247,8 @@ def integrate_decaying_halfline(g: Callable[[float], complex],
     return IntegralEstimate(value, err_total, used, err_total <= policy.target(value))
 
 
-def integrate_even_trapezoid(f: Callable[[float], Sequence[float]], t_max: float,
-                             tail: float, policy: EvaluationPolicy = DEFAULT_POLICY,
-                             ) -> list[IntegralEstimate]:
+def integrate_even_trapezoid(f, t_max: float, tail: float,
+                             policy: EvaluationPolicy = DEFAULT_POLICY) -> list[IntegralEstimate]:
     """Nested trapezoid rule on (0, t_max) for integrands even in t: f(t) holds
     several integrands' values at t, and each gets an estimate.
 

@@ -7,7 +7,6 @@ import json
 import math
 from collections import defaultdict
 from json.encoder import encode_basestring_ascii as _str
-from typing import Callable
 
 from .errors import Value
 
@@ -139,7 +138,7 @@ def json_text(v, pad: str) -> str:
     return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 
-def json_writer() -> Callable[[CheckRecord], str]:
+def json_writer():
     """A function writing one report's records in one pass each, as json.dumps(indent=2,
     sort_keys=True) does.  Complex lhs and rhs and float abs_err and rel_err, all finite
     (one test per record), are written by float.__repr__, other values by json_text.  The

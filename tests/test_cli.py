@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -558,12 +559,17 @@ class TestCommandLine:
         assert out == "" and "--jobs must be at least 1" in err
 
     def test_import_starts_no_thread_pool_machinery(self):
-        # records run serially; importing concurrent.futures (and with it
-        # logging) would cost every start-up about 10 ms
-        code = "import sys, hypident.cli; print('concurrent.futures' in sys.modules)"
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        # --jobs forks by hand: concurrent.futures (with logging) or
+        # multiprocessing would cost every start-up milliseconds, and so
+        # would typing, which site loads on some hosts but python -S does not
+        code = ("import sys, hypident.cli\n"
+                "print([m for m in ('concurrent.futures', 'multiprocessing', 'typing')"
+                " if m in sys.modules])")
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(hy.__file__)))
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                              capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "False"
+        assert proc.stdout.strip() == "[]"
 
     def test_import_needs_only_the_standard_library(self):
         # src/ stays stdlib-only: without site-packages (python -S) the CLI
@@ -783,3 +789,123 @@ class TestCommandLine:
         assert rec["metadata"] == {
             "T": 0.25, "S": 0.5, "t": [3.0, 0.0],
             "reason": "|Re t| = 3 exceeds the cancellation cap 2"}
+
+
+# pass, unconverged and skipped records: (0.5, 0.999999999) divides by zero
+# at z = S and leaves spectral_kernel unconverged at large r, r = 1e160 is
+# skipped as beyond the float range or vacuous
+MIXED_CONFIG = {"pairs": [[0.25, 0.5], [0.5, 0.999999999]], "r_values": [1.0, 1e160],
+                "suites": ["spectral_kernel", "q_integral", "weighted_residual",
+                           "spectral_product"]}
+
+
+class TestJobs:
+    @staticmethod
+    def counting_fork(monkeypatch):
+        forks, fork = [], os.fork
+
+        def counted():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted)
+        return forks
+
+    def test_reports_byte_identical_across_jobs(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(MIXED_CONFIG))
+        texts = []
+        for jobs in (["--jobs", "1"], [], ["--jobs", "3"]):
+            assert main(["--config", str(config), *jobs]) == 3
+            texts.append(capsys.readouterr().out)
+        summary = json.loads(texts[0])["summary"]
+        assert all(summary[s] > 0 for s in ("pass", "unconverged", "skipped")), summary
+        strip = lambda s: [ln for ln in s.splitlines() if "wall_time_seconds" not in ln]
+        assert strip(texts[0]) == strip(texts[1]) == strip(texts[2])
+
+    def test_no_child_outlives_a_parallel_run(self, monkeypatch, capsys):
+        forks = self.counting_fork(monkeypatch)
+        assert main(["--suite", "barnes", "--jobs", "2"]) == 0
+        assert len(forks) == min(2, cli.usable_cpus()) - 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_error_in_a_check_surfaces_from_main(self, monkeypatch, capsys):
+        # a child that fails has its share rerun in the parent, which raises
+        def broken(*args, **kwargs):
+            raise RuntimeError("broken check")
+
+        monkeypatch.setattr(cli, "check_barnes_triple", broken)
+        with pytest.raises(RuntimeError, match="broken check"):
+            main(["--suite", "barnes", "--suite", "spectral_power", "--jobs", "2"])
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_share_of_a_failed_child_reruns_in_the_parent(self, monkeypatch):
+        cfg = GridConfig.from_dict({"suites": ["barnes", "spectral_power"]})
+        serial = run(cfg).records
+        parent, original = os.getpid(), cli.check_barnes_triple
+
+        def dies_in_a_child(*args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(9)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "check_barnes_triple", dies_in_a_child)
+        assert run(cfg, jobs=2).records == serial
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_closed_form_grid_forks_nothing(self, monkeypatch, capsys):
+        forks = self.counting_fork(monkeypatch)
+        assert main(["--suite", "quadratic_transform", "--suite", "product_formula",
+                     "--jobs", "4"]) == 0
+        assert forks == []
+
+    def test_no_fork_while_another_thread_runs(self, monkeypatch):
+        forks = self.counting_fork(monkeypatch)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            doc = run(GridConfig.from_dict({"suites": ["barnes"]}), jobs=2)
+        finally:
+            release.set()
+            waiter.join()
+        assert forks == [] and doc.summary["total"] == 5
+
+    def test_jobs_capped_by_cpus_and_groups(self, monkeypatch, capsys):
+        forks = self.counting_fork(monkeypatch)
+        serial = run(GridConfig.from_dict({"suites": ["barnes"]})).records
+        assert main(["--suite", "barnes", "--jobs", "100000"]) == 0
+        assert len(forks) <= min(cli.usable_cpus(), len(serial)) - 1
+        assert capsys.readouterr().out.count('"id":') == len(serial)
+
+    def test_share_runs_in_the_parent_when_fork_fails(self, monkeypatch):
+        def no_fork():
+            raise OSError(errno.EAGAIN, "no process")
+
+        cfg = GridConfig.from_dict({"suites": ["barnes", "spectral_power"]})
+        serial = run(cfg).records
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert run(cfg, jobs=2).records == serial
+
+    def test_shares_keep_memo_groups_whole(self):
+        # each pair's weighted_residual tasks share wr_inner_memo, and each
+        # (A, r)'s spectral_resolvent and spectral_product tasks shift_memo;
+        # closed-form tasks stay in the parent's share
+        shares = cli.deal(build_tasks(GridConfig.from_dict({})), 3)
+        assert len(shares) == 3
+        where = {}
+        for i, share in enumerate(shares):
+            for suite, params, _, _ in share:
+                if suite in ("quadratic_transform", "product_formula"):
+                    assert i == 0
+                elif suite == "weighted_residual":
+                    where.setdefault(("pair", params["T"], params["S"]), set()).add(i)
+                elif suite in ("spectral_resolvent", "spectral_product"):
+                    where.setdefault(("shift", params["A"], params["r"]), set()).add(i)
+        assert len(where) == 3 + 12 and all(len(s) == 1 for s in where.values())
+        assert all(shares)
+        barnes = build_tasks(GridConfig.from_dict({"suites": ["barnes"]}))
+        assert cli.deal(barnes, 1) == [barnes]
