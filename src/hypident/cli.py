@@ -17,6 +17,7 @@ import sys
 import time
 from collections import namedtuple
 from io import StringIO
+from itertools import islice
 
 from . import __version__
 from .errors import DegenerateConfigurationError, UsageError, Value
@@ -46,6 +47,7 @@ BARNES_TRIPLES = ((0.0, 0.5, 0.5), (0.0, 1.0, 0.5), (0.5, 0.5, 0.5),
 KERNEL_Z_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 TRANSFORM_W_GRID = (-0.7, 0.0, 0.25, 0.5)
 PRODUCT_XY_GRID = ((1.0, 1.0), (0.3, 2.0), (0.8, 0.8))
+REPORT_BATCH = 256   # records or CSV rows per write of the report
 
 
 def _pair(p: dict) -> ParameterPair:
@@ -381,11 +383,12 @@ def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
     fails is run again in the parent, so an error surfaces as in a serial run.
     The records are sorted by id, so the report is byte-identical for every jobs.
     The run memos (wr_inner_memo, shift_memo, log_base, product_geometry) are
-    emptied first, so every run does the same work, and id_text's slots after,
-    so that no value of the run outlives it.
+    emptied first, so every run does the same work, and after, with id_text's
+    slots, so that no value of the run outlives it.
     """
     start = time.perf_counter()
-    for memo in (wr_inner_memo, shift_memo, log_base, product_geometry):
+    memos = (wr_inner_memo, shift_memo, log_base, product_geometry)
+    for memo in memos:
         memo.cache_clear()
     threading = sys.modules.get("threading")   # asked about, not imported
     if not hasattr(os, "fork") or threading and threading.active_count() > 1:
@@ -404,7 +407,8 @@ def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
         results = _reap([child for _, child in children])
     for (share, _), got in zip(children, results):
         records += map(run_task, share) if got is None else got
-    id_text.cache_clear()
+    for memo in (*memos, id_text):
+        memo.cache_clear()
     records.sort(key=lambda rec: rec.id)
     summary = dict.fromkeys(STATUSES, 0)
     for rec in records:
@@ -414,63 +418,58 @@ def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
     return ReportDocument(__version__, cfg.echo(), records, summary, wall)
 
 
-def render_json(doc: ReportDocument) -> str:
-    """The report as json.dumps(payload, indent=2, sort_keys=True) writes it.  With
-    indent that encoder runs in pure Python, so it writes the small envelope, and the
-    records and config t_values, [re, im], are written directly (json_writer, json_text)
-    in place of its first "records": [] and "t_values": [] (a string escapes quotes)."""
+def _write_joined(out, texts, sep: str) -> None:
+    """out.write(sep.join(texts)) in pieces, one write per REPORT_BATCH texts."""
+    texts, lead = iter(texts), ""
+    while batch := list(islice(texts, REPORT_BATCH)):
+        out.write(lead + sep.join(batch))
+        lead = sep
+
+
+def render_json(doc: ReportDocument, out=None):
+    """Write the report to the text stream `out` (or return it) as json.dumps(payload,
+    indent=2, sort_keys=True) does.  With indent that encoder runs in pure Python, so it
+    writes the small envelope; the records and config t_values, [re, im], are written
+    directly in place of its first "records": [] and "t_values": [] (a string escapes quotes)."""
+    if out is None:
+        render_json(doc, out := StringIO())
+        return out.getvalue()
     envelope = json.dumps({"tool_version": doc.tool_version,
                            "config": {**doc.config, "t_values": []},
                            "summary": doc.summary, "records": [],
                            "wall_time_seconds": doc.wall_time_seconds},
                           indent=2, sort_keys=True)
     ts = ",\n      ".join(json_text(complex(*t), " " * 6) for t in doc.config["t_values"])
-    body = ",\n    ".join(map(json_writer(), doc.records))   # copied only by the join below
     head, tail = envelope.split('"t_values": []', 1)
     mid, tail = tail.split('"records": []', 1)
-    return "".join((head, f'"t_values": [\n      {ts}\n    ]' if ts else '"t_values": []', mid,
-                    *(('"records": [\n    ', body, "\n  ]") if body else ('"records": []',)),
-                    tail, "\n"))
+    out.write(head + (f'"t_values": [\n      {ts}\n    ]' if ts else '"t_values": []') + mid
+              + ('"records": [\n    ' if doc.records else '"records": []'))
+    _write_joined(out, map(json_writer(), doc.records), ",\n    ")
+    out.write(("\n  ]" if doc.records else "") + tail + "\n")
 
 
-def render_csv(doc: ReportDocument) -> str:
-    def cell(value) -> str:   # str of a float is its repr
-        return "" if value is None else str(value)
+def _csv_row(rec: CheckRecord) -> str:
+    md, t = rec.metadata, rec.metadata.get("t")
+    t, lhs, rhs = [(None, None) if z is None else (z.real, z.imag)
+                   for z in (None if t is None else complex(t), rec.lhs, rec.rhs)]
+    return ",".join(["" if v is None else str(v) for v in (   # str of a float is its repr
+        rec.id, rec.suite, md.get("T"), md.get("S"), *t, md.get("r"), *lhs, *rhs, rec.abs_err,
+        rec.rel_err if rec.rel_err != math.inf else None, rec.tolerance, rec.status,
+        md.get("nodes"), md.get("digits_lost"))]) + "\n"
 
-    out = StringIO()
+
+def render_csv(doc: ReportDocument, out=None):
+    """Write the report as CSV, one row per record, to `out`; without `out`, return it."""
+    if out is None:
+        render_csv(doc, out := StringIO())
+        return out.getvalue()
     out.write(",".join(CSV_COLUMNS) + "\n")
-    for rec in doc.records:
-        md = rec.metadata
-        t = md.get("t")
-        row = [
-            rec.id,
-            rec.suite,
-            cell(md.get("T")),
-            cell(md.get("S")),
-            cell(None if t is None else complex(t).real),
-            cell(None if t is None else complex(t).imag),
-            cell(md.get("r")),
-            cell(None if rec.lhs is None else rec.lhs.real),
-            cell(None if rec.lhs is None else rec.lhs.imag),
-            cell(None if rec.rhs is None else rec.rhs.real),
-            cell(None if rec.rhs is None else rec.rhs.imag),
-            cell(rec.abs_err),
-            cell(rec.rel_err if rec.rel_err != float("inf") else None),
-            cell(rec.tolerance),
-            rec.status,
-            cell(md.get("nodes")),
-            cell(md.get("digits_lost")),
-        ]
-        out.write(",".join(row) + "\n")
-    return out.getvalue()
+    _write_joined(out, map(_csv_row, doc.records), "")
 
 
 def exit_code(doc: ReportDocument) -> int:
-    if doc.summary.get(FAIL, 0) > 0:
-        return 2
-    if doc.summary.get(UNCONVERGED, 0) > 0 or doc.summary.get(SKIPPED, 0) > 0:
-        return 3
-    return 0
+    counts = doc.summary
+    return 2 if counts.get(FAIL) else 3 if counts.get(UNCONVERGED) or counts.get(SKIPPED) else 0
 
 
 def main(argv: list | None = None) -> int:
@@ -536,13 +535,13 @@ def main(argv: list | None = None) -> int:
         return 64
 
     doc = run(cfg, args.jobs)
-    text = render_csv(doc) if cfg.format == "csv" else render_json(doc)
-    try:
+    render = render_csv if cfg.format == "csv" else render_json
+    try:   # written in pieces: a failed write may leave part of the report
         if cfg.output_path:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                render(doc, fh)
         else:
-            sys.stdout.write(text)
+            render(doc, sys.stdout)
             sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)

@@ -465,7 +465,7 @@ def _shift_integral(a_shift: float, r: float, b_shift: float | None,
     return est.value / TWO_PI, rhs, denom, est
 
 
-@lru_cache(maxsize=1024)   # cli.run clears it at its start; a grid stores 6 per r value
+@lru_cache(maxsize=1024)   # cli.run clears it at its start and end; a grid stores 6 per r
 def shift_memo(a_shift: float, r: float, b_shift: float,
                policy: EvaluationPolicy) -> IntegralEstimate:
     """The shift integrand's half-line estimate, once per run: the product's B = 0
@@ -761,7 +761,7 @@ WR_TAIL = 1e-3 * WR_OUTER_POLICY.abs_tol   # bound on the truncated tail, per un
 WR_T_MAX = math.log(2.0 * TWO_PI / WR_TAIL) / TWO_PI
 
 
-@lru_cache(maxsize=1)   # tasks arrive pair by pair; cli.run clears it at its start
+@lru_cache(maxsize=1)   # tasks arrive pair by pair; cli.run clears it at its start and end
 def wr_inner_memo(pair: ParameterPair) -> tuple:
     """The pair's main kernel and a dict t -> inner integral M(t), shared by
     its weighted_residual records: M(t) and its policy do not depend on r."""

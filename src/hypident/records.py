@@ -96,18 +96,14 @@ def build_record(suite: str, params: dict, lhs: complex, rhs: complex, tolerance
     `converged` reflects the quadrature flags; `consistent` lets a check
     fold extra sub-identity assertions into the pass/fail decision.
     """
-    lhs = complex(lhs)
-    rhs = complex(rhs)
+    lhs, rhs = complex(lhs), complex(rhs)
     abs_err = abs(lhs - rhs)
     if rhs != 0:
         rel_err = abs_err / abs(rhs)
     else:
         rel_err = 0.0 if abs_err == 0.0 else math.inf
     ok = (abs_err <= tolerance or rel_err <= tolerance) and consistent
-    if not converged:
-        status = UNCONVERGED
-    else:
-        status = PASS if ok else FAIL
+    status = UNCONVERGED if not converged else PASS if ok else FAIL
     rid = f"{suite}/{id_text(params)}"
     if metadata:
         params.update(metadata)
@@ -129,12 +125,16 @@ def _num(x: float) -> str:
 
 
 def json_text(v, pad: str) -> str:
-    """A record value at indent `pad`: a float by its repr (null if not
-    finite), a complex as [re, im], the rare kinds through json.dumps."""
+    """A record value at indent `pad`: a float by its repr (null if not finite), a
+    complex as [re, im], a plain scalar directly, nested values through json.dumps."""
     if isinstance(v, float):
         return float.__repr__(v) if math.isfinite(v) else "null"
     if isinstance(v, complex):
         return f"[\n{pad}  {_num(v.real)},\n{pad}  {_num(v.imag)}\n{pad}]"
+    if type(v) in (int, str):   # plain scalars as json.dumps writes them, building no encoder
+        return int.__repr__(v) if type(v) is int else _str(v)
+    if v is None or type(v) is bool:
+        return "null" if v is None else "true" if v else "false"
     return json.dumps(v, indent=2, sort_keys=True).replace("\n", "\n" + pad)
 
 

@@ -246,12 +246,29 @@ class TestRun:
         assert doc.summary["total"] == len(calls) == 6
         assert sorted(calls) == sorted(rec.metadata["r"] for rec in doc.records)
 
-    def test_run_empties_the_closed_form_caches_first(self):
+    def test_run_empties_the_closed_form_caches_first(self, monkeypatch):
+        # the run memos are empty when a run starts and again when it ends,
+        # so no value of the run outlives it
+        memos = (identity_suite.wr_inner_memo, identity_suite.shift_memo,
+                 special_functions.log_base, identity_suite.product_geometry)
         special_functions.log_base(0.123)
         identity_suite.product_geometry(0.123, 4.5)
-        run(GridConfig.from_dict({"suites": ["barnes"]}))
-        assert special_functions.log_base.cache_info().currsize == 0
-        assert identity_suite.product_geometry.cache_info().currsize == 0
+        sizes, run_task = [], cli.run_task
+
+        def sizing(task):
+            sizes.append([memo.cache_info().currsize for memo in memos])
+            record = run_task(task)
+            sizes.append([memo.cache_info().currsize for memo in memos])
+            return record
+
+        monkeypatch.setattr(cli, "run_task", sizing)
+        run(GridConfig.from_dict({"suites": ["product_formula", "spectral_resolvent",
+                                             "weighted_residual"],
+                                  "pairs": [[0.25, 0.5]], "t_values": [0.5],
+                                  "r_values": [1.0]}))
+        assert sizes[0] == [0, 0, 0, 0]
+        assert all(map(max, zip(*sizes)))   # the run filled each of them
+        assert [memo.cache_info().currsize for memo in memos] == [0, 0, 0, 0]
 
     def test_kernel_point_at_s_never_overshoots(self):
         # for some pairs T + 1.0 * (S - T) rounds above S, outside the
@@ -323,6 +340,29 @@ class TestReports:
         assert row["status"] == "pass"
         assert float(row["digits_lost"]) == pytest.approx(
             doc.records[0].metadata["digits_lost"])
+
+    @pytest.mark.parametrize("render", [render_json, render_csv])
+    def test_report_streams_in_batches(self, render):
+        # main hands the open destination to the writer, which writes the
+        # records a batch at a time instead of building the whole report
+        cfg = GridConfig.from_dict({"suites": ["quadratic_transform", "product_formula"],
+                                    "t_values": [[-1.999 + 0.002 * k, 0.25]
+                                                 for k in range(2000)]})
+        doc = run(cfg)
+
+        class Recording:   # a stream that defines write alone
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+                return len(text)
+
+        out = Recording()
+        assert render(doc, out) is None
+        assert "".join(out.writes) == render(doc)
+        assert len(out.writes) > len(doc.records) // cli.REPORT_BATCH
+        assert max(len(text.encode("utf-8")) for text in out.writes) <= 2 ** 20
 
     def test_json_shape(self):
         cfg = GridConfig.from_dict({"suites": ["barnes"]})
@@ -431,6 +471,12 @@ class TestJsonWriter:
         ]
         doc = _document(records)
         assert render_json(doc) == _oracle_render_json(doc)
+
+    @pytest.mark.parametrize("value", [
+        True, False, None, 0, -7, 2 ** 63, -(10 ** 40), 10 ** 300, "", 'say "hi"',
+        "back\\slash/", "ctl \x00\x01\x1f\t\n\r\x7f", "na\u00efve \u2603 \U0001d70b \u2028"])
+    def test_plain_scalars_written_as_json_dumps_writes_them(self, value):
+        assert records.json_text(value, " " * 8) == json.dumps(value, indent=2, sort_keys=True)
 
     def test_empty_record_list(self):
         doc = _document([])
@@ -547,6 +593,26 @@ class TestCommandLine:
             os.close(fd)
         err = capsys.readouterr().err
         assert err == "error: cannot write report: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("args", [[], ["--format", "csv"], ["--config"]])
+    def test_full_output_device_exits_74(self, args, tmp_path):
+        # the report is written in batches, so the write fails partway through
+        # it; the run must still end with one error line and no traceback
+        if args == ["--config"]:   # 300 closed-form t values, as CI's edge_t_cycle
+            rng = random.Random(18)
+            config = tmp_path / "edge_t_cycle.json"
+            config.write_text(json.dumps({
+                "suites": ["quadratic_transform", "product_formula"],
+                "t_values": [[round(rng.uniform(-2.0, 2.0), 6),
+                              -0.0 if i % 3 == 0 else round(rng.uniform(-1.0, 1.0), 6)]
+                             for i in range(300)]}))
+            args = ["--config", str(config)]
+        proc = run_cli(args + ["--output", "/dev/full"])
+        assert proc.returncode == 74
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: cannot write report: ")
+        assert proc.stderr.count("\n") == 1, proc.stderr
 
     def test_unknown_flag_usage_error(self, tmp_path):
         proc = run_cli(["--bogus"])
