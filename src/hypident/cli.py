@@ -16,8 +16,6 @@ import os
 import sys
 import time
 from collections import namedtuple
-from io import StringIO
-from itertools import islice
 
 from . import __version__
 from .errors import DegenerateConfigurationError, UsageError, Value
@@ -30,7 +28,7 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
                              product_geometry, shift_memo, wr_inner_memo)
 from .quadrature import EvaluationPolicy
 from .records import (FAIL, PASS, SKIPPED, STATUSES, UNCONVERGED, CheckRecord,
-                      id_text, json_text, json_writer, skipped_record)
+                      ReportDocument, id_text, render_csv, render_json, skipped_record)
 from .special_functions import log_base
 
 DEFAULT_PAIRS = ((0.25, 0.5), (0.1, 0.9), (0.4, 0.45))
@@ -47,7 +45,6 @@ BARNES_TRIPLES = ((0.0, 0.5, 0.5), (0.0, 1.0, 0.5), (0.5, 0.5, 0.5),
 KERNEL_Z_FRACTIONS = (0.0, 0.25, 0.5, 0.75, 1.0)
 TRANSFORM_W_GRID = (-0.7, 0.0, 0.25, 0.5)
 PRODUCT_XY_GRID = ((1.0, 1.0), (0.3, 2.0), (0.8, 0.8))
-REPORT_BATCH = 256   # records or CSV rows per write of the report
 
 
 def _pair(p: dict) -> ParameterPair:
@@ -149,11 +146,6 @@ SUITE_TABLE = {
         1e-6, _pairs_by_r, _pair_share),
 }
 SUITES = tuple(SUITE_TABLE)
-
-CSV_COLUMNS = ("id", "suite", "T", "S", "t_re", "t_im", "r",
-               "lhs_re", "lhs_im", "rhs_re", "rhs_im",
-               "abs_err", "rel_err", "tolerance", "status", "nodes",
-               "digits_lost")
 
 
 class GridConfig(Value):
@@ -259,6 +251,8 @@ class GridConfig(Value):
         output_path = raw.get("output_path")
         if output_path is not None and not isinstance(output_path, str):
             raise UsageError("output_path: must be a string path")
+        if output_path == "":   # not stdout, which null or no key asks for
+            raise UsageError("output_path: must be a non-empty string path")
 
         return cls(list(suites), pairs, t_values, r_values, policy, output_path, fmt)
 
@@ -267,14 +261,6 @@ class GridConfig(Value):
                 "pairs": [[t, s] for (t, s) in self.pairs],
                 "t_values": [[t.real, t.imag] for t in self.t_values],
                 "r_values": list(self.r_values), "policy": self.policy.as_dict()}
-
-
-class ReportDocument(Value):
-    __slots__ = ("tool_version", "config", "records", "summary", "wall_time_seconds")
-
-    def __init__(self, tool_version, config, records, summary, wall_time_seconds):
-        self.tool_version, self.config, self.records = tool_version, config, records
-        self.summary, self.wall_time_seconds = summary, wall_time_seconds
 
 
 def build_tasks(cfg: GridConfig) -> list:
@@ -418,55 +404,6 @@ def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
     return ReportDocument(__version__, cfg.echo(), records, summary, wall)
 
 
-def _write_joined(out, texts, sep: str) -> None:
-    """out.write(sep.join(texts)) in pieces, one write per REPORT_BATCH texts."""
-    texts, lead = iter(texts), ""
-    while batch := list(islice(texts, REPORT_BATCH)):
-        out.write(lead + sep.join(batch))
-        lead = sep
-
-
-def render_json(doc: ReportDocument, out=None):
-    """Write the report to the text stream `out` (or return it) as json.dumps(payload,
-    indent=2, sort_keys=True) does.  With indent that encoder runs in pure Python, so it
-    writes the small envelope; the records and config t_values, [re, im], are written
-    directly in place of its first "records": [] and "t_values": [] (a string escapes quotes)."""
-    if out is None:
-        render_json(doc, out := StringIO())
-        return out.getvalue()
-    envelope = json.dumps({"tool_version": doc.tool_version,
-                           "config": {**doc.config, "t_values": []},
-                           "summary": doc.summary, "records": [],
-                           "wall_time_seconds": doc.wall_time_seconds},
-                          indent=2, sort_keys=True)
-    ts = ",\n      ".join(json_text(complex(*t), " " * 6) for t in doc.config["t_values"])
-    head, tail = envelope.split('"t_values": []', 1)
-    mid, tail = tail.split('"records": []', 1)
-    out.write(head + (f'"t_values": [\n      {ts}\n    ]' if ts else '"t_values": []') + mid
-              + ('"records": [\n    ' if doc.records else '"records": []'))
-    _write_joined(out, map(json_writer(), doc.records), ",\n    ")
-    out.write(("\n  ]" if doc.records else "") + tail + "\n")
-
-
-def _csv_row(rec: CheckRecord) -> str:
-    md, t = rec.metadata, rec.metadata.get("t")
-    t, lhs, rhs = [(None, None) if z is None else (z.real, z.imag)
-                   for z in (None if t is None else complex(t), rec.lhs, rec.rhs)]
-    return ",".join(["" if v is None else str(v) for v in (   # str of a float is its repr
-        rec.id, rec.suite, md.get("T"), md.get("S"), *t, md.get("r"), *lhs, *rhs, rec.abs_err,
-        rec.rel_err if rec.rel_err != math.inf else None, rec.tolerance, rec.status,
-        md.get("nodes"), md.get("digits_lost"))]) + "\n"
-
-
-def render_csv(doc: ReportDocument, out=None):
-    """Write the report as CSV, one row per record, to `out`; without `out`, return it."""
-    if out is None:
-        render_csv(doc, out := StringIO())
-        return out.getvalue()
-    out.write(",".join(CSV_COLUMNS) + "\n")
-    _write_joined(out, map(_csv_row, doc.records), "")
-
-
 def exit_code(doc: ReportDocument) -> int:
     counts = doc.summary
     return 2 if counts.get(FAIL) else 3 if counts.get(UNCONVERGED) or counts.get(SKIPPED) else 0
@@ -498,41 +435,33 @@ def main(argv: list | None = None) -> int:
         # argparse exits 2 on bad flags; remap to the usage exit code
         return 64 if exc.code not in (0, None) else 0
 
-    raw = {}
-    if args.config is not None:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            print(f"error: cannot read config: {exc}", file=sys.stderr)
-            return 64
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-            print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
-            return 64
-        if not isinstance(raw, dict):
-            print("error: config must be a JSON object", file=sys.stderr)
-            return 64
-
-    if args.suite:
-        raw["suites"] = args.suite
-    if args.output is not None:
-        raw["output_path"] = args.output
-    if args.format is not None:
-        raw["format"] = args.format
-
     try:
+        raw = {}
+        if args.config is not None:
+            try:
+                with open(args.config, "r", encoding="utf-8") as fh:
+                    raw = json.load(fh)
+            except OSError as exc:
+                raise UsageError(f"cannot read config: {exc}") from exc
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+                raise UsageError(f"config is not valid JSON: {exc}") from exc
+            if not isinstance(raw, dict):
+                raise UsageError("config must be a JSON object")
+        if args.suite:
+            raw["suites"] = args.suite
+        if args.output is not None:
+            raw["output_path"] = args.output
+        if args.format is not None:
+            raw["format"] = args.format
         cfg = GridConfig.from_dict(raw)
+        if args.tol is not None and not 0.0 < args.tol < math.inf:
+            raise UsageError("--tol must be a positive finite number")
+        if args.jobs < 1:
+            raise UsageError("--jobs must be at least 1")
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
-    if args.tol is not None:
-        if not 0.0 < args.tol < math.inf:
-            print("error: --tol must be a positive finite number", file=sys.stderr)
-            return 64
-        cfg.tol_override = args.tol
-    if args.jobs < 1:
-        print("error: --jobs must be at least 1", file=sys.stderr)
-        return 64
+    cfg.tol_override = args.tol
 
     doc = run(cfg, args.jobs)
     render = render_csv if cfg.format == "csv" else render_json

@@ -1,4 +1,4 @@
-"""Check records: one verified identity instance with its errors and status; id and JSON text."""
+"""Check records: one verified identity instance with its errors and status; ids; the report."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import cmath
 import json
 import math
 from collections import defaultdict
+from itertools import islice
 from json.encoder import encode_basestring_ascii as _str
 
 from .errors import Value
@@ -16,6 +17,11 @@ UNCONVERGED = "unconverged"
 SKIPPED = "skipped"
 
 STATUSES = (PASS, FAIL, UNCONVERGED, SKIPPED)
+CSV_COLUMNS = ("id", "suite", "T", "S", "t_re", "t_im", "r",
+               "lhs_re", "lhs_im", "rhs_re", "rhs_im",
+               "abs_err", "rel_err", "tolerance", "status", "nodes",
+               "digits_lost")
+REPORT_BATCH = 256   # records or CSV rows per write of the report
 
 
 class CheckRecord(Value):
@@ -171,3 +177,54 @@ def json_writer():
                 f'      "tolerance": {tol}\n    }}')
 
     return write
+
+
+class ReportDocument(Value):
+    __slots__ = ("tool_version", "config", "records", "summary", "wall_time_seconds")
+
+    def __init__(self, tool_version, config, records, summary, wall_time_seconds):
+        self.tool_version, self.config, self.records = tool_version, config, records
+        self.summary, self.wall_time_seconds = summary, wall_time_seconds
+
+
+def _write_joined(out, texts, sep: str) -> None:
+    """out.write(sep.join(texts)) in pieces, one write per REPORT_BATCH texts."""
+    texts, lead = iter(texts), ""
+    while batch := list(islice(texts, REPORT_BATCH)):
+        out.write(lead + sep.join(batch))
+        lead = sep
+
+
+def render_json(doc: ReportDocument, out) -> None:
+    """Write the report to the text stream `out` as json.dumps(payload, indent=2,
+    sort_keys=True) does.  With indent that encoder runs in pure Python, so it writes
+    the small envelope; the records and config t_values, [re, im], are written directly
+    in place of its first "records": [] and "t_values": [] (a string escapes quotes)."""
+    envelope = json.dumps({"tool_version": doc.tool_version,
+                           "config": {**doc.config, "t_values": []},
+                           "summary": doc.summary, "records": [],
+                           "wall_time_seconds": doc.wall_time_seconds},
+                          indent=2, sort_keys=True)
+    ts = ",\n      ".join(json_text(complex(*t), " " * 6) for t in doc.config["t_values"])
+    head, tail = envelope.split('"t_values": []', 1)
+    mid, tail = tail.split('"records": []', 1)
+    out.write(head + (f'"t_values": [\n      {ts}\n    ]' if ts else '"t_values": []') + mid
+              + ('"records": [\n    ' if doc.records else '"records": []'))
+    _write_joined(out, map(json_writer(), doc.records), ",\n    ")
+    out.write(("\n  ]" if doc.records else "") + tail + "\n")
+
+
+def _csv_row(rec: CheckRecord) -> str:
+    md, t = rec.metadata, rec.metadata.get("t")
+    t, lhs, rhs = [(None, None) if z is None else (z.real, z.imag)
+                   for z in (None if t is None else complex(t), rec.lhs, rec.rhs)]
+    return ",".join(["" if v is None else str(v) for v in (   # str of a float is its repr
+        rec.id, rec.suite, md.get("T"), md.get("S"), *t, md.get("r"), *lhs, *rhs, rec.abs_err,
+        rec.rel_err if rec.rel_err != math.inf else None, rec.tolerance, rec.status,
+        md.get("nodes"), md.get("digits_lost"))]) + "\n"
+
+
+def render_csv(doc: ReportDocument, out) -> None:
+    """Write the report as CSV, one row per record, to the text stream `out`."""
+    out.write(",".join(CSV_COLUMNS) + "\n")
+    _write_joined(out, map(_csv_row, doc.records), "")

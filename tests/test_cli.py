@@ -18,10 +18,9 @@ import pytest
 import hypident as hy
 from hypident import UsageError
 from hypident import DegenerateConfigurationError, cli, identity_suite, records, special_functions
-from hypident.cli import (CSV_COLUMNS, GridConfig, ReportDocument, SUITES,
-                          build_tasks, exit_code, main, render_csv, render_json,
-                          run, run_task)
-from hypident.records import record_id
+from hypident.cli import (GridConfig, SUITES, build_tasks, exit_code, main, run,
+                          run_task)
+from hypident.records import CSV_COLUMNS, ReportDocument, record_id, render_csv, render_json
 
 # each suite's check, by its name in the cli module
 CHECKS = {"main_identity": "check_main_identity",
@@ -42,6 +41,11 @@ FAST_CONFIG = {
     "t_values": [0, [0.0, 0.5]],
     "r_values": [1.0, 10.0],
 }
+
+
+def rendered(render, doc) -> str:
+    render(doc, out := io.StringIO())
+    return out.getvalue()
 
 
 def run_cli(args, config=None, tmp_path=None):
@@ -126,6 +130,17 @@ class TestGridConfig:
             GridConfig.from_dict({key: value})
         assert str(exc.value) == (f"{key}: {named} share the record id text {text!r}; "
                                   "entries must differ within 12 significant digits")
+
+    def test_output_path_empty_rejected(self):
+        # "" used to write the report to stdout while the echo read "output_path": ""
+        with pytest.raises(UsageError) as exc:
+            GridConfig.from_dict({"output_path": ""})
+        assert str(exc.value) == "output_path: must be a non-empty string path"
+        with pytest.raises(UsageError) as exc:
+            GridConfig.from_dict({"output_path": 5})
+        assert str(exc.value) == "output_path: must be a string path"
+        assert GridConfig.from_dict({"output_path": None}).output_path is None
+        assert GridConfig.from_dict({}).output_path is None
 
     def test_policy_override(self):
         cfg = GridConfig.from_dict({"policy": {"abs_tol": 1e-8}})
@@ -331,7 +346,7 @@ class TestReports:
         cfg = GridConfig.from_dict({"suites": ["main_identity"],
                                     "pairs": [[0.25, 0.5]], "t_values": [[0.3, 0.4]]})
         doc = run(cfg)
-        reader = csv.DictReader(io.StringIO(render_csv(doc)))
+        reader = csv.DictReader(io.StringIO(rendered(render_csv, doc)))
         assert tuple(reader.fieldnames) == CSV_COLUMNS
         row = next(reader)
         assert row["suite"] == "main_identity"
@@ -360,14 +375,22 @@ class TestReports:
 
         out = Recording()
         assert render(doc, out) is None
-        assert "".join(out.writes) == render(doc)
-        assert len(out.writes) > len(doc.records) // cli.REPORT_BATCH
+        assert "".join(out.writes) == rendered(render, doc)
+        assert len(out.writes) > len(doc.records) // records.REPORT_BATCH
         assert max(len(text.encode("utf-8")) for text in out.writes) <= 2 ** 20
+
+    def test_names_the_benchmark_looks_up(self):
+        # hybench/tracer.py wraps the writers through the cli module's names, and
+        # hybench/probe.py calls main, run, build_tasks and GridConfig.from_dict there
+        assert cli.render_json is records.render_json
+        assert cli.render_csv is records.render_csv
+        assert cli.ReportDocument is records.ReportDocument
+        assert all(map(callable, (cli.main, cli.run, cli.build_tasks, cli.GridConfig.from_dict)))
 
     def test_json_shape(self):
         cfg = GridConfig.from_dict({"suites": ["barnes"]})
         doc = run(cfg)
-        payload = json.loads(render_json(doc))
+        payload = json.loads(rendered(render_json, doc))
         assert payload["tool_version"] == hy.__version__
         assert payload["summary"]["total"] == len(payload["records"])
         rec = payload["records"][0]
@@ -416,7 +439,7 @@ class TestJsonWriter:
 
     def test_default_grid(self):
         doc = run(GridConfig.from_dict({}))
-        assert render_json(doc) == _oracle_render_json(doc)
+        assert rendered(render_json, doc) == _oracle_render_json(doc)
 
     def test_complex_t_grid(self):
         cfg = GridConfig.from_dict({
@@ -427,7 +450,7 @@ class TestJsonWriter:
             "r_values": [0.5, 16.48528137423857]})
         doc = run(cfg)
         assert doc.summary["skipped"] > 0
-        assert render_json(doc) == _oracle_render_json(doc)
+        assert rendered(render_json, doc) == _oracle_render_json(doc)
 
     def test_non_finite_and_signed_zero(self):
         inf, nan = math.inf, math.nan
@@ -451,7 +474,7 @@ class TestJsonWriter:
             hy.CheckRecord("barnes/g", 2 + 0j, 2 + 0j, 0, 0.0, 1, hy.PASS, {"w": 0}),
         ]
         doc = _document(records)
-        text = render_json(doc)
+        text = rendered(render_json, doc)
         assert text == _oracle_render_json(doc)
         assert "NaN" in text and "-Infinity" in text and "null" in text
 
@@ -470,7 +493,7 @@ class TestJsonWriter:
             hy.CheckRecord("barnes/empty", 1 + 0j, 1 + 0j, 0, 0, 1e-8, hy.PASS, {}),
         ]
         doc = _document(records)
-        assert render_json(doc) == _oracle_render_json(doc)
+        assert rendered(render_json, doc) == _oracle_render_json(doc)
 
     @pytest.mark.parametrize("value", [
         True, False, None, 0, -7, 2 ** 63, -(10 ** 40), 10 ** 300, "", 'say "hi"',
@@ -480,15 +503,15 @@ class TestJsonWriter:
 
     def test_empty_record_list(self):
         doc = _document([])
-        assert render_json(doc) == _oracle_render_json(doc)
-        assert '"records": []' in render_json(doc)
+        assert rendered(render_json, doc) == _oracle_render_json(doc)
+        assert '"records": []' in rendered(render_json, doc)
 
     def test_envelope_holding_the_records_key_text(self):
         config = GridConfig.from_dict({"output_path": '"records": [] x.json'}).echo()
         records = [hy.CheckRecord("barnes/a", 1j, 1j, 0.0, 0.0, 1e-8, hy.PASS, {})]
         for recs in (records, []):
             doc = _document(recs, config)
-            assert render_json(doc) == _oracle_render_json(doc)
+            assert rendered(render_json, doc) == _oracle_render_json(doc)
 
 
     def test_envelope_holding_the_t_values_key_text(self):
@@ -500,7 +523,7 @@ class TestJsonWriter:
         for config in (cfg.echo(), cfg.replace(t_values=[]).echo()):
             for recs in (records, []):
                 doc = _document(recs, config)
-                assert render_json(doc) == _oracle_render_json(doc)
+                assert rendered(render_json, doc) == _oracle_render_json(doc)
 
     def test_slots_cycling_past_their_bound(self):
         # id_text and the writer remember a few value objects per key: w cycles
@@ -520,7 +543,7 @@ class TestJsonWriter:
             assert rec.id == want
             recs.append(rec)
         doc = _document(recs)
-        assert render_json(doc) == _oracle_render_json(doc)
+        assert rendered(render_json, doc) == _oracle_render_json(doc)
         # a value whose only other holder is gone: its entry keeps its id from reuse
         for k in range(100):
             r = float(f"{k}.25")
@@ -655,7 +678,14 @@ class TestCommandLine:
         ('{"t_values": [NaN]}', [], "t_values"),
         ('{"r_values": [true]}', [], "r_values"),
         ('{"t_values": [true]}', [], "t_values"),
-        ('{}', ["--tol", "inf"], "--tol"),
+        ('{}', ["--tol", "inf"], "--tol must be a positive finite number"),
+        ('{}', ["--tol", "nan"], "--tol must be a positive finite number"),
+        ('{}', ["--tol", "0"], "--tol must be a positive finite number"),
+        ('{}', ["--tol", "-1"], "--tol must be a positive finite number"),
+        ('[1]', [], "config must be a JSON object"),
+        ('"x"', [], "config must be a JSON object"),
+        ('{"output_path": ""}', [], "output_path: must be a non-empty string path"),
+        ('{}', ["--output", ""], "output_path: must be a non-empty string path"),
         ('{"r_values": [1%s]}' % ("0" * 400), [], "r_values"),
         ('{"policy": {"max_terms": 2400}}', [], "max_terms"),
         ('{"pairs": 5}', [], "pairs"),
@@ -663,18 +693,21 @@ class TestCommandLine:
         ('{"t_values": null}', [], "t_values"),
         ('{"t_values": 5}', [], "t_values"),
         ('{"r_values": null}', [], "r_values"),
-    ], ids=["r_inf", "t_im_inf", "t_nan", "r_true", "t_true", "tol_inf", "r_huge_int",
-            "max_terms", "pairs_int", "pairs_null", "t_null", "t_int", "r_null"])
+    ], ids=["r_inf", "t_im_inf", "t_nan", "r_true", "t_true", "tol_inf", "tol_nan", "tol_zero",
+            "tol_negative", "config_list", "config_string", "output_empty", "output_flag_empty",
+            "r_huge_int", "max_terms", "pairs_int", "pairs_null", "t_null", "t_int", "r_null"])
     def test_non_finite_bool_or_unknown_value_usage_error(self, config, args, named,
                                                           tmp_path, capsys):
         # JSON reads NaN, Infinity and true as numbers, and ints past the float
         # range; each used to crash the run, run as 1, or (--tol inf) pass
-        # every record vacuously
+        # every record vacuously; a config that is not an object, or an empty
+        # output path (which used to print to stdout), is a usage error too
         path = tmp_path / "config.json"
         path.write_text(config)
         assert main(["--config", str(path), "--suite", "barnes"] + args) == 64
         out, err = capsys.readouterr()
         assert out == "" and named in err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
 
     @pytest.mark.parametrize("policy, named", [
         ('{"abs_tol": Infinity}', "abs_tol"),

@@ -4,6 +4,7 @@ check's teeth against a moved closed form, and the layers below the checks."""
 
 import ast
 import inspect
+import io
 import json
 import math
 import random
@@ -223,7 +224,8 @@ def _halfline_calls(monkeypatch) -> list:
 
 
 def _report(doc) -> str:
-    return "".join(line for line in cli.render_json(doc).splitlines(True)
+    records.render_json(doc, out := io.StringIO())
+    return "".join(line for line in out.getvalue().splitlines(True)
                    if "wall_time_seconds" not in line)
 
 

@@ -12,7 +12,8 @@ import sys
 import pytest
 
 import hypident as hy
-from hypident.cli import GridConfig, ReportDocument
+from hypident.cli import GridConfig
+from hypident.records import ReportDocument
 
 FAMILY = hy.quadratic_family(1.0, hy.ParameterPair(0.25, 0.5))
 
