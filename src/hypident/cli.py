@@ -51,6 +51,11 @@ def _pair(p: dict) -> ParameterPair:
     return ParameterPair(p["T"], p["S"])
 
 
+def _kernel_points(T: float, S: float) -> list:
+    # clamped: T + 1.0 * (S - T) may round above S
+    return [min(T + frac * (S - T), S) for frac in KERNEL_Z_FRACTIONS]
+
+
 def _pairs_by_r(cfg: GridConfig):
     return ({"T": T, "S": S, "r": r} for (T, S) in cfg.pairs for r in cfg.r_values)
 
@@ -131,10 +136,8 @@ SUITE_TABLE = {
     "spectral_kernel": Suite(
         lambda p, pol, tol: check_spectral_kernel(p["z"], p["r"], _pair(p), pol, tolerance=tol),
         1e-7,
-        # z is clamped: T + 1.0 * (S - T) may round above S
-        lambda cfg: ({"T": T, "S": S, "z": min(T + frac * (S - T), S), "r": r}
-                     for (T, S) in cfg.pairs for frac in KERNEL_Z_FRACTIONS
-                     for r in cfg.r_values), id),
+        lambda cfg: ({"T": T, "S": S, "z": z, "r": r} for (T, S) in cfg.pairs
+                     for z in _kernel_points(T, S) for r in cfg.r_values), id),
     "q_integral": Suite(
         lambda p, pol, tol: check_q_integral(p["r"], _pair(p), pol, tolerance=tol),
         1e-7, _pairs_by_r, id),
@@ -218,7 +221,10 @@ class GridConfig(Value):
                 ("pairs", pairs, zip(*pairs), lambda p: id_text({"T": p[0], "S": p[1]})),
                 ("t_values", t_values, ([t.real for t in t_values], [t.imag for t in t_values]),
                  lambda t: id_text({"t": t})),
-                ("r_values", r_values, (r_values,), lambda r: id_text({"r": r}))):
+                ("r_values", r_values, (r_values,), lambda r: id_text({"r": r})),
+                *((f"pairs: the spectral_kernel z points of {[T, S]}", zs, (zs,),
+                   lambda z: id_text({"z": z})) for T, S in pairs
+                  if "spectral_kernel" in suites for zs in (_kernel_points(T, S),))):
             if not all(map(_near_twins, coords)):
                 continue
             first = {}

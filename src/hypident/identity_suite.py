@@ -358,18 +358,14 @@ def check_spectral_power(a_shift: float, tau: float,
         raise DomainError(f"tau must be non-negative, got {tau:g}")
 
     z0 = 0.5 + tau
-    if a_shift >= 0.0:
-        la = math.asinh(math.sqrt(a_shift))
+    # F(+-is;1/2;-A) is cos(2 s la) at A >= 0 and cosh(2 s la) below
+    la = math.asinh(math.sqrt(a_shift)) if a_shift >= 0.0 else math.asin(math.sqrt(-a_shift))
 
-        def g(s: float) -> float:
-            base = _LN_4PI + 2.0 * log_gamma(complex(z0, s)).real
+    def g(s: float) -> float:
+        base = _LN_4PI + 2.0 * log_gamma(complex(z0, s)).real
+        if a_shift >= 0.0:
             return math.exp(base) * math.cos(2.0 * s * la)
-    else:
-        ga = math.asin(math.sqrt(-a_shift))
-
-        def g(s: float) -> float:
-            base = _LN_4PI + 2.0 * log_gamma(complex(z0, s)).real
-            return math.exp(base + _ln_cosh(2.0 * s * ga))
+        return math.exp(base + _ln_cosh(2.0 * s * la))
 
     decay = 0.9 * (PI - _growth_rate(a_shift))
     est = integrate_decaying_halfline(g, decay, policy)
@@ -402,34 +398,20 @@ def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0
         la = math.asinh(math.sqrt(a_shift))
         l1, l2 = (la, lb) if la else (lb, 0.0)   # a zero frequency last, then left out
 
-        def g2(s: float) -> float:
+        def g(s: float) -> float:
             u, v = c2 * s, abs(pc * s)
-            w = exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)) * cos(u * lr) * inv_sqrt_1pr
-            return w * cos(u * l1) * cos(u * l2)
-
-        def g1(s: float) -> float:
-            u, v = c2 * s, abs(pc * s)
-            w = exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)) * cos(u * lr) * inv_sqrt_1pr
-            return w * cos(u * l1)
-
-        g = g2 if l2 else g1
+            w = (exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)) * cos(u * lr) * inv_sqrt_1pr
+                 * cos(u * l1))
+            return w * cos(u * l2) if l2 else w
     else:
         ga = math.asin(math.sqrt(-a_shift))
 
-        def h1(s: float) -> float:
+        def g(s: float) -> float:
             u = c2 * s
             v, va = abs(pc * s), abs(u * ga)
             w = exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)
                     + (va + log1p(exp(-2.0 * va)) - ln_2)) * cos(u * lr) * inv_sqrt_1pr
-            return w * cos(u * lb)
-
-        def h0(s: float) -> float:
-            u = c2 * s
-            v, va = abs(pc * s), abs(u * ga)
-            return exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)
-                       + (va + log1p(exp(-2.0 * va)) - ln_2)) * cos(u * lr) * inv_sqrt_1pr
-
-        g = h1 if lb else h0
+            return w * cos(u * lb) if lb else w
     return g, 0.9 * (pc - c * _growth_rate(a_shift))
 
 

@@ -131,6 +131,23 @@ class TestGridConfig:
         assert str(exc.value) == (f"{key}: {named} share the record id text {text!r}; "
                                   "entries must differ within 12 significant digits")
 
+    def test_kernel_points_sharing_an_id_rejected(self):
+        # spectral_kernel's ids print its five z = T + f (S - T); a pair this
+        # close would give 20 records 4 ids, and a report that moves with --jobs
+        for pair, z, z2, text in (
+                ([0.3, 0.3000000000000009], 0.3, 0.3000000000000002, "z=0.3"),
+                ([0.25, 0.250000000001], 0.25, 0.25000000000025, "z=0.25")):
+            with pytest.raises(UsageError) as exc:
+                GridConfig.from_dict({"pairs": [pair], "suites": ["spectral_kernel"]})
+            assert str(exc.value) == (
+                f"pairs: the spectral_kernel z points of {pair}: {z!r} and {z2!r} share the "
+                f"record id text {text!r}; entries must differ within 12 significant digits")
+            GridConfig.from_dict({"pairs": [pair], "suites": ["q_integral"]})
+        # S - T = 1e-10 still prints five z points apart
+        doc = run(GridConfig.from_dict({"pairs": [[0.25, 0.2500000001]], "r_values": [1.0],
+                                        "suites": ["spectral_kernel"]}))
+        assert len({rec.id for rec in doc.records}) == doc.summary["total"] == 5
+
     def test_output_path_empty_rejected(self):
         # "" used to write the report to stdout while the echo read "output_path": ""
         with pytest.raises(UsageError) as exc:
@@ -587,6 +604,17 @@ class TestCommandLine:
         assert proc.stdout == ""
         assert "r_values: 1.0 and 1.0000000000001 share the record id text 'r=1'" in proc.stderr
 
+    def test_kernel_points_sharing_an_id_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"pairs": [[0.3, 0.3000000000000009]],
+                                    "suites": ["spectral_kernel"]}))
+        assert main(["--config", str(path)]) == 64
+        out, err = capsys.readouterr()
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error: pairs: the spectral_kernel z points of "
+                              "[0.3, 0.3000000000000009]: ")
+        assert "share the record id text 'z=0.3'" in err
+
     @pytest.mark.parametrize("key", ["pairs", "t_values"])
     def test_empty_grid_list_usage_error(self, key, tmp_path, capsys):
         # a run without records used to exit 0, as if every record had passed
@@ -929,6 +957,21 @@ class TestJobs:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_more_shares_than_cpus_byte_identical(self, monkeypatch):
+        # run() caps jobs at usable_cpus(); claiming 4 deals every grid into
+        # 4 shares, 3 of them in children, whatever this host has
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
+        forks = self.counting_fork(monkeypatch)
+        strip = lambda s: [ln for ln in s.splitlines() if "wall_time_seconds" not in ln]
+        for raw in (MIXED_CONFIG, {}):
+            cfg = GridConfig.from_dict(dict(raw))
+            serial = rendered(render_json, run(cfg, 1))
+            del forks[:]
+            assert strip(rendered(render_json, run(cfg, 4))) == strip(serial)
+            assert len(forks) == 3
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+
     def test_error_in_a_check_surfaces_from_main(self, monkeypatch, capsys):
         # a child that fails has its share rerun in the parent, which raises
         def broken(*args, **kwargs):
@@ -1008,3 +1051,27 @@ class TestJobs:
         assert all(shares)
         barnes = build_tasks(GridConfig.from_dict({"suites": ["barnes"]}))
         assert cli.deal(barnes, 1) == [barnes]
+
+
+class TestEdgeCensus:
+    # tests/edge_census.json: a config of the domain's edges (S -> 1, T -> 0,
+    # a kernel denominator and an inner integral that round away) and the
+    # status of each record that does not pass, by id
+    RANK = {"pass": 0, "skipped": 1, "unconverged": 2, "fail": 3}
+
+    def test_statuses_match_the_census(self):
+        path = os.path.join(os.path.dirname(__file__), "edge_census.json")
+        with open(path, encoding="utf-8") as fh:
+            census = json.load(fh)
+        doc = run(GridConfig.from_dict(census["config"]))
+        got = {rec.id: rec.status for rec in doc.records}
+        assert len(got) == census["total"] and set(census["statuses"]) <= set(got)
+        moves = [(census["statuses"].get(i, "pass"), s, i) for i, s in sorted(got.items())]
+        worse = [f"{i}: {was} -> {now}" for was, now, i in moves
+                 if self.RANK[now] > self.RANK[was]]
+        better = [f"{i}: {was} -> {now}" for was, now, i in moves
+                  if self.RANK[now] < self.RANK[was]]
+        assert not worse and not better, (
+            "worse than the census:\n" + "\n".join(worse)
+            + "\nbetter than the census (update tests/edge_census.json):\n"
+            + "\n".join(better))
