@@ -12,9 +12,9 @@ class DomainError(HypidentError, ValueError):
 
 
 class DegenerateConfigurationError(HypidentError, RuntimeError):
-    """The check is not usable at this point: the kernel quadratic has a double
-    root or a root at 0 or 1, a pass would be vacuous (scale <= tolerance), or
-    |Re t| exceeds the main identity's cancellation cap."""
+    """The check is not usable at this point: the kernel quadratic has a double root or
+    a root at 0 or 1, a pass would be vacuous (scale <= tolerance), |Re t| exceeds the main
+    identity's cancellation cap, or rounded phases could move closed forms past the tolerance."""
 
 
 class UsageError(HypidentError, ValueError):

@@ -26,7 +26,7 @@ from .quadrature import (DEFAULT_POLICY, EvaluationPolicy, IntegralEstimate,
                          integrate_chebyshev_weighted, integrate_decaying_halfline,
                          integrate_even_trapezoid)
 from .records import UNCONVERGED, CheckRecord, build_record, skipped_record
-from .special_functions import f_2it_unit_interval, f_it, log_gamma
+from .special_functions import f_2it_unit_interval, f_it, log_base, log_gamma
 
 __all__ = [
     "ParameterPair",
@@ -54,6 +54,7 @@ _LN_4PI2 = math.log(4.0 * PI * PI)
 _LN_2 = math.log(2.0)
 _SQRT_PI = math.sqrt(PI)
 DEFECT_REL_TOL = 1e-3   # q_integral's kernel_defect needs three digits, not nine
+PHASE_ROUNDING = 2.0 ** -51   # a phase t * angle's rounding, per (1 + |t|) (1 + |angle|)
 
 
 class ParameterPair(FrozenValue):
@@ -227,13 +228,25 @@ def check_main_identity(pair: ParameterPair, t: complex,
     rhs = pair.main_closed_form()
     digits_lost = math.log10(peak[0] / rhs) if peak[0] > 0.0 else 0.0
     return build_record(
-        "main_identity", {"T": pair.T, "S": pair.S, "t": t}, est.value, rhs, tolerance,
-        converged=est.converged, metadata={"nodes": est.nodes_used, "digits_lost": digits_lost,
-                                           "quadrature_error": est.error_estimate})
+        "main_identity", {"T": pair.T, "S": pair.S, "t": t}, est.value, rhs, tolerance, est,
+        metadata={"digits_lost": digits_lost, "quadrature_error": est.error_estimate})
 
 
 # ---------------------------------------------------------------------------
 # quadratic transformation and product formula of the closed forms
+
+def _phase_budget(tolerance: float, t: complex, big: complex, reach: float) -> float:
+    """First-order bound, in the verdict's terms, on how rounding moves closed forms summing
+    cosines of phases t * angle, the angles on a ray from 0 (big the largest, reach the sum of
+    1 + |angle| over nonzero ones): a phase may be PHASE_ROUNDING (1 + |t|) (1 + |angle|) off,
+    moving its cosine by that relative to max(1, |cos|) (within sqrt 2 for a complex phase)."""
+    bound = PHASE_ROUNDING * (1.0 + abs(t)) * reach
+    if tolerance < bound < math.inf:   # a t not finite, its bound inf or nan, is f_it's to reject
+        math.cosh((phase := t * big).imag)   # a cosine past the float range overflows first
+        raise DegenerateConfigurationError(f"rounding phases up to {abs(phase):.3g} may move "
+                                           f"the closed forms by {bound:.3g}, past the tolerance")
+    return bound
+
 
 def check_quadratic_transform(t: complex, w: float,
                               tolerance: float = DEFAULT_POLICY.abs_tol) -> CheckRecord:
@@ -246,11 +259,12 @@ def check_quadratic_transform(t: complex, w: float,
     """
     w = float(w)
     if w > 0.5:
-        raise DomainError(
-            f"quadratic transformation is not valid for w > 1/2, got w = {w:g}")
+        raise DomainError(f"quadratic transformation is not valid for w > 1/2, got w = {w:g}")
     t = complex(t)
     if not cmath.isfinite(t):
         raise DomainError(f"t must be finite, got {t!r}")
+    if w != 0.0:   # both sides' phase is t * 4 log_base(-w) exactly; at w = 0 both are 1
+        _phase_budget(tolerance, t, (big := 4.0 * log_base(-w)), 2.0 * (1.0 + abs(big)))
     if w > 0.0:
         # closed form cos(2it asin(sqrt(4w(1-w)))); the complementary angle
         # pi/2 - asin(1-2w) evaluates that phase exactly through w = 1/2,
@@ -259,8 +273,7 @@ def check_quadratic_transform(t: complex, w: float,
         lhs = cmath.cos(2j * t * phase)
         rhs = f_2it_unit_interval(t, w)
     elif w == 0.0:
-        lhs = complex(1.0, 0.0)
-        rhs = complex(1.0, 0.0)
+        lhs = rhs = complex(1.0, 0.0)
     else:
         lhs = f_it(t, -4.0 * w * (1.0 - w))
         rhs = f_it(2.0 * t, -w)
@@ -281,8 +294,9 @@ def check_product_formula(t: complex, x: float, y: float,
     x, y = float(x), float(y)
     if x <= 0.0 or y <= 0.0:
         raise DomainError(f"product formula requires x > 0 and y > 0, got ({x:g}, {y:g})")
-    t = complex(t)   # f_it rejects a non-finite t
-    x_plus, x_minus, companion = product_geometry(x, y)
+    t = complex(t)   # f_it rejects a non-finite t, which the phase budget lets pass
+    x_plus, x_minus, companion, phases = product_geometry(x, y)
+    _phase_budget(tolerance, t, *phases)
     lhs = 2.0 * f_it(t, x) * f_it(t, y)
     rhs = f_it(t, x_plus) + f_it(t, x_minus)
     return build_record("product_formula", {"t": t, "x": x, "y": y}, lhs, rhs, tolerance,
@@ -291,14 +305,16 @@ def check_product_formula(t: complex, x: float, y: float,
 
 
 @lru_cache(maxsize=64)   # a grid's few (x, y), once per run; cli.run empties it
-def product_geometry(x: float, y: float) -> tuple:   # (X+, X-, companion residual)
+def product_geometry(x: float, y: float) -> tuple:   # (X+, X-, companion residual, phases)
     sx, sy = math.sqrt(x), math.sqrt(y)
     sx1, sy1 = math.sqrt(x + 1.0), math.sqrt(y + 1.0)
     x_plus = (sx * sy1 + sy * sx1) ** 2
     x_minus = (sx * sy1 - sy * sx1) ** 2
+    angles = [2.0 * log_base(v) for v in (x_plus, x, x, y, y, x_minus)]   # 2 f(x) f(y): x twice
+    phases = angles[0], math.fsum(1.0 + abs(a) for a in angles if a)   # as _phase_budget takes
     return x_plus, x_minus, max(
         abs((x_plus + 1.0) - (sx1 * sy1 + sx * sy) ** 2) / (x_plus + 1.0),
-        abs((x_minus + 1.0) - (sx1 * sy1 - sx * sy) ** 2) / (x_minus + 1.0))
+        abs((x_minus + 1.0) - (sx1 * sy1 - sx * sy) ** 2) / (x_minus + 1.0)), phases
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +353,7 @@ def check_barnes_triple(a: float, b: float, c: float,
     est = integrate_decaying_halfline(g, 0.9 * PI, policy)
     lhs = est.value / (2.0 * PI)
     rhs = math.gamma(a + b) * math.gamma(a + c) * math.gamma(b + c)
-    return build_record("barnes", {"a": a, "b": b, "c": c}, lhs, rhs, tolerance,
-                        converged=est.converged, metadata={"nodes": est.nodes_used})
+    return build_record("barnes", {"a": a, "b": b, "c": c}, lhs, rhs, tolerance, est)
 
 
 def check_spectral_power(a_shift: float, tau: float,
@@ -372,8 +387,7 @@ def check_spectral_power(a_shift: float, tau: float,
     lhs = est.value / (2.0 * PI)
     rhs = (_SQRT_PI * math.gamma(1.0 + tau) * math.gamma(0.5 + tau)
            * (1.0 + a_shift) ** (-0.5 - tau))
-    return build_record("spectral_power", {"A": a_shift, "tau": tau}, lhs, rhs, tolerance,
-                        converged=est.converged, metadata={"nodes": est.nodes_used})
+    return build_record("spectral_power", {"A": a_shift, "tau": tau}, lhs, rhs, tolerance, est)
 
 
 def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0):
@@ -465,8 +479,7 @@ def check_spectral_resolvent(a_shift: float, r: float,
       = pi sqrt(1+A) / (1+r+A),   A > -1, r > 0.
     """
     lhs, rhs, _, est = _shift_integral(a_shift, r, None, policy, tolerance)
-    return build_record("spectral_resolvent", {"A": a_shift, "r": r}, lhs, rhs, tolerance,
-                        converged=est.converged, metadata={"nodes": est.nodes_used})
+    return build_record("spectral_resolvent", {"A": a_shift, "r": r}, lhs, rhs, tolerance, est)
 
 
 def check_spectral_product(a_shift: float, r: float, b_shift: float,
@@ -483,8 +496,8 @@ def check_spectral_product(a_shift: float, r: float, b_shift: float,
     """
     lhs, rhs, denom, est = _shift_integral(a_shift, r, b_shift, policy, tolerance)
     return build_record("spectral_product", {"A": a_shift, "r": r, "B": b_shift},
-                        lhs, rhs, tolerance, converged=est.converged, consistent=denom > 0.0,
-                        metadata={"denominator": denom, "nodes": est.nodes_used})
+                        lhs, rhs, tolerance, est, consistent=denom > 0.0,
+                        metadata={"denominator": denom})
 
 
 # ---------------------------------------------------------------------------
@@ -512,8 +525,7 @@ def check_spectral_kernel(z: float, r: float, pair: ParameterPair,
     rhs = _above_tolerance(i1 * i2, tolerance)
     est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift, 2.0), policy)
     return build_record("spectral_kernel", {"T": pair.T, "S": pair.S, "z": z, "r": r},
-                        est.value / PI, rhs, tolerance, converged=est.converged,
-                        metadata={"nodes": est.nodes_used})
+                        est.value / PI, rhs, tolerance, est)
 
 
 # ---------------------------------------------------------------------------
@@ -570,10 +582,9 @@ def check_q_integral(r: float, pair: ParameterPair,
     defect_est = integrate_chebyshev_weighted(
         defect, 0.0, 1.0, policy.replace(rel_tol=DEFECT_REL_TOL))
 
-    return build_record("q_integral", {"T": pair.T, "S": pair.S, "r": r},
-                        lhs, rhs, tolerance, converged=est.converged,
-                        metadata={"nodes": est.nodes_used + defect_est.nodes_used,
-                                  "kernel_defect": defect_est.value.real,
+    return build_record("q_integral", {"T": pair.T, "S": pair.S, "r": r}, lhs, rhs, tolerance,
+                        est.replace(nodes_used=est.nodes_used + defect_est.nodes_used),
+                        metadata={"kernel_defect": defect_est.value.real,
                                   "kernel_defect_error": defect_est.error_estimate})
 
 
@@ -724,12 +735,11 @@ def check_obstruction_integer(r: float, pair: ParameterPair,
         ok = ok and n_int == 0 and abs(n_r) <= INTEGER_TOLERANCE
 
     return build_record(
-        "obstruction", {"T": pair.T, "S": pair.S, "r": r}, d_sum, residual, tolerance,
-        converged=est.converged, consistent=ok,
-        metadata={"n_r": n_r, "n_int": n_int, "n_dist": n_dist,
-                  "d_abs_spread": spread, "d_square_residual": sq_resid,
-                  "q_value": q_val, "q_closed_form": closed,
-                  "pf_residual": fam.pf_residual, "nodes": est.nodes_used})
+        "obstruction", {"T": pair.T, "S": pair.S, "r": r}, d_sum, residual, tolerance, est,
+        consistent=ok, metadata={"n_r": n_r, "n_int": n_int, "n_dist": n_dist,
+                                 "d_abs_spread": spread, "d_square_residual": sq_resid,
+                                 "q_value": q_val, "q_closed_form": closed,
+                                 "pf_residual": fam.pf_residual})
 
 
 # ---------------------------------------------------------------------------
@@ -806,6 +816,6 @@ def check_weighted_residual(r: float, pair: ParameterPair,
         return skipped_record("weighted_residual", params, str(exc), tolerance,
                               {"inner_unconverged": 1, "nodes": sum(spent)}, UNCONVERGED)
     return build_record("weighted_residual", params, resid.value / PI, 0.0, tolerance,
-                        converged=unit.converged and resid.converged,
-                        metadata={"inner_unconverged": 0, "nodes": sum(spent),
+                        resid.replace(nodes_used=sum(spent)),   # all converged, or none
+                        metadata={"inner_unconverged": 0,
                                   "unit_residual": abs(unit.value / PI - PI / (1.0 + r))})

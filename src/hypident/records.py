@@ -91,7 +91,7 @@ def record_id(suite: str, **params) -> str:
 
 
 def build_record(suite: str, params: dict, lhs: complex, rhs: complex, tolerance: float,
-                 converged: bool = True, consistent: bool = True,
+                 est=None, consistent: bool = True,
                  metadata: dict | None = None) -> CheckRecord:
     """Assemble the record of `suite` at the point `params` from computed
     lhs/rhs and the pass tolerance.  This module names every record: its id
@@ -99,8 +99,9 @@ def build_record(suite: str, params: dict, lhs: complex, rhs: complex, tolerance
     its metadata is params, in order, then the check's own fields.  The record
     keeps params itself as its metadata, so each check passes a dict of its own.
 
-    `converged` reflects the quadrature flags; `consistent` lets a check
-    fold extra sub-identity assertions into the pass/fail decision.
+    `est`, the IntegralEstimate the lhs rests on if any, makes the record unconverged
+    if it is, and its nodes_used is the record's `nodes`, after the check's own fields.
+    `consistent` folds a check's sub-identity assertions into the pass/fail decision.
     """
     lhs, rhs = complex(lhs), complex(rhs)
     abs_err = abs(lhs - rhs)
@@ -109,10 +110,12 @@ def build_record(suite: str, params: dict, lhs: complex, rhs: complex, tolerance
     else:
         rel_err = 0.0 if abs_err == 0.0 else math.inf
     ok = (abs_err <= tolerance or rel_err <= tolerance) and consistent
-    status = UNCONVERGED if not converged else PASS if ok else FAIL
+    status = UNCONVERGED if est is not None and not est.converged else PASS if ok else FAIL
     rid = f"{suite}/{id_text(params)}"
     if metadata:
         params.update(metadata)
+    if est is not None:
+        params["nodes"] = est.nodes_used
     return CheckRecord(rid, lhs, rhs, abs_err, rel_err, tolerance, status, params)
 
 

@@ -784,9 +784,34 @@ class TestCheckRecordInvariant:
         ok = rec.abs_err <= rec.tolerance or rec.rel_err <= rec.tolerance
         assert (rec.status == hy.PASS) == ok
 
+    @settings(max_examples=200, deadline=None)
+    @given(lhs=st.floats(-1e3, 1e3), rhs=st.floats(-1e3, 1e3),
+           tol=st.floats(1e-12, 1e3), consistent=st.booleans())
+    def test_unconverged_estimate_decides(self, lhs, rhs, tol, consistent):
+        # an unconverged estimate makes the record unconverged whatever it would be
+        est = hy.IntegralEstimate(lhs, 1.0, 7, False)
+        rec = hy.build_record("x", {"y": 1.0}, lhs, rhs, tol, est, consistent=consistent)
+        assert rec.status == hy.UNCONVERGED and rec.metadata["nodes"] == 7
+
     def test_unconverged_priority(self):
-        rec = hy.build_record("x", {"y": 1.0}, 1.0, 1.0, 1e-9, converged=False)
+        est = hy.IntegralEstimate(1.0, 0.0, 16, False)
+        rec = hy.build_record("x", {"y": 1.0}, 1.0, 1.0, 1e-9, est)
         assert rec.status == hy.UNCONVERGED
+
+    def test_estimate_nodes_become_the_record_nodes(self):
+        # a converged estimate leaves the status to the values, and its nodes_used
+        # is the record's `nodes`, after the params and the check's own fields
+        est = hy.IntegralEstimate(1.0, 1e-12, 48, True)
+        rec = hy.build_record("x", {"T": 0.25, "t": 0.5j}, 1.0, 1.0, 1e-9, est,
+                              metadata={"digits_lost": 0.5})
+        assert rec.status == hy.PASS
+        assert list(rec.metadata.items()) == [("T", 0.25), ("t", 0.5j), ("digits_lost", 0.5),
+                                              ("nodes", 48)]
+        failed = hy.build_record("x", {"y": 1.0}, 1.0, 2.0, 1e-9, est)
+        assert failed.status == hy.FAIL and failed.metadata["nodes"] == 48
+        # a closed-form record rests on no estimate and has no `nodes`
+        closed = hy.build_record("x", {"y": 1.0}, 1.0, 1.0, 1e-9, metadata={"residual": 0.0})
+        assert closed.status == hy.PASS and "nodes" not in closed.metadata
 
     def test_consistency_flag(self):
         rec = hy.build_record("x", {"y": 1.0}, 1.0, 1.0, 1e-9, consistent=False)

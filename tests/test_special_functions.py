@@ -2,8 +2,10 @@
 forms of the F(it,-it;1/2;x) family, judged against mpmath at 30 digits."""
 
 import cmath
+import json
 import math
 import random
+import re
 
 import mpmath
 import pytest
@@ -11,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypident as hy
-from hypident import DomainError, identity_suite, special_functions
+from hypident import (DegenerateConfigurationError, DomainError, cli, identity_suite,
+                      special_functions)
 
 mpmath.mp.dps = 30
 
@@ -262,6 +265,129 @@ class TestProductFormula:
     def test_property_grid(self, t, x, y):
         rec = hy.check_product_formula(t, x, y, tolerance=1e-10)
         assert rec.status == hy.PASS
+
+
+SWEEP_T = tuple(10.0 ** (3.0 + k / 4.0) for k in range(21))   # |t| from 1e3 to 1e8
+OVERFLOW = "the point overflows the float range: "
+
+
+def _closed_form_checks():
+    """(check, args) for every grid point of the two closed-form suites."""
+    return ([(hy.check_product_formula, xy) for xy in cli.PRODUCT_XY_GRID]
+            + [(hy.check_quadratic_transform, (w,)) for w in cli.TRANSFORM_W_GRID])
+
+
+def _recording_budget(monkeypatch) -> list:
+    """Patch identity_suite._phase_budget to append each bound it forms, also one that
+    raises; the checks look the helper up by name at call time."""
+    bounds, budget = [], identity_suite._phase_budget
+
+    def recorded(tolerance, t, big, reach):
+        bounds.append(budget(math.inf, t, big, reach))
+        return budget(tolerance, t, big, reach)
+
+    monkeypatch.setattr(identity_suite, "_phase_budget", recorded)
+    return bounds
+
+
+class TestPhaseBudget:
+    """Both closed-form suites compare cosines of phases t * angle, which round by about
+    eps |phase|; where that can move them past the tolerance the point is skipped."""
+
+    def test_large_t_sweep_has_no_fail(self):
+        ts = [[m, 0.0] for m in SWEEP_T] + [[0.0, m] for m in SWEEP_T]
+        doc = cli.run(cli.GridConfig.from_dict(
+            {"t_values": ts, "suites": ["product_formula", "quadratic_transform"]}))
+        assert doc.summary["fail"] == 0
+        for rec in doc.records:
+            if abs(rec.metadata["t"]) <= 1e4:   # the budget skips none of these
+                assert rec.status == hy.PASS or rec.metadata["reason"].startswith(OVERFLOW)
+            elif rec.status != hy.PASS:
+                assert rec.status == hy.SKIPPED, rec.id
+                assert re.fullmatch(r"(the point overflows the float range: .*|rounding phases "
+                                    r"up to \S+ may move the closed forms by \S+, past the "
+                                    r"tolerance)", rec.metadata["reason"]), rec.id
+        low = [rec for rec in doc.records if abs(rec.metadata["t"]) <= 1e4]
+        assert sum(rec.status == hy.PASS for rec in low) == 40   # as before the budget
+        # a point whose cosines overflow says so, as before the budget: the product's at
+        # imaginary t and the transform's with a real t and w > 0, or imaginary t and w < 0
+        for rec in doc.records:
+            t, w = rec.metadata["t"], rec.metadata.get("w")
+            if (w is None and t.imag) or (w is not None and w * (t.real - t.imag) > 0.0):
+                assert rec.metadata["reason"].startswith(OVERFLOW), rec.id
+
+    @pytest.mark.parametrize("sign", [1.0, 1j])
+    def test_bound_covers_every_record_that_runs(self, monkeypatch, sign):
+        bounds = _recording_budget(monkeypatch)
+        ran = 0
+        for t in SWEEP_T:
+            for check, args in _closed_form_checks():
+                bounds.clear()
+                try:
+                    rec = check(t * sign, *args, tolerance=1e-10)
+                except DegenerateConfigurationError:
+                    assert bounds[-1] > 1e-10
+                    continue
+                except OverflowError:
+                    continue
+                ran += 1
+                bound = bounds[-1] if bounds else 0.0   # w = 0 forms no phase: both sides are 1
+                assert rec.status == hy.PASS and rec.abs_err <= bound, (rec.id, bound)
+        assert ran >= 30
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=st.complex_numbers(max_magnitude=1e7, allow_nan=False, allow_infinity=False),
+           point=st.integers(0, 6))
+    def test_bound_in_the_verdicts_terms(self, t, point):
+        # anywhere in the complex plane a record that runs passes, and differs by at most
+        # its bound times max(1, |rhs|); one that is skipped has a bound past its tolerance
+        check, args = _closed_form_checks()[point]
+        with pytest.MonkeyPatch.context() as patch:
+            bounds = _recording_budget(patch)
+            try:
+                rec = check(t, *args, tolerance=1e-10)
+            except DegenerateConfigurationError:
+                assert bounds[-1] > 1e-10
+                return
+            except OverflowError:
+                return
+        assert rec.status == hy.PASS
+        bound = bounds[-1] if bounds else 0.0   # w = 0 forms no phase: both sides are 1
+        assert rec.abs_err <= bound * max(1.0, abs(rec.rhs))
+
+    def test_a_looser_tolerance_lets_large_t_run(self, tmp_path):
+        # at t = 1e6 the phases round by about 5e-9: past 1e-10, within 1e-6
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"t_values": [1e6], "suites": ["product_formula"]}))
+        out = tmp_path / "report.json"
+        assert cli.main(["--config", str(config), "--jobs", "1", "--output", str(out)]) == 3
+        records = json.loads(out.read_text())["records"]
+        assert [rec["status"] for rec in records] == [hy.SKIPPED] * 3
+        assert cli.main(["--config", str(config), "--jobs", "1", "--tol", "1e-6",
+                         "--output", str(out)]) == 0
+        records = json.loads(out.read_text())["records"]
+        assert [rec["status"] for rec in records] == [hy.PASS] * 3
+
+    def test_reason_names_the_largest_phase_and_the_bound(self):
+        with pytest.raises(DegenerateConfigurationError) as info:
+            hy.check_product_formula(1e6, 1.0, 1.0)
+        phase, bound = re.fullmatch(r"rounding phases up to (\S+) may move the closed forms "
+                                    r"by (\S+), past the tolerance", str(info.value)).groups()
+        largest = 2e6 * math.asinh(math.sqrt(8.0))   # t times X+'s angle, 2 asinh(sqrt 8)
+        assert float(phase) == pytest.approx(largest, rel=5e-3)   # 3 digits
+        assert 1e-10 < float(bound) < 1e-8
+
+    def test_zero_angles_cost_nothing(self, monkeypatch):
+        # at w = 0 both sides are 1 exactly, whatever t, and X- = 0 at x = y makes the
+        # product's f(X-) exactly 1: neither is charged for rounding
+        bounds = _recording_budget(monkeypatch)
+        assert hy.check_quadratic_transform(1e300, 0.0).status == hy.PASS and bounds == []
+        hy.check_product_formula(1.0, 0.8, 0.8)
+        hy.check_product_formula(1.0, 0.8, 0.81)
+        assert bounds[0] < bounds[1]
+        big, reach = identity_suite.product_geometry(0.8, 0.8)[3]   # X+, x, x, y, y; X- = 0
+        angle = 2.0 * special_functions.log_base(0.8)
+        assert reach == pytest.approx(5.0 + abs(big) + 4.0 * abs(angle))
 
 
 def _uncached_f_it(t, x):
