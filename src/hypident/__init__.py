@@ -4,7 +4,7 @@ identities, from scalar closed forms up to a CLI grid runner."""
 __version__ = "0.1.0"
 
 from .errors import (DegenerateConfigurationError, DomainError,
-                     HypidentError, UsageError)
+                     HypidentError, NodeBudgetError, UsageError)
 from .identity_suite import (ParameterPair, QuadraticFamily,
                              check_barnes_triple, check_main_identity,
                              check_obstruction_integer, check_product_formula,
@@ -24,7 +24,7 @@ from .special_functions import f_2it_unit_interval, f_it, log_gamma
 __all__ = [
     "__version__",
     "HypidentError", "DomainError", "DegenerateConfigurationError",
-    "UsageError",
+    "UsageError", "NodeBudgetError",
     "EvaluationPolicy", "DEFAULT_POLICY",
     "CheckRecord", "PASS", "FAIL", "UNCONVERGED", "SKIPPED",
     "build_record", "record_id",

@@ -18,7 +18,7 @@ import time
 from collections import namedtuple
 
 from . import __version__
-from .errors import DegenerateConfigurationError, UsageError, Value
+from .errors import DegenerateConfigurationError, NodeBudgetError, UsageError, Value
 from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_main_identity, check_obstruction_integer,
                              check_product_formula, check_q_integral,
@@ -286,10 +286,14 @@ def run_task(task: tuple) -> CheckRecord:
     """The record of one task.  A point where the check raises
     DegenerateConfigurationError, leaves the float range (OverflowError) or
     divides by a rounded-off zero (ZeroDivisionError) is skipped with the reason;
-    records.skipped_record names it from (suite, params), as the check would have."""
+    one whose rule would need more than max_nodes (NodeBudgetError) is unconverged,
+    with `nodes` 0.  records.skipped_record names it from (suite, params), as the
+    check would have."""
     suite, params, policy, tolerance = task
     try:
         return SUITE_TABLE[suite].check(params, policy, tolerance)
+    except NodeBudgetError as exc:
+        return skipped_record(suite, params, str(exc), tolerance, {"nodes": 0}, UNCONVERGED)
     except DegenerateConfigurationError as exc:
         reason = str(exc)
     except OverflowError as exc:

@@ -17,6 +17,11 @@ class DegenerateConfigurationError(HypidentError, RuntimeError):
     identity's cancellation cap, or rounded phases could move closed forms past the tolerance."""
 
 
+class NodeBudgetError(HypidentError, RuntimeError):
+    """A rule whose node count is fixed before any evaluation needs more than max_nodes;
+    nothing was evaluated, and the point comes out unconverged."""
+
+
 class UsageError(HypidentError, ValueError):
     """Invalid run configuration (CLI exit code 64)."""
 

@@ -24,7 +24,7 @@ from functools import lru_cache
 from .errors import DegenerateConfigurationError, DomainError, FrozenValue
 from .quadrature import (DEFAULT_POLICY, EvaluationPolicy, IntegralEstimate,
                          integrate_chebyshev_weighted, integrate_decaying_halfline,
-                         integrate_even_trapezoid)
+                         integrate_even_trapezoid, integrate_strip_trapezoid)
 from .records import UNCONVERGED, CheckRecord, build_record, skipped_record
 from .special_functions import f_2it_unit_interval, f_it, log_base, log_gamma
 
@@ -90,14 +90,6 @@ class ParameterPair(FrozenValue):
 def _ln_cosh(u: float) -> float:
     u = abs(u)
     return u + math.log1p(math.exp(-2.0 * u)) - _LN_2
-
-
-def _growth_rate(a: float) -> float:
-    # exponential growth rate (in s) of F(+-is;1/2;-a): zero for a >= 0,
-    # 2 asin(sqrt(-a)) < pi for a in (-1, 0)
-    if a >= 0.0:
-        return 0.0
-    return 2.0 * math.asin(math.sqrt(-a))
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +258,10 @@ def check_quadratic_transform(t: complex, w: float,
     if w != 0.0:   # both sides' phase is t * 4 log_base(-w) exactly; at w = 0 both are 1
         _phase_budget(tolerance, t, (big := 4.0 * log_base(-w)), 2.0 * (1.0 + abs(big)))
     if w > 0.0:
-        # closed form cos(2it asin(sqrt(4w(1-w)))); the complementary angle
-        # pi/2 - asin(1-2w) evaluates that phase exactly through w = 1/2,
-        # where 4w(1-w) itself rounds to 1
-        phase = 0.5 * math.pi - math.asin(1.0 - 2.0 * w)
+        # closed form cos(2it asin(sqrt(4w(1-w)))), its phase 2 asin(sqrt(w)); from w = 1/4
+        # on as pi/2 - asin(1-2w), exact through w = 1/2, where 4w(1-w) rounds to 1
+        phase = (2.0 * math.asin(math.sqrt(w)) if w < 0.25
+                 else 0.5 * math.pi - math.asin(1.0 - 2.0 * w))
         lhs = cmath.cos(2j * t * phase)
         rhs = f_2it_unit_interval(t, w)
     elif w == 0.0:
@@ -309,7 +301,7 @@ def product_geometry(x: float, y: float) -> tuple:   # (X+, X-, companion residu
     sx, sy = math.sqrt(x), math.sqrt(y)
     sx1, sy1 = math.sqrt(x + 1.0), math.sqrt(y + 1.0)
     x_plus = (sx * sy1 + sy * sx1) ** 2
-    x_minus = (sx * sy1 - sy * sx1) ** 2
+    x_minus = ((x - y) / (sx * sy1 + sy * sx1)) ** 2   # sx sy1 - sy sx1, without cancelling
     angles = [2.0 * log_base(v) for v in (x_plus, x, x, y, y, x_minus)]   # 2 f(x) f(y): x twice
     phases = angles[0], math.fsum(1.0 + abs(a) for a in angles if a)   # as _phase_budget takes
     return x_plus, x_minus, max(
@@ -382,7 +374,7 @@ def check_spectral_power(a_shift: float, tau: float,
             return math.exp(base) * math.cos(2.0 * s * la)
         return math.exp(base + _ln_cosh(2.0 * s * la))
 
-    decay = 0.9 * (PI - _growth_rate(a_shift))
+    decay = 0.9 * (PI - (2.0 * la if a_shift < 0.0 else 0.0))   # F grows as exp(2 la s) below
     est = integrate_decaying_halfline(g, decay, policy)
     lhs = est.value / (2.0 * PI)
     rhs = (_SQRT_PI * math.gamma(1.0 + tau) * math.gamma(0.5 + tau)
@@ -391,15 +383,17 @@ def check_spectral_power(a_shift: float, tau: float,
 
 
 def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0):
-    """(g, decay): the sech-weighted product integrand in closed form,
+    """(g, strip, bound, envelope, rate), as integrate_strip_trapezoid takes them:
 
-        g(s) = (4pi^2/cosh(pi c s)) F(1/2+-ics;1/2;-r) F(+-ics;1/2;-A) F(+-ics;1/2;-B),
+        g(s) = (4pi^2/cosh(pi c s)) F(1/2+-ics;1/2;-r) F(+-ics;1/2;-A) F(+-ics;1/2;-B)
 
-    and the rate 0.9 (pi c - c growth(A)) at which it decays.  c = 1 gives the
-    resolvent (B = 0) and product integrands in s; c = 2 gives the spectral
-    kernel's (at the kernel shifts) and the weighted residual's weight
-    (A = B = 0) in t = s/2.  Where A or B is 0, g leaves out its factor
-    cos(u * 0.0) == 1.0 (x * 1.0 == x); at A = B = 0 it keeps one.
+    is even, its strip 1/(2c); bound(d) is from |sech(pi c(x+iy))| <= sech(pi c x)/cos(pi c y),
+    |cos(2c(x+iy)l)| <= cosh(2cyl), |cosh(u+iv)| <= cosh u and int sech(pi c x)
+    cosh(2c ga x) dx = sec(ga)/c, ga = asin(sqrt(-A)) if A < 0, else 0; and |g| <=
+    8pi^2/sqrt(1+r) exp(-c(pi - 2ga)s).  c = 1 gives the resolvent (B = 0) and product
+    integrands in s; c = 2 the spectral kernel's (at the kernel shifts) and the weighted
+    residual's weight (A = B = 0) in t = s/2.  g leaves out the factor cos(u * 0.0) of a
+    zero A or B; at A = B = 0 it keeps one.
     """
     pc, c2 = PI * c, 2.0 * c
     lr = math.asinh(math.sqrt(r))
@@ -409,7 +403,7 @@ def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0
     exp, log1p, cos, ln_4pi2, ln_2 = math.exp, math.log1p, math.cos, _LN_4PI2, _LN_2
 
     if a_shift >= 0.0:
-        la = math.asinh(math.sqrt(a_shift))
+        la, ga, cos_ga = math.asinh(math.sqrt(a_shift)), 0.0, 1.0
         l1, l2 = (la, lb) if la else (lb, 0.0)   # a zero frequency last, then left out
 
         def g(s: float) -> float:
@@ -418,7 +412,7 @@ def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0
                  * cos(u * l1))
             return w * cos(u * l2) if l2 else w
     else:
-        ga = math.asin(math.sqrt(-a_shift))
+        la, ga, cos_ga = 0.0, math.asin(math.sqrt(-a_shift)), math.sqrt(1.0 + a_shift)
 
         def g(s: float) -> float:
             u = c2 * s
@@ -426,7 +420,25 @@ def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0
             w = exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)
                     + (va + log1p(exp(-2.0 * va)) - ln_2)) * cos(u * lr) * inv_sqrt_1pr
             return w * cos(u * lb) if lb else w
-    return g, 0.9 * (pc - c * _growth_rate(a_shift))
+
+    def bound(d: float) -> float:   # 4pi^2/sqrt(1+r) sec(ga)/c, times the strip's factors
+        y = c2 * d
+        return (4.0 * PI * PI * inv_sqrt_1pr / (c * cos_ga) * math.cosh(y * lr)
+                * math.cosh(y * la) * math.cosh(y * lb) / math.cos(pc * d))
+
+    return g, 0.5 / c, bound, 8.0 * PI * PI * inv_sqrt_1pr, c * (PI - 2.0 * ga)
+
+
+def _product_closed_form(one_a: float, r: float, one_b: float) -> tuple[float, float]:
+    """(P, D): the spectral product's closed form pi sqrt(1+A) sqrt(1+B) (1+A+r+B) / D
+    from 1+A and 1+B, D = (1+A+B-r)^2 + 4r(1+A)(1+B) = (1+A+r+B)^2 + 4rAB a sum of
+    non-negative terms; at B = 0, the resolvent's pi sqrt(1+A) / (1+r+A)."""
+    if r <= 0.0:
+        raise DomainError(f"r must be positive, got {r:g}")
+    b_shift = one_b - 1.0
+    gap = one_a - r + b_shift
+    denom = gap * gap + 4.0 * r * one_a * one_b   # inf, not OverflowError, past the float range
+    return PI * math.sqrt(one_a) * math.sqrt(one_b) * (one_a + r + b_shift) / denom, denom
 
 
 def _above_tolerance(rhs: float, tolerance: float, what: str = "the closed form") -> float:
@@ -437,27 +449,15 @@ def _above_tolerance(rhs: float, tolerance: float, what: str = "the closed form"
     return rhs
 
 
-def _shift_integral(a_shift: float, r: float, b_shift: float | None,
+def _shift_integral(a_shift: float, r: float, b_shift: float,
                     policy: EvaluationPolicy, tolerance: float) -> tuple:
-    """(lhs, rhs, denominator, est) of the resolvent (b_shift None) and product
-    checks.  B = 0 takes the resolvent's closed form, so the product's B = 0 rows
-    are the resolvent's records; only the product forms a denominator, (1+r+A)^2
-    at B = 0, and it does so before the closed form's guard."""
-    if a_shift <= -1.0:
-        raise DomainError(f"shift must satisfy A > -1, got {a_shift:g}")
-    if r <= 0.0:
-        raise DomainError(f"r must be positive, got {r:g}")
-    if b_shift is not None and b_shift < 0.0:
-        raise DomainError(f"B must be non-negative, got {b_shift:g}")
-    if not b_shift:   # the resolvent, or the product at B = 0
-        denom = None if b_shift is None else (1.0 + r + a_shift) ** 2
-        rhs = PI * math.sqrt(1.0 + a_shift) / (1.0 + r + a_shift)
-    else:
-        denom = (1.0 + a_shift + r + b_shift) ** 2 + 4.0 * r * a_shift * b_shift
-        rhs = (PI * math.sqrt(1.0 + a_shift) * math.sqrt(1.0 + b_shift)
-               * (1.0 + a_shift + r + b_shift) / denom)
+    """(lhs, rhs, denominator, est) of the resolvent (B = 0) and product checks, the
+    closed form guarded before quadrature: the product's B = 0 rows are the resolvent's."""
+    if a_shift <= -1.0 or b_shift < 0.0:
+        raise DomainError(f"shifts must satisfy A > -1 and B >= 0, got {a_shift:g}, {b_shift:g}")
+    rhs, denom = _product_closed_form(1.0 + a_shift, r, 1.0 + b_shift)
     _above_tolerance(rhs, tolerance)
-    est = shift_memo(a_shift, r, b_shift or 0.0, policy)
+    est = shift_memo(a_shift, r, b_shift, policy)
     return est.value / TWO_PI, rhs, denom, est
 
 
@@ -466,7 +466,7 @@ def shift_memo(a_shift: float, r: float, b_shift: float,
                policy: EvaluationPolicy) -> IntegralEstimate:
     """The shift integrand's half-line estimate, once per run: the product's B = 0
     rows reuse the resolvent's, whichever runs first; `nodes` counts it as if cold."""
-    return integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift), policy)
+    return integrate_strip_trapezoid(*_spectral_integrand(a_shift, r, b_shift), policy)
 
 
 def check_spectral_resolvent(a_shift: float, r: float,
@@ -474,11 +474,10 @@ def check_spectral_resolvent(a_shift: float, r: float,
                              tolerance: float = 1e-8) -> CheckRecord:
     """Sech-weighted spectral integral with the half-shifted factor:
 
-        (1/2pi) int_0^inf (4pi^2/cosh(pi s)) F(1/2+-is;1/2;-r)
-                          F(+-is;1/2;-A) ds
+        (1/2pi) int_0^inf (4pi^2/cosh(pi s)) F(1/2+-is;1/2;-r) F(+-is;1/2;-A) ds
       = pi sqrt(1+A) / (1+r+A),   A > -1, r > 0.
     """
-    lhs, rhs, _, est = _shift_integral(a_shift, r, None, policy, tolerance)
+    lhs, rhs, _, est = _shift_integral(a_shift, r, 0.0, policy, tolerance)
     return build_record("spectral_resolvent", {"A": a_shift, "r": r}, lhs, rhs, tolerance, est)
 
 
@@ -491,8 +490,7 @@ def check_spectral_product(a_shift: float, r: float, b_shift: float,
                     F(+-is;1/2;-A) F(+-is;1/2;-B) ds
       = pi sqrt(1+A) sqrt(1+B) (1+A+r+B) / ((1+A+r+B)^2 + 4rAB)
 
-    for A > -1, r > 0, B >= 0.  Positivity of the denominator is asserted;
-    the B = 0 rows are the resolvent check's values (_shift_integral).
+    for A > -1, r > 0, B >= 0, the denominator asserted positive; B = 0 rows are the resolvent's.
     """
     lhs, rhs, denom, est = _shift_integral(a_shift, r, b_shift, policy, tolerance)
     return build_record("spectral_product", {"A": a_shift, "r": r, "B": b_shift},
@@ -512,18 +510,20 @@ def check_spectral_kernel(z: float, r: float, pair: ParameterPair,
         (1/pi) int_0^inf (4pi^2/cosh(2 pi t)) F(1/2+-2it;1/2;-r)
                          B_t(z) dt  =  i1(z) i2(r, z)
 
-    where B_t(z) is the product of the two closed-form factors of the main
-    integrand and (i1, i2) = kernel_factors(z, r, pair).  Since
-    asinh(sqrt(x(z))) = 2 asinh(sqrt(B(z))), B_t(z) = F(+-2it;1/2;-A)
-    F(+-2it;1/2;-B) at (A, B) = kernel_shifts(z, pair): the integrand is the
-    spectral product's, at those shifts, in t = s/2.  Valid on the
-    closed interval T <= z <= S (the first factor degenerates to 1 at
-    z = T, the second at z = S).
+    where B_t(z), the product of the main integrand's two closed-form factors, is
+    F(+-2it;1/2;-A) F(+-2it;1/2;-B) at (A, B) = kernel_shifts(z, pair), T <= z <= S,
+    since asinh(sqrt(x(z))) = 2 asinh(sqrt(B(z))): the spectral product's integrand in
+    t = s/2.  So i1 i2 = kernel_factors(z, r, pair) is its closed form, taken from
+    1+A = (1-sqrt(z))(sqrt(z)+sqrt(T)) / (2(1-sqrt(T)) sqrt(z)) and 1+B likewise with S,
+    each 1-sqrt(x) as (1-x)/(1+sqrt(x)): nothing cancels as z -> S or S -> 1.
     """
     a_shift, b_shift = kernel_shifts(z, pair)
-    i1, i2 = kernel_factors(z, r, pair)   # raises DomainError for r <= 0
-    rhs = _above_tolerance(i1 * i2, tolerance)
-    est = integrate_decaying_halfline(*_spectral_integrand(a_shift, r, b_shift, 2.0), policy)
+    sz, st, ss = math.sqrt(z), pair.sqrt_T, pair.sqrt_S
+    half_gap = 0.5 * (1.0 - z) / ((1.0 + sz) * sz)   # (1 - sqrt(z)) / (2 sqrt(z))
+    one_a = half_gap * (sz + st) * (1.0 + st) / (1.0 - pair.T)
+    one_b = half_gap * (sz + ss) * (1.0 + ss) / (1.0 - pair.S)
+    rhs = _above_tolerance(_product_closed_form(one_a, r, one_b)[0], tolerance)
+    est = integrate_strip_trapezoid(*_spectral_integrand(a_shift, r, b_shift, 2.0), policy)
     return build_record("spectral_kernel", {"T": pair.T, "S": pair.S, "z": z, "r": r},
                         est.value / PI, rhs, tolerance, est)
 

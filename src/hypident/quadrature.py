@@ -1,16 +1,19 @@
 """Quadrature engines, and the EvaluationPolicy they take.
 
-Three rules cover every integral in the suite:
+Four rules cover every integral in the suite:
 
 * a Gauss-Chebyshev rule for finite intervals whose integrand carries an
   implicit 1/sqrt((z-lo)(hi-z)) endpoint weight,
 * a truncated, adaptively refined panel rule for semi-infinite integrands
-  with a known exponential decay rate, and
+  with a known exponential decay rate,
+* a trapezoid rule on (0, infinity) for integrands even and analytic in a
+  strip about the real line, its step and length fixed by a bound derived
+  before any evaluation, and
 * a nested trapezoid rule for integrands even in t, on (0, t_max).
 
 Every node sum is math.fsum's correctly rounded one, so results depend on
-neither summation order nor interpreter; only the trapezoid rule calls
-its integrand at the interval's ends, where an even one is smooth.
+neither summation order nor interpreter; only the trapezoid rules call
+their integrand at s = 0 or at the interval's ends, where an even one is smooth.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from functools import lru_cache, reduce
 from operator import add, attrgetter, mul
 
-from .errors import DomainError, FrozenValue, Value
+from .errors import DomainError, FrozenValue, NodeBudgetError, Value
 
 __all__ = [
     "EvaluationPolicy",
@@ -30,11 +33,13 @@ __all__ = [
     "integrate_chebyshev_weighted",
     "gauss_kronrod_panel",
     "integrate_decaying_halfline",
+    "integrate_strip_trapezoid",
     "integrate_even_trapezoid",
 ]
 
-COARSE_GUARD = 1e-3   # n = 32 needs |M32 - M16|, and a truncated tail, this far inside the target
+COARSE_GUARD = 1e-3   # |M32 - M16| at n = 32, a cut tail, a strip bound: this far inside the target
 TAIL_MARGIN = 2.0     # added to the half-line truncation point s_max, in units of s
+STRIP_SCAN = 16       # strip half-widths tried for the a-priori trapezoid step: k/16 of the strip
 
 
 class EvaluationPolicy(FrozenValue):
@@ -245,6 +250,36 @@ def integrate_decaying_halfline(g, decay_rate: float,
     value = _fsum([p[3] for p in heap])
     err_total = math.fsum(-p[0] for p in heap) + tail
     return IntegralEstimate(value, err_total, used, err_total <= policy.target(value))
+
+
+def integrate_strip_trapezoid(g, strip: float, bound, envelope: float, rate: float,
+                              policy: EvaluationPolicy = DEFAULT_POLICY) -> IntegralEstimate:
+    """Integrate g over (0, infinity) by h (g(0)/2 + g(h) + ... + g(nh)), for g even
+    and analytic in |Im s| < strip, with bound(d) >= the integral over the real line
+    of |g(x + iy)| for every |y| <= d < strip, and |g(s)| <= envelope exp(-rate s).
+
+    The sum errs by at most bound(d) / (exp(2 pi d / h) - 1), half the real-line
+    trapezoid bound (Trefethen & Weideman, SIAM Rev. 56 (2014) 385, Thm 5.1), plus
+    envelope exp(-rate n h) / rate for the cut tail.  h (the largest over
+    d = k/STRIP_SCAN of the strip) and n aim each part at half of
+    COARSE_GUARD * abs_tol before g is called, and the two parts at the chosen h
+    and n are the error estimate.  A rule of more than max_nodes nodes evaluates
+    nothing: it raises NodeBudgetError naming the count.
+    """
+    if not (strip > 0.0 and rate > 0.0):
+        raise DomainError(f"strip and rate must be positive, got {strip:g}, {rate:g}")
+    aim = 0.5 * COARSE_GUARD * policy.abs_tol
+    h, d = max((math.tau * d / math.log1p(bound(d) / aim), d)
+               for d in (strip * k / STRIP_SCAN for k in range(1, STRIP_SCAN)))
+    n = max(1, math.ceil(math.log(envelope / (rate * aim)) / (rate * h)))
+    if n + 1 > policy.max_nodes:
+        raise NodeBudgetError(f"the a-priori trapezoid rule needs {n + 1} nodes, more than "
+                              f"max_nodes = {policy.max_nodes}")
+    error = bound(d) / math.expm1(math.tau * d / h) + envelope * math.exp(-rate * n * h) / rate
+    vals = [g(k * h) for k in range(n + 1)]
+    vals[0] *= 0.5
+    value = h * _fsum(vals)
+    return IntegralEstimate(value, error, n + 1, error <= policy.target(value))
 
 
 def integrate_even_trapezoid(f, t_max: float, tail: float,

@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -765,7 +766,10 @@ class TestCommandLine:
     ], ids=["t_real", "t_imaginary", "r"])
     def test_point_beyond_float_range_skipped(self, config, skipped, total):
         # these points used to crash the run with OverflowError, fail
-        # (q_integral's lhs read 0) or pass vacuously (spectral_kernel)
+        # (q_integral's lhs read 0) or pass vacuously (spectral_kernel).  At
+        # r = 1e160 the product closed form's denominator passes the float
+        # range, so spectral_product's and spectral_kernel's closed forms
+        # round to 0: those points are skipped as vacuous
         doc = run(GridConfig.from_dict(config))
         assert (doc.summary["skipped"], doc.summary["total"]) == (skipped, total)
         assert exit_code(doc) == 3
@@ -773,7 +777,9 @@ class TestCommandLine:
             if rec.status != "pass":
                 assert rec.status == "skipped", rec.id
                 assert rec.metadata["reason"].startswith(
-                    "the point overflows the float range: "), rec.id
+                    "the closed form 0 is at or below the tolerance"
+                    if rec.suite in ("spectral_product", "spectral_kernel")
+                    else "the point overflows the float range: "), rec.id
 
     def test_opposite_infinities_in_a_node_sum_skipped(self, monkeypatch):
         # a node sum meeting +inf and -inf has left the float range; the
@@ -881,8 +887,11 @@ class TestCommandLine:
 
     def test_kernel_denominator_rounded_to_zero_skipped(self, tmp_path):
         # near S = 1 the kernel denominator E + F z + G z^2 rounds to 0 at
-        # z = S and at q_integral's nodes near q = 1; the division by it used
-        # to abort the whole run with a ZeroDivisionError and no report
+        # q_integral's nodes near q = 1; the division by it used to abort the
+        # whole run with a ZeroDivisionError and no report.  spectral_kernel's
+        # right side, from the factored shifts, no longer divides by it: at
+        # z = S its strip trapezoid would need millions of nodes, so those
+        # records are unconverged without evaluating the integrand
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"pairs": [[0.5, 0.999999999]],
                                       "suites": ["spectral_kernel", "q_integral"]}))
@@ -890,9 +899,17 @@ class TestCommandLine:
         assert main(["--config", str(config), "--output", str(out)]) == 3
         records = json.loads(out.read_text())["records"]
         skipped = [rec for rec in records if rec["status"] == "skipped"]
-        assert {rec["suite"] for rec in skipped} == {"spectral_kernel", "q_integral"}
+        assert {rec["suite"] for rec in skipped} == {"q_integral"}
         assert all(rec["metadata"]["reason"].startswith("the point divides by zero: ")
                    and rec["lhs"] is None for rec in skipped)
+        stopped = [rec for rec in records if rec["suite"] == "spectral_kernel"
+                   and rec["status"] == "unconverged"]
+        assert {rec["metadata"]["z"] for rec in stopped} == {0.999999999}
+        assert len(stopped) == 4 and all(
+            rec["metadata"]["nodes"] == 0 and rec["lhs"] is None
+            and re.fullmatch(r"the a-priori trapezoid rule needs \d+ nodes, more than "
+                             r"max_nodes = 60000", rec["metadata"]["reason"])
+            for rec in stopped)
         assert all(rec["status"] != "fail" for rec in records)
 
     def test_main_identity_beyond_cap_skipped(self, tmp_path):

@@ -8,9 +8,11 @@ import io
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -195,7 +197,7 @@ class TestSpectralProduct:
         def no_quadrature(*args):
             raise AssertionError("integrated a degenerate point")
 
-        monkeypatch.setattr(identity_suite, "integrate_decaying_halfline", no_quadrature)
+        monkeypatch.setattr(identity_suite, "integrate_strip_trapezoid", no_quadrature)
         with pytest.raises(DegenerateConfigurationError, match="vacuous"):
             hy.check_spectral_product(0.25, 1e12, b_shift)
 
@@ -208,10 +210,11 @@ class TestSpectralProduct:
 
 
 def _halfline_calls(monkeypatch) -> list:
-    """Count the integrand calls made through identity_suite's half-line
-    engine, as the CI step does; the list holds the running count."""
+    """Count the integrand calls made through identity_suite's strip trapezoid,
+    the sech-weighted suites' half-line engine, as the CI step does; the list
+    holds the running count."""
     calls = [0]
-    engine = identity_suite.integrate_decaying_halfline
+    engine = identity_suite.integrate_strip_trapezoid
 
     def counting(f, *args, **kwargs):
         def g(x):
@@ -219,7 +222,7 @@ def _halfline_calls(monkeypatch) -> list:
             return f(x)
         return engine(g, *args, **kwargs)
 
-    monkeypatch.setattr(identity_suite, "integrate_decaying_halfline", counting)
+    monkeypatch.setattr(identity_suite, "integrate_strip_trapezoid", counting)
     return calls
 
 
@@ -306,9 +309,49 @@ class TestSpectralKernel:
         assert rec.rel_err <= 1e-8
 
     def test_matches_kernel_factors(self):
+        # the right side is the product closed form at the factored shifts,
+        # which the paper's factorization i1 i2 equals away from S -> 1
         i1, i2 = hy.kernel_factors(0.375, 2.0, PAIR)
         rec = hy.check_spectral_kernel(0.375, 2.0, PAIR)
-        assert rec.rhs == i1 * i2
+        assert rec.rhs == pytest.approx(i1 * i2, rel=1e-14)
+
+    def test_kernel_factors_equal_the_product_closed_form(self):
+        # the paper's factorization i1 i2 is P at the kernel shifts
+        for pair in (hy.ParameterPair(*p) for p in cli.DEFAULT_PAIRS):
+            for z in cli._kernel_points(pair.T, pair.S):
+                a_shift, b_shift = hy.kernel_shifts(z, pair)
+                for r in cli.DEFAULT_R_VALUES:
+                    i1, i2 = hy.kernel_factors(z, r, pair)
+                    p_form = identity_suite._product_closed_form(1.0 + a_shift, r, 1.0 + b_shift)
+                    assert i1 * i2 == pytest.approx(p_form[0], rel=1e-13), (pair, z, r)
+
+    @pytest.mark.parametrize("s_hi", [0.999, 0.99999, 0.9999999, 0.999999999])
+    def test_right_side_exact_at_z_equal_s(self, s_hi, monkeypatch):
+        # at z = S, S -> 1, i1 i2 was off by up to 4.3e-6 at S = 0.99999 and divided
+        # by zero at 0.999999999; the factored shifts keep P to a few ulps
+        monkeypatch.setattr(identity_suite, "integrate_strip_trapezoid",
+                            lambda *args: hy.IntegralEstimate(0.0, 0.0, 1, True))
+        pair = hy.ParameterPair(0.5, s_hi)
+        for r in (0.5, 1.0, 10.0, 100.0):
+            rhs = hy.check_spectral_kernel(s_hi, r, pair).rhs.real
+            with mpmath.workdps(50):
+                st, ss, mr = mpmath.sqrt(mpmath.mpf(0.5)), mpmath.sqrt(mpmath.mpf(s_hi)), r
+                one_a = (1 - ss) * (ss + st) / (2 * (1 - st) * ss)
+                want = (mpmath.pi * mpmath.sqrt(one_a) * (one_a + mr)
+                        / ((one_a - mr) ** 2 + 4 * mr * one_a))
+            assert rhs == pytest.approx(float(want), rel=4e-15), (s_hi, r)
+
+    def test_over_budget_point_unconverged_without_evaluating(self, monkeypatch):
+        # at (0.5, 0.99999), z = S, the decay rate is 0.015: the rule would need
+        # about 70,000 nodes, so nothing is evaluated and the record says so
+        calls = _halfline_calls(monkeypatch)
+        params = {"T": 0.5, "S": 0.99999, "z": 0.99999, "r": 0.5}
+        rec = cli.run_task(("spectral_kernel", params, hy.DEFAULT_POLICY, 1e-7))
+        assert (rec.status, rec.lhs, rec.metadata["nodes"], calls[0]) == (
+            hy.UNCONVERGED, None, 0, 0)
+        needed = int(re.fullmatch(r"the a-priori trapezoid rule needs (\d+) nodes, more than "
+                                  r"max_nodes = 60000", rec.metadata["reason"])[1])
+        assert 60000 < needed < 100000
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -639,7 +682,7 @@ def _count_engine_calls(monkeypatch) -> dict:
         return wrapped
 
     for name in ("integrate_chebyshev_weighted", "integrate_decaying_halfline",
-                 "integrate_even_trapezoid"):
+                 "integrate_strip_trapezoid", "integrate_even_trapezoid"):
         monkeypatch.setattr(identity_suite, name, counting(name, getattr(identity_suite, name)))
     return calls
 
@@ -651,7 +694,7 @@ def _second_argument(z, pair):
 
 
 def _reference_kernel_integrand(z, r, pair):
-    # check_spectral_kernel's integrand and decay rate as first written
+    # check_spectral_kernel's integrand as first written, and its envelope rate, written
     # inline, with the second factor in asinh(sqrt(x)); the shared spectral
     # integrand writes it as cos(4t asinh(sqrt(B))) at the kernel shifts
     y = -hy.kernel_shifts(z, pair)[0]
@@ -668,7 +711,7 @@ def _reference_kernel_integrand(z, r, pair):
         return (math.exp(ln_w) * math.cos(4.0 * t * lr) * inv_sqrt_1pr
                 * math.cos(2.0 * t * lx))
 
-    return g, 0.9 * (identity_suite.TWO_PI - 4.0 * as_y)
+    return g, identity_suite.TWO_PI - 4.0 * as_y
 
 
 def _reference_residual_weight(r):
@@ -728,7 +771,7 @@ class TestSpectralIntegrand:
             for a_shift in (-0.9, -0.5, -1e-9, -0.0, 0.0, 1e-9, 0.25, 3.0):
                 for b_shift in (0.0, 1e-9, 1.5, 40.0):
                     for r in (0.01, 1.0, 100.0):
-                        got, _ = identity_suite._spectral_integrand(a_shift, r, b_shift, c)
+                        got = identity_suite._spectral_integrand(a_shift, r, b_shift, c)[0]
                         ref = _reference_spectral_integrand(a_shift, r, b_shift, c)
                         ss = near_zero + kronrod + far + [rng.uniform(0.0, 12.0)
                                                           for _ in range(20)]
@@ -743,18 +786,19 @@ class TestSpectralIntegrand:
         # (at A = B = 0 one stays); the bit-identity test above holds the values
         calls = []
         monkeypatch.setattr(math, "cos", lambda x: calls.append(x) or 1.0)
-        g, _ = identity_suite._spectral_integrand(a_shift, 1.0, b_shift, 2.0)
+        g = identity_suite._spectral_integrand(a_shift, 1.0, b_shift, 2.0)[0]
         g(0.3)
         assert len(calls) == factors
 
     def test_residual_weight_bit_identical_to_reference(self):
         rng = random.Random(1)
         for r in (0.01, 0.5, 1.0, 10.0, 100.0, 1e6):
-            weight, decay = identity_suite._spectral_integrand(0.0, r, 0.0, 2.0)
+            weight, strip, _, envelope, rate = identity_suite._spectral_integrand(0.0, r, 0.0, 2.0)
             ref = _reference_residual_weight(r)
             ts = [0.0] + [rng.uniform(0.0, 10.0) for _ in range(500)]
             assert [weight(t) for t in ts] == [ref(t) for t in ts]
-            assert decay == 0.9 * identity_suite.TWO_PI
+            assert (strip, rate) == (0.25, identity_suite.TWO_PI)
+            assert envelope == pytest.approx(8.0 * math.pi ** 2 / math.sqrt(1.0 + r), rel=1e-15)
 
     def test_kernel_integrand_matches_reference(self):
         # only the second factor's cos argument is rounded differently; the
@@ -767,10 +811,10 @@ class TestSpectralIntegrand:
             z = min(pair.T + rng.random() * (pair.S - pair.T), pair.S)
             r = math.exp(rng.uniform(math.log(0.1), math.log(100.0)))
             t = rng.uniform(0.0, 2.0)
-            ref, ref_decay = _reference_kernel_integrand(z, r, pair)
+            ref, ref_rate = _reference_kernel_integrand(z, r, pair)
             a_shift, b_shift = hy.kernel_shifts(z, pair)
-            got, decay = identity_suite._spectral_integrand(a_shift, r, b_shift, 2.0)
-            assert decay == ref_decay
+            got, _, _, _, rate = identity_suite._spectral_integrand(a_shift, r, b_shift, 2.0)
+            assert rate == ref_rate
             assert got(0.0) == ref(0.0)
             assert abs(got(t) - ref(t)) <= 1e-14 * ref(0.0), (pair, z, r, t)
 
@@ -849,8 +893,9 @@ CLOSED_FORM_SITES = {
                           lambda orig, tol: lambda pair: _moved(orig(pair), tol)),
     "q_integral": (hy.ParameterPair, "q_closed_form",
                    lambda orig, tol: lambda pair: _moved(orig(pair), tol)),
-    "spectral_kernel": (identity_suite, "kernel_factors",
-                        lambda orig, tol: lambda *a: (1.0, _moved(math.prod(orig(*a)), tol))),
+    **dict.fromkeys(("spectral_resolvent", "spectral_product", "spectral_kernel"), (
+        identity_suite, "_product_closed_form",
+        lambda orig, tol: lambda *a: (_moved(orig(*a)[0], tol), orig(*a)[1]))),
     "obstruction": (identity_suite, "quadratic_family",
                     lambda orig, tol: lambda *a: _moved_d1(orig(*a), tol)),
     "quadratic_transform": (identity_suite, "f_2it_unit_interval",   # its rows with w > 0
@@ -860,8 +905,7 @@ CLOSED_FORM_SITES = {
 # w <= 0; product_formula's rhs takes product_geometry's X+ and X-, but at t = 0 it is
 # 2 whatever they are.  Only test_every_suite_fails_when_its_closed_form_moves
 # (test_cli, which moves every rhs in build_record) covers them.
-INLINE_CLOSED_FORMS = ("barnes", "spectral_power", "spectral_resolvent", "spectral_product",
-                       "product_formula")
+INLINE_CLOSED_FORMS = ("barnes", "spectral_power", "product_formula")
 
 
 class TestClosedFormTeeth:

@@ -1,4 +1,4 @@
-"""Tests for the three quadrature engines."""
+"""Tests for the four quadrature engines."""
 
 import cmath
 import math
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypident as hy
-from hypident import DomainError, identity_suite, quadrature
+from hypident import DomainError, NodeBudgetError, identity_suite, quadrature
 
 POLICY = hy.DEFAULT_POLICY
 
@@ -188,6 +188,101 @@ class TestDecayingHalfline:
         v1, _ = hy.gauss_kronrod_panel(g1, 0.0, 3.0)
         v2, _ = hy.gauss_kronrod_panel(g2, 0.0, 3.0)
         assert abs(v_combo - (a * v1 + b * v2)) <= 1e-14 * max(1.0, abs(v_combo))
+
+
+def _sech_cos(l):
+    # cos(2ls) sech(pi s), its strip 1/2, bound(d) = cosh(2dl)/cos(pi d) (int sech(pi x) dx = 1)
+    # and envelope 2 exp(-pi s); int_0^inf is sech(l)/2
+    return (lambda s: math.cos(2.0 * l * s) / math.cosh(math.pi * s), 0.5,
+            lambda d: math.cosh(2.0 * d * l) / math.cos(math.pi * d), 2.0, math.pi)
+
+
+class TestStripTrapezoid:
+    @pytest.mark.parametrize("l", [0.0, 0.5, 3.0, 20.0])
+    def test_cos_sech(self, l):
+        est = quadrature.integrate_strip_trapezoid(*_sech_cos(l), POLICY)
+        assert est.converged
+        assert est.error_estimate <= quadrature.COARSE_GUARD * POLICY.abs_tol
+        assert abs(est.value - 0.5 / math.cosh(l)) <= est.error_estimate
+
+    def test_nodes_fixed_before_the_first_call(self):
+        # the nodes are k h, k = 0..n, whatever g returns: a g that returns
+        # zeros sees the same nodes, and each call counts once in nodes_used
+        g, *bounds = _sech_cos(3.0)
+        seen = {}
+        for name, f in (("cos_sech", g), ("zero", lambda s: 0.0)):
+            counted, calls = _counted(f)
+            est = quadrature.integrate_strip_trapezoid(counted, *bounds, POLICY)
+            assert len(calls) == est.nodes_used
+            seen[name] = calls, est.nodes_used, est.error_estimate
+        assert seen["cos_sech"] == seen["zero"]
+        calls = seen["zero"][0]
+        h = calls[1]
+        assert calls == [k * h for k in range(len(calls))]
+
+    def test_over_budget_evaluates_nothing(self):
+        g, *bounds = _sech_cos(20.0)
+        counted, calls = _counted(g)
+        needed = quadrature.integrate_strip_trapezoid(g, *bounds, POLICY).nodes_used
+        policy = hy.EvaluationPolicy(max_nodes=needed - 1)
+        with pytest.raises(NodeBudgetError, match=f"needs {needed} nodes, more than "
+                                                  f"max_nodes = {needed - 1}$"):
+            quadrature.integrate_strip_trapezoid(counted, *bounds, policy)
+        assert calls == []
+        assert quadrature.integrate_strip_trapezoid(
+            g, *bounds, policy.replace(max_nodes=needed)).nodes_used == needed
+
+    def test_rejects_an_empty_strip_or_rate(self):
+        g, strip, bound, envelope, rate = _sech_cos(1.0)
+        for args in ((0.0, rate), (strip, 0.0)):
+            with pytest.raises(DomainError):
+                quadrature.integrate_strip_trapezoid(g, args[0], bound, envelope, args[1])
+
+    def test_sech_weighted_integrands_within_the_bound(self):
+        # the resolvent, product and kernel integrands against the product
+        # closed form P: int_0^inf g = (2 pi / c) P.  Their values lose about
+        # eps * pi c s to the exponent, and out to s ~ 1/rate that round-off
+        # passes the bound below 1 + A ~ 1e-3, so A -> -1 stops at 1 + A = 10^-2.5;
+        # the closed form takes the 1 + A whose asin(sqrt(-A)) the integrand rounds to
+        rng = random.Random(26)
+        for _ in range(300):
+            c = rng.choice((1.0, 2.0))
+            a_shift = (-1.0 + 10.0 ** rng.uniform(-2.5, 0.0) if rng.random() < 0.4
+                       else rng.uniform(-1.0, 5.0))
+            r = 10.0 ** rng.uniform(-1.0, 2.0)
+            b_shift = rng.choice((0.0, 10.0 ** rng.uniform(-3.0, 1.7)))
+            g, *bounds = identity_suite._spectral_integrand(a_shift, r, b_shift, c)
+            est = quadrature.integrate_strip_trapezoid(g, *bounds, POLICY)
+            one_a = (math.sin(0.5 * math.pi - math.asin(math.sqrt(-a_shift))) ** 2
+                     if a_shift < 0.0 else 1.0 + a_shift)
+            truth = 2.0 * math.pi / c * identity_suite._product_closed_form(
+                one_a, r, 1.0 + b_shift)[0]
+            assert est.converged
+            assert abs(est.value - truth) <= est.error_estimate, (a_shift, r, b_shift, c)
+
+
+    @pytest.mark.parametrize("a_shift, r, b_shift, c", [
+        (0.0, 1.0, 0.0, 1.0), (-0.9, 0.5, 0.0, 1.0), (3.0, 10.0, 1.5, 1.0),
+        (-0.5, 100.0, 40.0, 2.0), (0.25, 0.1, 0.0, 2.0)])
+    def test_bound_covers_the_integrand_off_the_axis(self, a_shift, r, b_shift, c):
+        # int |g(x + iy)| dx at y = d, by a fine trapezoid in complex arithmetic,
+        # stays within bound(d) out to 15/16 of the strip, where 1/cos(pi c d) counts
+        lr, lb = math.asinh(math.sqrt(r)), math.asinh(math.sqrt(b_shift))
+        ga = math.asin(math.sqrt(-a_shift)) if a_shift < 0.0 else 0.0
+        la = math.asinh(math.sqrt(a_shift)) if a_shift > 0.0 else 0.0
+
+        def g(s):
+            u = 2.0 * c * s
+            return (4.0 * math.pi ** 2 / cmath.cosh(math.pi * c * s) * cmath.cos(u * lr)
+                    / math.sqrt(1.0 + r) * cmath.cosh(u * ga) * cmath.cos(u * la)
+                    * cmath.cos(u * lb))
+
+        _, strip, bound, _, rate = identity_suite._spectral_integrand(a_shift, r, b_shift, c)
+        reach, step = 40.0 / rate, 0.005 / c
+        xs = [k * step for k in range(-int(reach / step), int(reach / step) + 1)]
+        for frac in (0.5, 0.75, 15.0 / 16.0):
+            d = frac * strip
+            assert step * math.fsum(abs(g(complex(x, d))) for x in xs) <= bound(d), frac
 
 
 class TestEvenTrapezoid:

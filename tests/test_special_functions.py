@@ -238,6 +238,12 @@ class TestQuadraticTransform:
         rec = hy.check_quadratic_transform(t, w, tolerance=1e-10)
         assert rec.status == hy.PASS
 
+    def test_small_w_phase_without_cancellation(self):
+        # pi/2 - asin(1 - 2w) lost about eps/w relative of the phase 2 asin(sqrt(w)):
+        # here the left side read 9.5e-4 off, a false fail
+        rec = hy.check_quadratic_transform(5146.96466425, 5.97605201009e-07)
+        assert rec.status == hy.PASS and rec.abs_err <= 1e-12
+
 
 class TestProductFormula:
     def test_trivial(self):
@@ -265,6 +271,17 @@ class TestProductFormula:
     def test_property_grid(self, t, x, y):
         rec = hy.check_product_formula(t, x, y, tolerance=1e-10)
         assert rec.status == hy.PASS
+
+    def test_close_arguments_x_minus_without_cancellation(self):
+        # X- as (sqrt(x) sqrt(y+1) - sqrt(y) sqrt(x+1))^2 cancelled to about eps x / X-
+        # relative; here the record failed at rel_err 1.9e-9
+        rec = hy.check_product_formula(1763.00527031, 817.716254418, 461.771804589)
+        assert rec.status == hy.PASS and rec.rel_err <= 1e-10
+        x, y = 817.716254418, 461.771804589
+        with mpmath.workdps(50):
+            mx, my = mpmath.mpf(x), mpmath.mpf(y)
+            want = (mpmath.sqrt(mx * (my + 1)) - mpmath.sqrt(my * (mx + 1))) ** 2
+        assert identity_suite.product_geometry(x, y)[1] == pytest.approx(float(want), rel=1e-14)
 
 
 SWEEP_T = tuple(10.0 ** (3.0 + k / 4.0) for k in range(21))   # |t| from 1e3 to 1e8
