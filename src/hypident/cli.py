@@ -25,7 +25,7 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_quadratic_transform, check_spectral_kernel,
                              check_spectral_power, check_spectral_product,
                              check_spectral_resolvent, check_weighted_residual,
-                             product_geometry, shift_memo, wr_inner_memo)
+                             product_geometry, strip_memo, wr_inner_memo)
 from .quadrature import EvaluationPolicy
 from .records import (FAIL, PASS, SKIPPED, STATUSES, UNCONVERGED, CheckRecord,
                       ReportDocument, id_text, render_csv, render_json, skipped_record)
@@ -90,12 +90,8 @@ class Suite(namedtuple("Suite", "check tolerance grid share")):
     __slots__ = ()
 
 
-def _pair_share(p: dict) -> tuple:   # wr_inner_memo holds one pair's inner integrals
-    return ("pair", p["T"], p["S"])
-
-
-def _shift_share(p: dict) -> tuple:   # shift_memo's key, spectral_product's B = 0 rows
-    return ("shift", p["A"], p["r"])
+def _memo_share(p: dict) -> tuple:   # the run memo's key, r left out: (T, S), (T, S, z), (A, B)
+    return tuple(p.get(k, 0.0) for k in ("T", "S", "z", "A", "B"))   # the resolvent's B is 0
 
 
 SUITE_TABLE = {
@@ -127,17 +123,17 @@ SUITE_TABLE = {
         lambda p, pol, tol: check_spectral_resolvent(p["A"], p["r"], pol, tolerance=tol),
         1e-8,
         lambda cfg: ({"A": a, "r": r} for a in SHIFT_A_GRID for r in cfg.r_values),
-        _shift_share),
+        _memo_share),
     "spectral_product": Suite(
         lambda p, pol, tol: check_spectral_product(p["A"], p["r"], p["B"], pol, tolerance=tol),
         1e-8,
         lambda cfg: ({"A": a, "r": r, "B": b} for a in SHIFT_A_GRID for r in cfg.r_values
-                     for b in SHIFT_B_GRID), _shift_share),
+                     for b in SHIFT_B_GRID), _memo_share),
     "spectral_kernel": Suite(
         lambda p, pol, tol: check_spectral_kernel(p["z"], p["r"], _pair(p), pol, tolerance=tol),
         1e-7,
         lambda cfg: ({"T": T, "S": S, "z": z, "r": r} for (T, S) in cfg.pairs
-                     for z in _kernel_points(T, S) for r in cfg.r_values), id),
+                     for z in _kernel_points(T, S) for r in cfg.r_values), _memo_share),
     "q_integral": Suite(
         lambda p, pol, tol: check_q_integral(p["r"], _pair(p), pol, tolerance=tol),
         1e-7, _pairs_by_r, id),
@@ -146,7 +142,7 @@ SUITE_TABLE = {
         1e-8, _pairs_by_r, id),
     "weighted_residual": Suite(   # runs on its own fixed inner and outer policies
         lambda p, pol, tol: check_weighted_residual(p["r"], _pair(p), tolerance=tol),
-        1e-6, _pairs_by_r, _pair_share),
+        1e-6, _pairs_by_r, _memo_share),
 }
 SUITES = tuple(SUITE_TABLE)
 
@@ -378,12 +374,12 @@ def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
     runs.  jobs = 1, the default here, forks nothing.  A share whose child
     fails is run again in the parent, so an error surfaces as in a serial run.
     The records are sorted by id, so the report is byte-identical for every jobs.
-    The run memos (wr_inner_memo, shift_memo, log_base, product_geometry) are
+    The run memos (wr_inner_memo, strip_memo, log_base, product_geometry) are
     emptied first, so every run does the same work, and after, with id_text's
     slots, so that no value of the run outlives it.
     """
     start = time.perf_counter()
-    memos = (wr_inner_memo, shift_memo, log_base, product_geometry)
+    memos = (wr_inner_memo, strip_memo, log_base, product_geometry)
     for memo in memos:
         memo.cache_clear()
     threading = sys.modules.get("threading")   # asked about, not imported

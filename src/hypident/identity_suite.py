@@ -24,7 +24,7 @@ from functools import lru_cache
 from .errors import DegenerateConfigurationError, DomainError, FrozenValue
 from .quadrature import (DEFAULT_POLICY, EvaluationPolicy, IntegralEstimate,
                          integrate_chebyshev_weighted, integrate_decaying_halfline,
-                         integrate_even_trapezoid, integrate_strip_trapezoid)
+                         integrate_even_trapezoid, strip_trapezoid_rule)
 from .records import UNCONVERGED, CheckRecord, build_record, skipped_record
 from .special_functions import f_2it_unit_interval, f_it, log_base, log_gamma
 
@@ -383,7 +383,7 @@ def check_spectral_power(a_shift: float, tau: float,
 
 
 def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0):
-    """(g, strip, bound, envelope, rate), as integrate_strip_trapezoid takes them:
+    """(g, strip, bound, envelope, rate), as strip_trapezoid_rule takes them:
 
         g(s) = (4pi^2/cosh(pi c s)) F(1/2+-ics;1/2;-r) F(+-ics;1/2;-A) F(+-ics;1/2;-B)
 
@@ -457,16 +457,22 @@ def _shift_integral(a_shift: float, r: float, b_shift: float,
         raise DomainError(f"shifts must satisfy A > -1 and B >= 0, got {a_shift:g}, {b_shift:g}")
     rhs, denom = _product_closed_form(1.0 + a_shift, r, 1.0 + b_shift)
     _above_tolerance(rhs, tolerance)
-    est = shift_memo(a_shift, r, b_shift, policy)
+    est = strip_memo(a_shift, b_shift, 1.0, policy)(r)
     return est.value / TWO_PI, rhs, denom, est
 
 
-@lru_cache(maxsize=1024)   # cli.run clears it at its start and end; a grid stores 6 per r
-def shift_memo(a_shift: float, r: float, b_shift: float,
-               policy: EvaluationPolicy) -> IntegralEstimate:
-    """The shift integrand's half-line estimate, once per run: the product's B = 0
-    rows reuse the resolvent's, whichever runs first; `nodes` counts it as if cold."""
-    return integrate_strip_trapezoid(*_spectral_integrand(a_shift, r, b_shift), policy)
+@lru_cache(maxsize=8)   # cli.run clears it at start and end; cli.deal runs a key's tasks together
+def strip_memo(a_shift: float, b_shift: float, c: float, policy: EvaluationPolicy):
+    """at(r) -> the sech-weighted integral over (0, infinity) at r from W's strip rule, W the
+    integrand at r = 0: at r > 0 it is W cos(2cs asinh(sqrt(r))) / sqrt(1+r), a factor at most
+    cosh(asinh(sqrt(r))) / sqrt(1+r) = 1 on the strip |Im s| <= 1/(2c): W's error serves all r."""
+    h, error, vals = strip_trapezoid_rule(*_spectral_integrand(a_shift, 0.0, b_shift, c), policy)
+
+    def at(r: float) -> IntegralEstimate:   # a cosine per node; `nodes` counts the rule cold
+        step, scale = 2.0 * c * h * math.asinh(math.sqrt(r)), h / math.sqrt(1.0 + r)
+        value = scale * math.fsum([v * math.cos(k * step) for k, v in enumerate(vals)])
+        return IntegralEstimate(value, error, len(vals), error <= policy.target(value))
+    return at
 
 
 def check_spectral_resolvent(a_shift: float, r: float,
@@ -523,7 +529,7 @@ def check_spectral_kernel(z: float, r: float, pair: ParameterPair,
     one_a = half_gap * (sz + st) * (1.0 + st) / (1.0 - pair.T)
     one_b = half_gap * (sz + ss) * (1.0 + ss) / (1.0 - pair.S)
     rhs = _above_tolerance(_product_closed_form(one_a, r, one_b)[0], tolerance)
-    est = integrate_strip_trapezoid(*_spectral_integrand(a_shift, r, b_shift, 2.0), policy)
+    est = strip_memo(a_shift, b_shift, 2.0, policy)(r)
     return build_record("spectral_kernel", {"T": pair.T, "S": pair.S, "z": z, "r": r},
                         est.value / PI, rhs, tolerance, est)
 

@@ -33,7 +33,7 @@ __all__ = [
     "integrate_chebyshev_weighted",
     "gauss_kronrod_panel",
     "integrate_decaying_halfline",
-    "integrate_strip_trapezoid",
+    "strip_trapezoid_rule",
     "integrate_even_trapezoid",
 ]
 
@@ -252,19 +252,18 @@ def integrate_decaying_halfline(g, decay_rate: float,
     return IntegralEstimate(value, err_total, used, err_total <= policy.target(value))
 
 
-def integrate_strip_trapezoid(g, strip: float, bound, envelope: float, rate: float,
-                              policy: EvaluationPolicy = DEFAULT_POLICY) -> IntegralEstimate:
-    """Integrate g over (0, infinity) by h (g(0)/2 + g(h) + ... + g(nh)), for g even
-    and analytic in |Im s| < strip, with bound(d) >= the integral over the real line
-    of |g(x + iy)| for every |y| <= d < strip, and |g(s)| <= envelope exp(-rate s).
+def strip_trapezoid_rule(g, strip: float, bound, envelope: float, rate: float,
+                         policy: EvaluationPolicy = DEFAULT_POLICY) -> tuple[float, float, list]:
+    """(h, error, [g(0)/2, g(h), ..., g(nh)]): the trapezoid rule on (0, infinity) for g even
+    and analytic in |Im s| < strip, with bound(d) >= the integral over the real line of
+    |g(x + iy)| for every |y| <= d < strip, and |g(s)| <= envelope exp(-rate s).
 
-    The sum errs by at most bound(d) / (exp(2 pi d / h) - 1), half the real-line
-    trapezoid bound (Trefethen & Weideman, SIAM Rev. 56 (2014) 385, Thm 5.1), plus
-    envelope exp(-rate n h) / rate for the cut tail.  h (the largest over
-    d = k/STRIP_SCAN of the strip) and n aim each part at half of
-    COARSE_GUARD * abs_tol before g is called, and the two parts at the chosen h
-    and n are the error estimate.  A rule of more than max_nodes nodes evaluates
-    nothing: it raises NodeBudgetError naming the count.
+    The rule errs by at most bound(d) / (exp(2 pi d / h) - 1), half the real-line trapezoid
+    bound (Trefethen & Weideman, SIAM Rev. 56 (2014) 385, Thm 5.1), plus envelope
+    exp(-rate n h) / rate for the cut tail.  h (the largest over d = k/STRIP_SCAN of the
+    strip) and n aim each part at half of COARSE_GUARD * abs_tol before g is called, and the
+    two parts at the chosen h and n are the error.  A rule of more than max_nodes nodes
+    evaluates nothing: it raises NodeBudgetError naming the count.
     """
     if not (strip > 0.0 and rate > 0.0):
         raise DomainError(f"strip and rate must be positive, got {strip:g}, {rate:g}")
@@ -278,8 +277,7 @@ def integrate_strip_trapezoid(g, strip: float, bound, envelope: float, rate: flo
     error = bound(d) / math.expm1(math.tau * d / h) + envelope * math.exp(-rate * n * h) / rate
     vals = [g(k * h) for k in range(n + 1)]
     vals[0] *= 0.5
-    value = h * _fsum(vals)
-    return IntegralEstimate(value, error, n + 1, error <= policy.target(value))
+    return h, error, vals
 
 
 def integrate_even_trapezoid(f, t_max: float, tail: float,

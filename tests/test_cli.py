@@ -282,7 +282,7 @@ class TestRun:
     def test_run_empties_the_closed_form_caches_first(self, monkeypatch):
         # the run memos are empty when a run starts and again when it ends,
         # so no value of the run outlives it
-        memos = (identity_suite.wr_inner_memo, identity_suite.shift_memo,
+        memos = (identity_suite.wr_inner_memo, identity_suite.strip_memo,
                  special_functions.log_base, identity_suite.product_geometry)
         special_functions.log_base(0.123)
         identity_suite.product_geometry(0.123, 4.5)
@@ -1050,9 +1050,10 @@ class TestJobs:
         assert run(cfg, jobs=2).records == serial
 
     def test_shares_keep_memo_groups_whole(self):
-        # each pair's weighted_residual tasks share wr_inner_memo, and each
-        # (A, r)'s spectral_resolvent and spectral_product tasks shift_memo;
-        # closed-form tasks stay in the parent's share
+        # each pair's weighted_residual tasks share wr_inner_memo; strip_memo's
+        # keys leave r out, so each (A, B)'s spectral_resolvent (B = 0) and
+        # spectral_product tasks and each (T, S, z)'s spectral_kernel tasks share
+        # it; closed-form tasks stay in the parent's share
         shares = cli.deal(build_tasks(GridConfig.from_dict({})), 3)
         assert len(shares) == 3
         where = {}
@@ -1063,8 +1064,10 @@ class TestJobs:
                 elif suite == "weighted_residual":
                     where.setdefault(("pair", params["T"], params["S"]), set()).add(i)
                 elif suite in ("spectral_resolvent", "spectral_product"):
-                    where.setdefault(("shift", params["A"], params["r"]), set()).add(i)
-        assert len(where) == 3 + 12 and all(len(s) == 1 for s in where.values())
+                    where.setdefault(("shift", params["A"], params.get("B", 0.0)), set()).add(i)
+                elif suite == "spectral_kernel":
+                    where.setdefault(("z", params["T"], params["S"], params["z"]), set()).add(i)
+        assert len(where) == 3 + 6 + 15 and all(len(s) == 1 for s in where.values())
         assert all(shares)
         barnes = build_tasks(GridConfig.from_dict({"suites": ["barnes"]}))
         assert cli.deal(barnes, 1) == [barnes]

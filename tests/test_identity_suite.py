@@ -162,9 +162,9 @@ class TestSpectralProduct:
     def test_b_zero_bitwise_match(self):
         for a_shift in (-0.5, 0.25, 3.0):
             for r in (0.5, 1.0, 10.0):
-                identity_suite.shift_memo.cache_clear()   # both computed cold
+                identity_suite.strip_memo.cache_clear()   # both computed cold
                 prod = hy.check_spectral_product(a_shift, r, 0.0)
-                identity_suite.shift_memo.cache_clear()
+                identity_suite.strip_memo.cache_clear()
                 res = hy.check_spectral_resolvent(a_shift, r)
                 assert prod.lhs == res.lhs
                 assert prod.rhs == res.rhs
@@ -197,7 +197,7 @@ class TestSpectralProduct:
         def no_quadrature(*args):
             raise AssertionError("integrated a degenerate point")
 
-        monkeypatch.setattr(identity_suite, "integrate_strip_trapezoid", no_quadrature)
+        monkeypatch.setattr(identity_suite, "strip_trapezoid_rule", no_quadrature)
         with pytest.raises(DegenerateConfigurationError, match="vacuous"):
             hy.check_spectral_product(0.25, 1e12, b_shift)
 
@@ -210,11 +210,11 @@ class TestSpectralProduct:
 
 
 def _halfline_calls(monkeypatch) -> list:
-    """Count the integrand calls made through identity_suite's strip trapezoid,
-    the sech-weighted suites' half-line engine, as the CI step does; the list
-    holds the running count."""
+    """Count the integrand calls made through identity_suite's strip trapezoid
+    rule, the sech-weighted suites' half-line engine, as the CI step does; the
+    list holds the running count."""
     calls = [0]
-    engine = identity_suite.integrate_strip_trapezoid
+    engine = identity_suite.strip_trapezoid_rule
 
     def counting(f, *args, **kwargs):
         def g(x):
@@ -222,7 +222,7 @@ def _halfline_calls(monkeypatch) -> list:
             return f(x)
         return engine(g, *args, **kwargs)
 
-    monkeypatch.setattr(identity_suite, "integrate_strip_trapezoid", counting)
+    monkeypatch.setattr(identity_suite, "strip_trapezoid_rule", counting)
     return calls
 
 
@@ -252,18 +252,18 @@ class TestShiftMemo:
         assert len(set(paid.values())) == 1 and paid[("spectral_product",)] > 0
 
     def test_memo_hit_equals_cold_record(self):
-        identity_suite.shift_memo.cache_clear()
+        identity_suite.strip_memo.cache_clear()
         cold = hy.check_spectral_product(-0.5, 10.0, 0.0)
         warm = hy.check_spectral_resolvent(-0.5, 10.0)
-        identity_suite.shift_memo.cache_clear()
+        identity_suite.strip_memo.cache_clear()
         assert hy.check_spectral_resolvent(-0.5, 10.0) == warm
         assert (warm.lhs, warm.metadata["nodes"]) == (cold.lhs, cold.metadata["nodes"])
 
     def test_policy_is_part_of_the_key(self, monkeypatch):
         loose = hy.EvaluationPolicy(abs_tol=1e-6, rel_tol=1e-6)
-        identity_suite.shift_memo.cache_clear()
+        identity_suite.strip_memo.cache_clear()
         cold = hy.check_spectral_resolvent(0.25, 1.0, loose)
-        identity_suite.shift_memo.cache_clear()
+        identity_suite.strip_memo.cache_clear()
         default = hy.check_spectral_resolvent(0.25, 1.0)
         calls = _halfline_calls(monkeypatch)
         assert hy.check_spectral_resolvent(0.25, 1.0, loose) == cold
@@ -282,16 +282,82 @@ class TestShiftMemo:
             reports.append(_report(doc))
             paid.append(calls[0])
         assert reports[0] == reports[1] and paid[0] == paid[1] > 0
-        assert paid[2] == sum(rec.metadata["nodes"] for rec in doc.records
-                              if not rec.id.endswith("/B=0"))
+        cold = {(rec.metadata["A"], rec.metadata.get("B", 0.0)): rec.metadata["nodes"]
+                for rec in doc.records}   # each (A, B)'s rule, paid once for all its r
+        assert paid[2] == sum(cold.values())
         assert paid[2] != paid[0]
 
     def test_memo_is_bounded(self):
-        # direct calls outside cli.run never empty it, so it must not grow;
-        # a run holds at most 9 estimates per r value between the resolvent's
-        # use of one and the product's, so 100 r values still hit every time
-        info = identity_suite.shift_memo.cache_info()
-        assert info.maxsize is not None and info.maxsize >= 9 * 100
+        # direct calls outside cli.run never empty it, so it must not grow; a
+        # run meets each key's tasks together (cli.deal), and a product loop
+        # over (r, B) alternates two keys, so a handful of rules hit every time
+        info = identity_suite.strip_memo.cache_info()
+        assert info.maxsize is not None and 2 <= info.maxsize <= 64
+
+    def test_r_free_bound_covers_every_r(self):
+        # strip_memo plans W's rule from the integrand at r = 0; the factor
+        # cos(2cs asinh(sqrt(r))) / sqrt(1+r) has modulus <= 1 on the strip, so
+        # the bound, envelope and rate at r = 0 must cover every r > 0
+        rng = random.Random(27)
+        for c in (1.0, 2.0):
+            for a_shift in (-0.99, -0.5, 0.0, 0.25, 3.0):
+                for b_shift in (0.0, 1.5, 40.0):
+                    _, strip, bound0, envelope0, rate0 = identity_suite._spectral_integrand(
+                        a_shift, 0.0, b_shift, c)
+                    ds = ([strip * k / quadrature.STRIP_SCAN for k in range(1, 16)]
+                          + [strip * rng.uniform(1e-3, 0.999) for _ in range(20)])
+                    for r in (10.0 ** (0.5 * k) for k in range(-6, 25)):   # 1e-3 .. 1e12
+                        _, _, bound, envelope, rate = identity_suite._spectral_integrand(
+                            a_shift, r, b_shift, c)
+                        assert rate == rate0 and envelope <= envelope0, (c, a_shift, b_shift, r)
+                        assert all(bound(d) <= bound0(d) for d in ds), (c, a_shift, b_shift, r)
+
+    def test_shared_rule_within_its_estimate(self):
+        # 300 integrals through the shared path, 5 r values per (A, B, c) rule,
+        # against the product closed form P: int_0^inf g = (2 pi / c) P, which takes
+        # the 1 + A whose asin(sqrt(-A)) the integrand rounds to.  The bound has no
+        # round-off term, and integrals near 100 (1 + A ~ 1e-2 with r < 0.1) come
+        # within a few ulps of it on either path, so 1 + A >= 1e-2 and r >= 0.1 here:
+        # over 50 seeds of this sweep the worst error is 0.64 of the estimate
+        rng = random.Random(270)
+        identity_suite.strip_memo.cache_clear()
+        for _ in range(60):
+            c = rng.choice((1.0, 2.0))
+            a_shift = (-1.0 + 10.0 ** rng.uniform(-2.0, 0.0) if rng.random() < 0.4
+                       else rng.uniform(-0.99, 5.0))
+            b_shift = rng.choice((0.0, 10.0 ** rng.uniform(-3.0, 1.7)))
+            one_a = (math.sin(0.5 * math.pi - math.asin(math.sqrt(-a_shift))) ** 2
+                     if a_shift < 0.0 else 1.0 + a_shift)
+            for r in (10.0 ** rng.uniform(-1.0, 4.0) for _ in range(5)):
+                est = identity_suite.strip_memo(a_shift, b_shift, c, hy.DEFAULT_POLICY)(r)
+                truth = 2.0 * math.pi / c * identity_suite._product_closed_form(
+                    one_a, r, 1.0 + b_shift)[0]
+                assert est.converged
+                assert abs(est.value - truth) <= est.error_estimate, (a_shift, r, b_shift, c)
+        identity_suite.strip_memo.cache_clear()
+
+    def test_a_group_of_r_values_pays_one_rule(self, monkeypatch):
+        # the 8 r values at one z evaluate W exactly n + 1 times, and each
+        # record reads n + 1 nodes, as if computed cold
+        calls = _halfline_calls(monkeypatch)
+        r_values = [0.1, 0.5, 1.0, 2.0, 10.0, 50.0, 100.0, 1e3]
+        doc = cli.run(cli.GridConfig.from_dict({"suites": ["spectral_kernel"],
+                                                "pairs": [[PAIR.T, PAIR.S]],
+                                                "r_values": r_values}))
+        nodes = {}
+        for rec in doc.records:
+            assert rec.status == hy.PASS
+            nodes.setdefault(rec.metadata["z"], set()).add(rec.metadata["nodes"])
+        assert len(nodes) == len(cli.KERNEL_Z_FRACTIONS)
+        assert all(len(n) == 1 for n in nodes.values())
+        assert calls[0] == sum(n.pop() for n in nodes.values())
+        z = 0.375
+        identity_suite.strip_memo.cache_clear()
+        calls[0] = 0
+        recs = [hy.check_spectral_kernel(z, r, PAIR) for r in r_values]
+        assert calls[0] == recs[0].metadata["nodes"] > 0
+        assert all(rec.metadata["nodes"] == calls[0] for rec in recs)
+        identity_suite.strip_memo.cache_clear()
 
 
 class TestSpectralKernel:
@@ -329,8 +395,8 @@ class TestSpectralKernel:
     def test_right_side_exact_at_z_equal_s(self, s_hi, monkeypatch):
         # at z = S, S -> 1, i1 i2 was off by up to 4.3e-6 at S = 0.99999 and divided
         # by zero at 0.999999999; the factored shifts keep P to a few ulps
-        monkeypatch.setattr(identity_suite, "integrate_strip_trapezoid",
-                            lambda *args: hy.IntegralEstimate(0.0, 0.0, 1, True))
+        monkeypatch.setattr(identity_suite, "strip_memo",
+                            lambda *args: lambda r: hy.IntegralEstimate(0.0, 0.0, 1, True))
         pair = hy.ParameterPair(0.5, s_hi)
         for r in (0.5, 1.0, 10.0, 100.0):
             rhs = hy.check_spectral_kernel(s_hi, r, pair).rhs.real
@@ -682,7 +748,7 @@ def _count_engine_calls(monkeypatch) -> dict:
         return wrapped
 
     for name in ("integrate_chebyshev_weighted", "integrate_decaying_halfline",
-                 "integrate_strip_trapezoid", "integrate_even_trapezoid"):
+                 "strip_trapezoid_rule", "integrate_even_trapezoid"):
         monkeypatch.setattr(identity_suite, name, counting(name, getattr(identity_suite, name)))
     return calls
 
