@@ -92,6 +92,14 @@ def _ln_cosh(u: float) -> float:
     return u + math.log1p(math.exp(-2.0 * u)) - _LN_2
 
 
+def _shift_angles(x: float) -> tuple[float, float]:
+    """(la, ga) with F(+-iu;1/2;-x) = cos(u la) cosh(u ga): (asinh(sqrt(x)), 0) for x >= 0,
+    (0, asin(sqrt(-x))) for -1 < x < 0."""
+    if x >= 0.0:
+        return math.asinh(math.sqrt(x)), 0.0
+    return 0.0, math.asin(math.sqrt(-x))
+
+
 # ---------------------------------------------------------------------------
 # kernels on [T, S]
 
@@ -365,16 +373,13 @@ def check_spectral_power(a_shift: float, tau: float,
         raise DomainError(f"tau must be non-negative, got {tau:g}")
 
     z0 = 0.5 + tau
-    # F(+-is;1/2;-A) is cos(2 s la) at A >= 0 and cosh(2 s la) below
-    la = math.asinh(math.sqrt(a_shift)) if a_shift >= 0.0 else math.asin(math.sqrt(-a_shift))
+    la, ga = _shift_angles(a_shift)   # F(+-is;1/2;-A) = cos(2s la) cosh(2s ga)
 
     def g(s: float) -> float:
-        base = _LN_4PI + 2.0 * log_gamma(complex(z0, s)).real
-        if a_shift >= 0.0:
-            return math.exp(base) * math.cos(2.0 * s * la)
-        return math.exp(base + _ln_cosh(2.0 * s * la))
+        return (math.exp(_LN_4PI + 2.0 * log_gamma(complex(z0, s)).real + _ln_cosh(2.0 * s * ga))
+                * math.cos(2.0 * s * la))
 
-    decay = 0.9 * (PI - (2.0 * la if a_shift < 0.0 else 0.0))   # F grows as exp(2 la s) below
+    decay = 0.9 * (PI - 2.0 * ga)   # F grows as exp(2 ga s) below A = 0
     est = integrate_decaying_halfline(g, decay, policy)
     lhs = est.value / (2.0 * PI)
     rhs = (_SQRT_PI * math.gamma(1.0 + tau) * math.gamma(0.5 + tau)
@@ -382,51 +387,38 @@ def check_spectral_power(a_shift: float, tau: float,
     return build_record("spectral_power", {"A": a_shift, "tau": tau}, lhs, rhs, tolerance, est)
 
 
-def _spectral_integrand(a_shift: float, r: float, b_shift: float, c: float = 1.0):
-    """(g, strip, bound, envelope, rate), as strip_trapezoid_rule takes them:
+def _spectral_integrand(a_shift: float, b_shift: float, c: float):
+    """(W, strip, bound, envelope, rate), as strip_trapezoid_rule takes them, W the r-free
+    factor of the sech-weighted integrand W(s) F(1/2+-ics;1/2;-r):
 
-        g(s) = (4pi^2/cosh(pi c s)) F(1/2+-ics;1/2;-r) F(+-ics;1/2;-A) F(+-ics;1/2;-B)
+        W(s) = (4pi^2/cosh(pi c s)) F(+-ics;1/2;-A) F(+-ics;1/2;-B)
 
     is even, its strip 1/(2c); bound(d) is from |sech(pi c(x+iy))| <= sech(pi c x)/cos(pi c y),
     |cos(2c(x+iy)l)| <= cosh(2cyl), |cosh(u+iv)| <= cosh u and int sech(pi c x)
-    cosh(2c ga x) dx = sec(ga)/c, ga = asin(sqrt(-A)) if A < 0, else 0; and |g| <=
-    8pi^2/sqrt(1+r) exp(-c(pi - 2ga)s).  c = 1 gives the resolvent (B = 0) and product
+    cosh(2c ga x) dx = sec(ga)/c, (la, ga) = _shift_angles(A), cos(ga) = sqrt(1 + min(A, 0));
+    and |W| <= 8pi^2 exp(-c(pi - 2ga)s).  c = 1 gives the resolvent (B = 0) and product
     integrands in s; c = 2 the spectral kernel's (at the kernel shifts) and the weighted
-    residual's weight (A = B = 0) in t = s/2.  g leaves out the factor cos(u * 0.0) of a
-    zero A or B; at A = B = 0 it keeps one.
+    residual's weight (A = B = 0) in t = s/2.
     """
     pc, c2 = PI * c, 2.0 * c
-    lr = math.asinh(math.sqrt(r))
-    inv_sqrt_1pr = 1.0 / math.sqrt(1.0 + r)
+    la, ga = _shift_angles(a_shift)
     lb = math.asinh(math.sqrt(b_shift))
-    # hot: _ln_cosh is written out inline, operation for operation
+    # hot: _ln_cosh is written out inline, operation for operation; a zero angle adds
+    # ln cosh(0) = 0.0 or multiplies by cos(0.0) = 1.0, so one closure is exact for every A
     exp, log1p, cos, ln_4pi2, ln_2 = math.exp, math.log1p, math.cos, _LN_4PI2, _LN_2
 
-    if a_shift >= 0.0:
-        la, ga, cos_ga = math.asinh(math.sqrt(a_shift)), 0.0, 1.0
-        l1, l2 = (la, lb) if la else (lb, 0.0)   # a zero frequency last, then left out
+    def g(s: float) -> float:
+        u = c2 * s
+        v, va = abs(pc * s), abs(u * ga)
+        return (exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)
+                    + (va + log1p(exp(-2.0 * va)) - ln_2)) * cos(u * la) * cos(u * lb))
 
-        def g(s: float) -> float:
-            u, v = c2 * s, abs(pc * s)
-            w = (exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)) * cos(u * lr) * inv_sqrt_1pr
-                 * cos(u * l1))
-            return w * cos(u * l2) if l2 else w
-    else:
-        la, ga, cos_ga = 0.0, math.asin(math.sqrt(-a_shift)), math.sqrt(1.0 + a_shift)
-
-        def g(s: float) -> float:
-            u = c2 * s
-            v, va = abs(pc * s), abs(u * ga)
-            w = exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)
-                    + (va + log1p(exp(-2.0 * va)) - ln_2)) * cos(u * lr) * inv_sqrt_1pr
-            return w * cos(u * lb) if lb else w
-
-    def bound(d: float) -> float:   # 4pi^2/sqrt(1+r) sec(ga)/c, times the strip's factors
+    def bound(d: float) -> float:   # 4pi^2 sec(ga)/c, times the strip's factors
         y = c2 * d
-        return (4.0 * PI * PI * inv_sqrt_1pr / (c * cos_ga) * math.cosh(y * lr)
-                * math.cosh(y * la) * math.cosh(y * lb) / math.cos(pc * d))
+        return (4.0 * PI * PI / (c * math.sqrt(1.0 + min(a_shift, 0.0))) * math.cosh(y * la)
+                * math.cosh(y * lb) / math.cos(pc * d))
 
-    return g, 0.5 / c, bound, 8.0 * PI * PI * inv_sqrt_1pr, c * (PI - 2.0 * ga)
+    return g, 0.5 / c, bound, 8.0 * PI * PI, c * (PI - 2.0 * ga)
 
 
 def _product_closed_form(one_a: float, r: float, one_b: float) -> tuple[float, float]:
@@ -463,15 +455,20 @@ def _shift_integral(a_shift: float, r: float, b_shift: float,
 
 @lru_cache(maxsize=8)   # cli.run clears it at start and end; cli.deal runs a key's tasks together
 def strip_memo(a_shift: float, b_shift: float, c: float, policy: EvaluationPolicy):
-    """at(r) -> the sech-weighted integral over (0, infinity) at r from W's strip rule, W the
-    integrand at r = 0: at r > 0 it is W cos(2cs asinh(sqrt(r))) / sqrt(1+r), a factor at most
-    cosh(asinh(sqrt(r))) / sqrt(1+r) = 1 on the strip |Im s| <= 1/(2c): W's error serves all r."""
-    h, error, vals = strip_trapezoid_rule(*_spectral_integrand(a_shift, 0.0, b_shift, c), policy)
+    """at(r) -> the sech-weighted integral over (0, infinity) at r from W's strip rule, W =
+    _spectral_integrand(A, B, c): at r > 0 the integrand is W cos(2cs asinh(sqrt(r))) / sqrt(1+r),
+    a factor at most cosh(asinh(sqrt(r))) / sqrt(1+r) = 1 on the strip |Im s| <= 1/(2c): W's
+    bound serves all r.  The estimate adds round-off, 4 eps h/sqrt(1+r) sum |W_k| (1 + 2 pi c kh):
+    W_k's exponent sums terms as large as pi c kh and 2c kh ga < pi c kh, each rounded."""
+    h, error, vals = strip_trapezoid_rule(*_spectral_integrand(a_shift, b_shift, c), policy)
+    noise = 2.0 ** -50 * math.fsum([abs(v) * (1.0 + TWO_PI * c * k * h)
+                                    for k, v in enumerate(vals)])   # 2^-50 = 4 eps
 
     def at(r: float) -> IntegralEstimate:   # a cosine per node; `nodes` counts the rule cold
         step, scale = 2.0 * c * h * math.asinh(math.sqrt(r)), h / math.sqrt(1.0 + r)
         value = scale * math.fsum([v * math.cos(k * step) for k, v in enumerate(vals)])
-        return IntegralEstimate(value, error, len(vals), error <= policy.target(value))
+        err = error + scale * noise
+        return IntegralEstimate(value, err, len(vals), err <= policy.target(value))
     return at
 
 
@@ -796,7 +793,8 @@ def check_weighted_residual(r: float, pair: ParameterPair,
     _above_tolerance(rhs_const * PI / (1.0 + r), tolerance,
                      "the weighted residual's scale C pi/(1+r) =")
     main_at, inner_at = wr_inner_memo(pair)
-    weight = _spectral_integrand(0.0, r, 0.0, 2.0)[0]
+    sech_w = _spectral_integrand(0.0, 0.0, 2.0)[0]
+    lr, inv_sqrt_1pr = math.asinh(math.sqrt(r)), 1.0 / math.sqrt(1.0 + r)
     spent = [0, 0]   # outer nodes, inner evaluations
 
     def sums(t: float) -> tuple[float, float]:
@@ -811,7 +809,7 @@ def check_weighted_residual(r: float, pair: ParameterPair,
             raise _InnerUnconverged(f"the inner integral M(t) at t = {t:.6g} did not converge "
                                     f"in {est.nodes_used} evaluations, so the outer rule "
                                     f"stopped at its node {spent[0]}")
-        w = weight(t)
+        w = sech_w(t) * math.cos(4.0 * t * lr) * inv_sqrt_1pr
         return w, w * (est.value.real - rhs_const)
 
     params = {"T": pair.T, "S": pair.S, "r": r}
