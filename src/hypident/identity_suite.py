@@ -26,7 +26,7 @@ from .quadrature import (DEFAULT_POLICY, EvaluationPolicy, IntegralEstimate,
                          integrate_chebyshev_weighted, integrate_decaying_halfline,
                          integrate_even_trapezoid, strip_trapezoid_rule)
 from .records import UNCONVERGED, CheckRecord, build_record, skipped_record
-from .special_functions import f_2it_unit_interval, f_it, log_base, log_gamma
+from .special_functions import f_2it_unit_interval, f_it, log_base, log_gamma, shift_angles
 
 __all__ = [
     "ParameterPair",
@@ -92,19 +92,12 @@ def _ln_cosh(u: float) -> float:
     return u + math.log1p(math.exp(-2.0 * u)) - _LN_2
 
 
-def _shift_angles(x: float) -> tuple[float, float]:
-    """(la, ga) with F(+-iu;1/2;-x) = cos(u la) cosh(u ga): (asinh(sqrt(x)), 0) for x >= 0,
-    (0, asin(sqrt(-x))) for -1 < x < 0."""
-    if x >= 0.0:
-        return math.asinh(math.sqrt(x)), 0.0
-    return 0.0, math.asin(math.sqrt(-x))
-
-
 # ---------------------------------------------------------------------------
 # kernels on [T, S]
 
-def _y(sz: complex, st: float) -> complex:   # the main integrand's Y and -A; sz = sqrt(z)
-    return (1.0 + sz) * (sz - st) / (2.0 * (1.0 - st) * sz)
+def _y(z: float, pair: ParameterPair) -> float:   # the main integrand's Y and -A
+    sz, st = math.sqrt(z), pair.sqrt_T   # sqrt(z) - sqrt(T) from z - T: no cancellation at T
+    return (1.0 + sz) * ((z - pair.T) / (sz + st)) / (2.0 * (1.0 - st) * sz)
 
 
 def kernel_shifts(z: float, pair: ParameterPair) -> tuple[float, float]:
@@ -114,13 +107,13 @@ def kernel_shifts(z: float, pair: ParameterPair) -> tuple[float, float]:
         B(z) =  (1+sqrt(z))(sqrt(S)-sqrt(z)) / (2(1-sqrt(S)) sqrt(z))
 
     For T <= z <= S these satisfy A > -1 and B >= 0.  B is formed from S - z
-    and 1 - S, so it keeps a few ulps as z -> S or S -> 1; A is the main
-    integrand's -Y (_y), its absolute error a few ulps over 1 - sqrt(T).
+    and 1 - S, A (the main integrand's -Y, _y) from z - T, so each keeps a few
+    ulps relative as z -> T, z -> S or S -> 1.
     """
     if not pair.T <= z <= pair.S:
         raise DomainError(f"z = {z:g} outside [{pair.T:g}, {pair.S:g}]")
     sz, ss = math.sqrt(z), pair.sqrt_S
-    a = -_y(sz, pair.sqrt_T)
+    a = -_y(z, pair)
     b = (1.0 + sz) * (pair.S - z) * (1.0 + ss) / (2.0 * (1.0 - pair.S) * (ss + sz) * sz)
     return a, b
 
@@ -165,17 +158,15 @@ def kernel_factors(z: float, r: float, pair: ParameterPair) -> tuple[float, floa
 def _main_kernel(pair: ParameterPair):
     """at(t) -> z -> F(+-2it;1/2;Y) F(+-it;1/2;-x) / (1 - z), the main integrand's
     smooth part at interior nodes (its endpoint weight is the engine's).  The
-    t-free geometry (asin(sqrt(Y)), asinh(sqrt(x)), 1 - z) of each node is
-    memoized for the life of the kernel, one check, so each further t, real
-    (math) or complex (cmath), costs one cosh * cos / d per node."""
-    st, ss, s_hi = pair.sqrt_T, pair.sqrt_S, pair.S
-    inv_ss = 1.0 / (1.0 - ss) ** 2
+    t-free geometry (asin(sqrt(Y)), asinh(sqrt(x)), 1 - z) of each node, its angles from
+    shift_angles, is memoized for the life of the kernel, one check, so each further t,
+    real (math) or complex (cmath), costs one cosh * cos / d per node."""
+    s_hi, inv_ss = pair.S, 1.0 / (1.0 - pair.sqrt_S) ** 2
     geometry = {}
 
     def node(z: float) -> tuple[float, float, float]:
-        sz = math.sqrt(z)
         x = (s_hi - z) * (1.0 - z) * inv_ss / z
-        g = geometry[z] = (math.asin(math.sqrt(_y(sz, st))), math.asinh(math.sqrt(x)), 1.0 - z)
+        g = geometry[z] = (shift_angles(-_y(z, pair))[1], shift_angles(x)[0], 1.0 - z)
         return g
 
     def at(t: complex):
@@ -268,12 +259,10 @@ def check_quadratic_transform(t: complex, w: float,
     if w > 0.0:
         # closed form cos(2it asin(sqrt(4w(1-w)))), its phase 2 asin(sqrt(w)); from w = 1/4
         # on as pi/2 - asin(1-2w), exact through w = 1/2, where 4w(1-w) rounds to 1
-        phase = (2.0 * math.asin(math.sqrt(w)) if w < 0.25
+        phase = (2.0 * shift_angles(-w)[1] if w < 0.25
                  else 0.5 * math.pi - math.asin(1.0 - 2.0 * w))
         lhs = cmath.cos(2j * t * phase)
         rhs = f_2it_unit_interval(t, w)
-    elif w == 0.0:
-        lhs = rhs = complex(1.0, 0.0)
     else:
         lhs = f_it(t, -4.0 * w * (1.0 - w))
         rhs = f_it(2.0 * t, -w)
@@ -373,7 +362,7 @@ def check_spectral_power(a_shift: float, tau: float,
         raise DomainError(f"tau must be non-negative, got {tau:g}")
 
     z0 = 0.5 + tau
-    la, ga = _shift_angles(a_shift)   # F(+-is;1/2;-A) = cos(2s la) cosh(2s ga)
+    la, ga = shift_angles(a_shift)   # F(+-is;1/2;-A) = cos(2s la) cosh(2s ga)
 
     def g(s: float) -> float:
         return (math.exp(_LN_4PI + 2.0 * log_gamma(complex(z0, s)).real + _ln_cosh(2.0 * s * ga))
@@ -395,14 +384,14 @@ def _spectral_integrand(a_shift: float, b_shift: float, c: float):
 
     is even, its strip 1/(2c); bound(d) is from |sech(pi c(x+iy))| <= sech(pi c x)/cos(pi c y),
     |cos(2c(x+iy)l)| <= cosh(2cyl), |cosh(u+iv)| <= cosh u and int sech(pi c x)
-    cosh(2c ga x) dx = sec(ga)/c, (la, ga) = _shift_angles(A), cos(ga) = sqrt(1 + min(A, 0));
+    cosh(2c ga x) dx = sec(ga)/c, (la, ga) = shift_angles(A), cos(ga) = sqrt(1 + min(A, 0));
     and |W| <= 8pi^2 exp(-c(pi - 2ga)s).  c = 1 gives the resolvent (B = 0) and product
     integrands in s; c = 2 the spectral kernel's (at the kernel shifts) and the weighted
     residual's weight (A = B = 0) in t = s/2.
     """
     pc, c2 = PI * c, 2.0 * c
-    la, ga = _shift_angles(a_shift)
-    lb = math.asinh(math.sqrt(b_shift))
+    la, ga = shift_angles(a_shift)
+    lb = shift_angles(b_shift)[0]
     # hot: _ln_cosh is written out inline, operation for operation; a zero angle adds
     # ln cosh(0) = 0.0 or multiplies by cos(0.0) = 1.0, so one closure is exact for every A
     exp, log1p, cos, ln_4pi2, ln_2 = math.exp, math.log1p, math.cos, _LN_4PI2, _LN_2
@@ -465,7 +454,7 @@ def strip_memo(a_shift: float, b_shift: float, c: float, policy: EvaluationPolic
                                     for k, v in enumerate(vals)])   # 2^-50 = 4 eps
 
     def at(r: float) -> IntegralEstimate:   # a cosine per node; `nodes` counts the rule cold
-        step, scale = 2.0 * c * h * math.asinh(math.sqrt(r)), h / math.sqrt(1.0 + r)
+        step, scale = 2.0 * c * h * shift_angles(r)[0], h / math.sqrt(1.0 + r)
         value = scale * math.fsum([v * math.cos(k * step) for k, v in enumerate(vals)])
         err = error + scale * noise
         return IntegralEstimate(value, err, len(vals), err <= policy.target(value))
@@ -654,7 +643,7 @@ def quadratic_family(r: float, pair: ParameterPair) -> QuadraticFamily:
 
     def one_plus_shifts(y: complex) -> complex:
         # 1 + A + r + B continued to complex sqrt(z) = y
-        a_s = -_y(y, st)
+        a_s = (1.0 + y) * (st - y) / (2.0 * (1.0 - st) * y)
         b_s = (1.0 + y) * (ss - y) / (2.0 * (1.0 - ss) * y)
         return 1.0 + a_s + r + b_s
 
@@ -794,7 +783,7 @@ def check_weighted_residual(r: float, pair: ParameterPair,
                      "the weighted residual's scale C pi/(1+r) =")
     main_at, inner_at = wr_inner_memo(pair)
     sech_w = _spectral_integrand(0.0, 0.0, 2.0)[0]
-    lr, inv_sqrt_1pr = math.asinh(math.sqrt(r)), 1.0 / math.sqrt(1.0 + r)
+    lr, inv_sqrt_1pr = shift_angles(r)[0], 1.0 / math.sqrt(1.0 + r)
     spent = [0, 0]   # outer nodes, inner evaluations
 
     def sums(t: float) -> tuple[float, float]:

@@ -84,9 +84,9 @@ def f_it(t: complex, x: float) -> complex:
     """F(it,-it;1/2;-x) for x > -1 via its closed form.
 
     Equals cos(2 t log(sqrt(x+1) + sqrt(x))), i.e. the mean of
-    (sqrt(x+1)+sqrt(x))^(2it) and its reciprocal power.  For x in (-1,0)
-    the square root of x is taken on the principal branch (positive
-    imaginary), which places the logarithm on the imaginary axis.
+    (sqrt(x+1)+sqrt(x))^(2it) and its reciprocal power.  That logarithm is
+    la + i ga from shift_angles: real for x >= 0, on the imaginary axis for
+    x in (-1, 0), so a real t gives a real value.
     """
     x = float(x)
     if x <= -1.0:
@@ -99,20 +99,26 @@ def f_it(t: complex, x: float) -> complex:
 
 @lru_cache(maxsize=64)   # a grid's few x, once per run (cli.run empties it); -0.0 is 0.0's
 def log_base(x: float) -> complex:   # f_it's t-free part, log(sqrt(x+1) + sqrt(x))
-    return cmath.log(cmath.sqrt(x + 1.0) + cmath.sqrt(complex(x)))
+    return complex(*shift_angles(x))
+
+
+def shift_angles(x: float) -> tuple[float, float]:
+    """(la, ga) with F(+-iu;1/2;-x) = cos(u la) cosh(u ga) for x > -1: (asinh(sqrt(x)), 0) for
+    x >= 0, both signed zeros giving (0.0, 0.0), and (0, asin(sqrt(-x))) below, formed as
+    atan2(sqrt(-x), sqrt(1+x)), which keeps its last bits as x -> -1 where asin loses them."""
+    if x < 0.0:
+        return 0.0, math.atan2(math.sqrt(-x), math.sqrt(1.0 + x))
+    return math.asinh(math.sqrt(abs(x))), 0.0
 
 
 def f_2it_unit_interval(t: complex, y: float) -> complex:
     """F(2it,-2it;1/2;Y) for 0 < Y < 1.
 
-    Closed form cos(4 i t asin(sqrt(Y))); for real t this is
+    Closed form f_it(2t, -Y) = cos(4 i t asin(sqrt(Y))); for real t this is
     cosh(4 t asin(sqrt(Y))), growing monotonically in |t|.
     """
     y = float(y)
     if not 0.0 < y < 1.0:
         raise DomainError(f"f_2it_unit_interval requires 0 < Y < 1, got {y:g}")
-    t = complex(t)
-    if not cmath.isfinite(t):
-        raise DomainError(f"t must be finite, got {t!r}")
-    return cmath.cos(4j * t * math.asin(math.sqrt(y)))
+    return f_it(2.0 * complex(t), -y)
 

@@ -40,16 +40,12 @@ exp(-(pi - 2 asin(sqrt(max(-A, 0)))) s), and the s range stops at 40 as above.
 
 `strip_integral(A, r, B, c)` is the sech-weighted integral over (0, inf) that
 the strip trapezoid rule takes, (2 pi / c) times the spectral product's closed
-form, at 30 digits.  It takes the 1 + A = cos(ga)^2 that the engine's rounded
-angle ga = asin(sqrt(-A)) stands for: near A = -1 the 1 + A of a double A
-carries eps / (1 + A) relative, an error of the input, not of the rule.
+form, at 30 digits, at the exact 1 + A of the double A.
 
 `kernel_shifts(T, S, z)` evaluates the kernel shifts A(z), B(z) as first
 written, with the differences of square roots, at 40 digits, where the
 cancellation near z = T and z = S costs nothing.
 """
-
-import math
 
 import mpmath
 
@@ -155,11 +151,10 @@ def spectral_product_lhs(A: float, r: float, B: float) -> mpmath.mpf:
 
 def strip_integral(A: float, r: float, B: float, c: float) -> mpmath.mpf:
     """int_0^inf (4pi^2/cosh(pi c s)) F(1/2+-ics;1/2;-r) F(+-ics;1/2;-A) F(+-ics;1/2;-B) ds
-    = (2 pi / c) pi sqrt(1+A) sqrt(1+B) (1+A+r+B) / ((1+A+B-r)^2 + 4r(1+A)(1+B)), at the
-    1 + A of the engine's angle; compare with it inside workdps(30)."""
+    = (2 pi / c) pi sqrt(1+A) sqrt(1+B) (1+A+r+B) / ((1+A+B-r)^2 + 4r(1+A)(1+B));
+    compare with it inside workdps(30)."""
     with mpmath.workdps(30):
-        one_a = (mpmath.cos(math.asin(math.sqrt(-A))) ** 2 if A < 0.0 else 1 + mpmath.mpf(A))
-        one_b, r = 1 + mpmath.mpf(B), mpmath.mpf(r)
+        one_a, one_b, r = 1 + mpmath.mpf(A), 1 + mpmath.mpf(B), mpmath.mpf(r)
         return (2 * mpmath.pi ** 2 / c * mpmath.sqrt(one_a * one_b) * (one_a + r + one_b - 1)
                 / ((one_a + one_b - 1 - r) ** 2 + 4 * r * one_a * one_b))
 

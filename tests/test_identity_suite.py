@@ -638,7 +638,8 @@ class TestWeightedResidual:
 
 
 def _reference_real_integrand(pair, t):
-    # the real-t main integrand as first written inline in the checks; the
+    # the real-t main integrand as written inline in the checks, its angles from
+    # shift_angles and sqrt(z) - sqrt(T) as (z - T) / (sqrt(z) + sqrt(T)); the
     # shared kernel must reproduce it bit for bit
     st, ss = pair.sqrt_T, pair.sqrt_S
     s_val = pair.S
@@ -646,10 +647,10 @@ def _reference_real_integrand(pair, t):
 
     def f(z):
         sz = math.sqrt(z)
-        y = (1.0 + sz) * (sz - st) / (2.0 * (1.0 - st) * sz)
+        y = (1.0 + sz) * ((z - pair.T) / (sz + st)) / (2.0 * (1.0 - st) * sz)
         x = (s_val - z) * (1.0 - z) * inv_ss / z
-        return (math.cosh(4.0 * t * math.asin(math.sqrt(y)))
-                * math.cos(2.0 * t * math.asinh(math.sqrt(x))) / (1.0 - z))
+        return (math.cosh(4.0 * t * special_functions.shift_angles(-y)[1])
+                * math.cos(2.0 * t * special_functions.shift_angles(x)[0]) / (1.0 - z))
 
     return f
 
@@ -779,9 +780,9 @@ def _reference_kernel_integrand(z, r, pair):
     # integrand writes it as cos(4t asinh(sqrt(B))) at the kernel shifts
     y = -hy.kernel_shifts(z, pair)[0]
     x = _second_argument(z, pair)
-    as_y = math.asin(math.sqrt(y)) if y > 0.0 else 0.0
-    lx = math.asinh(math.sqrt(x))
-    lr = math.asinh(math.sqrt(r))
+    as_y = special_functions.shift_angles(-y)[1]
+    lx = special_functions.shift_angles(x)[0]
+    lr = special_functions.shift_angles(r)[0]
     inv_sqrt_1pr = 1.0 / math.sqrt(1.0 + r)
 
     def g(t):
@@ -813,20 +814,18 @@ def _reference_ln_cosh(u):
 
 
 def _reference_spectral_integrand(a_shift, b_shift, c):
-    # W as first written, one closure per sign of A, through _ln_cosh
+    # W as first written, one closure per sign of A, through _ln_cosh, its angles
+    # from shift_angles
     pc, c2 = math.pi * c, 2.0 * c
     ln_4pi2 = math.log(4.0 * math.pi * math.pi)
-    lb = math.asinh(math.sqrt(b_shift))
+    lb = special_functions.shift_angles(b_shift)[0]
+    la, ga = special_functions.shift_angles(a_shift)
     if a_shift >= 0.0:
-        la = math.asinh(math.sqrt(a_shift))
-
         def g(s):
             u = c2 * s
             return (math.exp(ln_4pi2 - _reference_ln_cosh(pc * s))
                     * math.cos(u * la) * math.cos(u * lb))
     else:
-        ga = math.asin(math.sqrt(-a_shift))
-
         def g(s):
             u = c2 * s
             w = math.exp(ln_4pi2 - _reference_ln_cosh(pc * s) + _reference_ln_cosh(u * ga))
@@ -836,17 +835,18 @@ def _reference_spectral_integrand(a_shift, b_shift, c):
 
 
 def _reference_power_integrand(a_shift, tau):
-    # check_spectral_power's integrand and decay rate as first written, a branch per sign of A
+    # check_spectral_power's integrand and decay rate as first written, a branch per sign of A,
+    # its angles from shift_angles
     z0 = 0.5 + tau
-    la = math.asinh(math.sqrt(a_shift)) if a_shift >= 0.0 else math.asin(math.sqrt(-a_shift))
+    la, ga = special_functions.shift_angles(a_shift)
 
     def g(s):
         base = math.log(4.0 * math.pi) + 2.0 * special_functions.log_gamma(complex(z0, s)).real
         if a_shift >= 0.0:
             return math.exp(base) * math.cos(2.0 * s * la)
-        return math.exp(base + _reference_ln_cosh(2.0 * s * la))
+        return math.exp(base + _reference_ln_cosh(2.0 * s * ga))
 
-    return g, 0.9 * (math.pi - (2.0 * la if a_shift < 0.0 else 0.0))
+    return g, 0.9 * (math.pi - (2.0 * ga if a_shift < 0.0 else 0.0))
 
 
 class TestSpectralIntegrand:
@@ -1026,6 +1026,17 @@ class TestLayers:
             package += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
                         for alias in node.names if alias.name.startswith("hypident")]
             assert package == ["errors"], module.__name__
+
+    def test_every_angle_comes_from_shift_angles(self):
+        # the checks take la and ga from special_functions.shift_angles; the one inverse
+        # trigonometric call left is the quadratic transform's w >= 1/4 phase, its own side
+        tree = ast.parse(inspect.getsource(identity_suite))
+        calls = [(getattr(outer, "name", None), node.func.attr)
+                 for outer in tree.body for node in ast.walk(outer)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "math"
+                 and node.func.attr in ("asin", "asinh", "atan2")]
+        assert calls == [("check_quadratic_transform", "asin")]
 
     def test_every_check_lives_in_identity_suite(self):
         checks = [name for name in hy.__all__ if name.startswith("check_")]

@@ -182,6 +182,35 @@ class TestClosedForms:
         assert abs(closed - oracle) <= 1e-11 * max(1.0, abs(oracle))
 
 
+class TestAngle:
+    """The angle L(x) = log(sqrt(x+1) + sqrt(x)) of every closed form, la = asinh(sqrt(x))
+    for x >= 0 and i ga = i asin(sqrt(-x)) below, against mpmath at 40 digits."""
+
+    def test_within_3_ulp_and_real_for_real_t(self):
+        # a phase 2t L that is 3 ulp of L off, rounded once more, moves cos or cosh by at
+        # most that over max(1, |value|), plus the cosine's own rounding
+        rng, eps = random.Random(29), 2.0 ** -52
+        xs = ([10.0 ** rng.uniform(-12.0, 3.0) for _ in range(300)]
+              + [-10.0 ** rng.uniform(-12.0, -0.3) for _ in range(300)]
+              + [-1.0 + 10.0 ** rng.uniform(-12.0, -0.3) for _ in range(300)])
+        with mpmath.workdps(40):
+            for x in xs:
+                mx = mpmath.mpf(x)
+                ref = mpmath.asinh(mpmath.sqrt(mx)) if x >= 0.0 else mpmath.asin(mpmath.sqrt(-mx))
+                base, angle = special_functions.log_base(x), float(ref)
+                got, zero = (base.real, base.imag) if x >= 0.0 else (base.imag, base.real)
+                assert zero == 0.0 and abs(got - ref) <= 3.0 * math.ulp(angle), x
+                for t in (1.3, -0.7, 2.0):
+                    value = hy.f_it(t, x)
+                    assert value.imag == 0.0, (t, x)
+                    want = mpmath.cos(2 * t * ref) if x >= 0.0 else mpmath.cosh(2 * t * ref)
+                    bound = max(1.0, abs(float(want))) * (
+                        6.0 * abs(t) * math.ulp(angle) + math.ulp(2.0 * t * angle) + 2.0 * eps)
+                    assert abs(value.real - want) <= bound, (t, x)
+                    if x < 0.0:   # F(2iu,-2iu;1/2;Y) at Y = -x, u = t/2
+                        assert abs(hy.f_2it_unit_interval(0.5 * t, -x) - want) <= bound, (t, x)
+
+
 class TestBranchAndSymmetry:
     @pytest.mark.parametrize("x", [-0.9, -0.5, -0.01, 0.0, 0.3, 1.0, 7.5, 40.0])
     @pytest.mark.parametrize("t", [0.7, 2.0, 0.5j, 0.4 + 1.1j])
@@ -408,9 +437,8 @@ class TestPhaseBudget:
 
 
 def _uncached_f_it(t, x):
-    # f_it's closed form with its base formed at every call
-    w = cmath.sqrt(x + 1.0) + cmath.sqrt(complex(x))
-    return cmath.cos(2.0 * complex(t) * cmath.log(w))
+    # f_it's closed form with its base la + i ga formed at every call
+    return cmath.cos(2.0 * complex(t) * complex(*special_functions.shift_angles(x)))
 
 
 class TestRunCaches:
