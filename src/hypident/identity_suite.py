@@ -22,7 +22,7 @@ import math
 from functools import lru_cache
 
 from .errors import DegenerateConfigurationError, DomainError, FrozenValue
-from .quadrature import (DEFAULT_POLICY, EvaluationPolicy, IntegralEstimate,
+from .quadrature import (DEFAULT_POLICY, EvaluationPolicy, IntegralEstimate, NodeIntegrand,
                          integrate_chebyshev_weighted, integrate_decaying_halfline,
                          integrate_even_trapezoid, strip_trapezoid_rule)
 from .records import UNCONVERGED, CheckRecord, build_record, skipped_record
@@ -156,30 +156,31 @@ def kernel_factors(z: float, r: float, pair: ParameterPair) -> tuple[float, floa
 
 
 def _main_kernel(pair: ParameterPair):
-    """at(t) -> z -> F(+-2it;1/2;Y) F(+-it;1/2;-x) / (1 - z), the main integrand's
-    smooth part at interior nodes (its endpoint weight is the engine's).  The
-    t-free geometry (asin(sqrt(Y)), asinh(sqrt(x)), 1 - z) of each node, its angles from
-    shift_angles, is memoized for the life of the kernel, one check, so each further t,
-    real (math) or complex (cmath), costs one cosh * cos / d per node."""
+    """at(t) -> a NodeIntegrand of F(+-2it;1/2;Y) F(+-it;1/2;-x) / (1 - z), the main
+    integrand's smooth part at interior nodes (its endpoint weight is the engine's).  The
+    t-free geometry (asin(sqrt(Y)), asinh(sqrt(x)), 1 - z) of each level's nodes, its angles
+    from shift_angles, is memoized per node tuple for the life of the kernel, one check, so
+    each further t, real (math) or complex (cmath), costs one cosh * cos / d per node."""
     s_hi, inv_ss = pair.S, 1.0 / (1.0 - pair.sqrt_S) ** 2
     geometry = {}
 
-    def node(z: float) -> tuple[float, float, float]:
-        x = (s_hi - z) * (1.0 - z) * inv_ss / z
-        g = geometry[z] = (shift_angles(-_y(z, pair))[1], shift_angles(x)[0], 1.0 - z)
+    def nodes_geometry(zs: tuple) -> tuple:
+        g = geometry[zs] = tuple([(shift_angles(-_y(z, pair))[1],
+                                   shift_angles((s_hi - z) * (1.0 - z) * inv_ss / z)[0], 1.0 - z)
+                                  for z in zs])
         return g
 
-    def at(t: complex):
+    def at(t: complex) -> NodeIntegrand:
         t = complex(t)
         if t.imag != 0.0:
             cosh, cos, c4, c2 = cmath.cosh, cmath.cos, 4.0 * t, 2.0 * t
         else:
             cosh, cos, c4, c2 = math.cosh, math.cos, 4.0 * t.real, 2.0 * t.real
 
-        def f(z: float) -> complex:
-            asin_y, asinh_x, d = geometry.get(z) or node(z)
-            return cosh(c4 * asin_y) * cos(c2 * asinh_x) / d
-        return f
+        def level(zs: tuple) -> list:
+            return [cosh(c4 * asin_y) * cos(c2 * asinh_x) / d
+                    for asin_y, asinh_x, d in geometry.get(zs) or nodes_geometry(zs)]
+        return NodeIntegrand(level)
 
     return at
 
@@ -205,17 +206,15 @@ def check_main_identity(pair: ParameterPair, t: complex,
     if abs(t.real) > RE_T_CAP:
         raise DegenerateConfigurationError(
             f"|Re t| = {abs(t.real):g} exceeds the cancellation cap {RE_T_CAP:g}")
-    integrand = _main_kernel(pair)(t)
+    integrand = _main_kernel(pair)(t).level
     peak = [0.0]
 
-    def f(z: float) -> complex:
-        v = integrand(z)
-        av = abs(v)
-        if av > peak[0]:
-            peak[0] = av
-        return v
+    def level(zs: tuple) -> list:
+        vals = integrand(zs)
+        peak[0] = max(peak[0], *map(abs, vals))   # a running max: a nan is never kept
+        return vals
 
-    est = integrate_chebyshev_weighted(f, pair.T, pair.S, policy)
+    est = integrate_chebyshev_weighted(NodeIntegrand(level), pair.T, pair.S, policy)
     rhs = pair.main_closed_form()
     digits_lost = math.log10(peak[0] / rhs) if peak[0] > 0.0 else 0.0
     return build_record(
@@ -256,16 +255,11 @@ def check_quadratic_transform(t: complex, w: float,
         raise DomainError(f"t must be finite, got {t!r}")
     if w != 0.0:   # both sides' phase is t * 4 log_base(-w) exactly; at w = 0 both are 1
         _phase_budget(tolerance, t, (big := 4.0 * log_base(-w)), 2.0 * (1.0 + abs(big)))
-    if w > 0.0:
-        # closed form cos(2it asin(sqrt(4w(1-w)))), its phase 2 asin(sqrt(w)); from w = 1/4
-        # on as pi/2 - asin(1-2w), exact through w = 1/2, where 4w(1-w) rounds to 1
-        phase = (2.0 * shift_angles(-w)[1] if w < 0.25
-                 else 0.5 * math.pi - math.asin(1.0 - 2.0 * w))
-        lhs = cmath.cos(2j * t * phase)
-        rhs = f_2it_unit_interval(t, w)
-    else:
+    if w < 0.25:   # f_it at 4w(1-w) itself, not at the right side's angle 2 asin(sqrt(w))
         lhs = f_it(t, -4.0 * w * (1.0 - w))
-        rhs = f_it(2.0 * t, -w)
+    else:   # cos(2it asin(sqrt(4w(1-w)))) as pi/2 - asin(1-2w): exact to w = 1/2, 4w(1-w) = 1
+        lhs = cmath.cos(2j * t * (0.5 * math.pi - math.asin(1.0 - 2.0 * w)))
+    rhs = f_2it_unit_interval(t, w) if w > 0.0 else f_it(2.0 * t, -w)
     return build_record("quadratic_transform", {"t": t, "w": w}, lhs, rhs, tolerance)
 
 
@@ -325,19 +319,19 @@ def check_barnes_triple(a: float, b: float, c: float,
         raise DomainError(
             f"Barnes integral requires a >= 0 and b, c > 0, got ({a:g}, {b:g}, {c:g})")
 
+    shifts = tuple(dict.fromkeys((b, c) if a == 0.0 else (a, b, c)))   # log_gamma once each
+
+    def ln_gammas(s: float) -> dict:   # x -> log|Gamma(x + is)|
+        return dict(zip(shifts, [log_gamma(complex(x, s)).real for x in shifts]))
+
     if a == 0.0:
         def g(s: float) -> float:
-            ln_core = (_LN_2 * 2.0 + _ln_cosh(PI * s)
-                       + 2.0 * (log_gamma(complex(b, s)).real
-                                + log_gamma(complex(c, s)).real))
-            return math.exp(ln_core)
+            lg = ln_gammas(s)
+            return math.exp(_LN_2 * 2.0 + _ln_cosh(PI * s) + 2.0 * (lg[b] + lg[c]))
     else:
         def g(s: float) -> float:
-            ln_core = 2.0 * (log_gamma(complex(a, s)).real
-                             + log_gamma(complex(b, s)).real
-                             + log_gamma(complex(c, s)).real
-                             - log_gamma(complex(0.0, 2.0 * s)).real)
-            return math.exp(ln_core)
+            lg = ln_gammas(s)
+            return math.exp(2.0 * (lg[a] + lg[b] + lg[c] - log_gamma(complex(0.0, 2.0 * s)).real))
 
     est = integrate_decaying_halfline(g, 0.9 * PI, policy)
     lhs = est.value / (2.0 * PI)
@@ -396,18 +390,17 @@ def _spectral_integrand(a_shift: float, b_shift: float, c: float):
     # ln cosh(0) = 0.0 or multiplies by cos(0.0) = 1.0, so one closure is exact for every A
     exp, log1p, cos, ln_4pi2, ln_2 = math.exp, math.log1p, math.cos, _LN_4PI2, _LN_2
 
-    def g(s: float) -> float:
-        u = c2 * s
-        v, va = abs(pc * s), abs(u * ga)
-        return (exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)
-                    + (va + log1p(exp(-2.0 * va)) - ln_2)) * cos(u * la) * cos(u * lb))
+    def level(ss: tuple) -> list:
+        return [exp(ln_4pi2 - (v + log1p(exp(-2.0 * v)) - ln_2)
+                    + (va + log1p(exp(-2.0 * va)) - ln_2)) * cos(u * la) * cos(u * lb)
+                for s in ss for u in (c2 * s,) for v, va in ((abs(pc * s), abs(u * ga)),)]
 
     def bound(d: float) -> float:   # 4pi^2 sec(ga)/c, times the strip's factors
         y = c2 * d
         return (4.0 * PI * PI / (c * math.sqrt(1.0 + min(a_shift, 0.0))) * math.cosh(y * la)
                 * math.cosh(y * lb) / math.cos(pc * d))
 
-    return g, 0.5 / c, bound, 8.0 * PI * PI, c * (PI - 2.0 * ga)
+    return NodeIntegrand(level), 0.5 / c, bound, 8.0 * PI * PI, c * (PI - 2.0 * ga)
 
 
 def _product_closed_form(one_a: float, r: float, one_b: float) -> tuple[float, float]:
@@ -528,13 +521,11 @@ def _q_integrand(pair: ParameterPair, r: float):
     rr, m, k, e, f, g = _poly_coeffs(r, pair)
     span = ss - st
 
-    def h(q: float) -> float:
-        sz = st + q * span
-        z = sz * sz
-        i2 = (m + rr * sz + z * k) / (e + f * z + g * z * z)
-        return 2.0 * sz * i2 / (1.0 + sz)
+    def level(qs: tuple) -> list:   # 2 sqrt(z) i2(r, z) / (1 + sqrt(z)), sqrt(z) = sqrt(T) + q span
+        return [2.0 * sz * ((m + rr * sz + z * k) / (e + f * z + g * z * z)) / (1.0 + sz)
+                for sz in [st + q * span for q in qs] for z in (sz * sz,)]
 
-    return h
+    return NodeIntegrand(level)
 
 
 def _q_estimate(h, r: float, policy: EvaluationPolicy) -> tuple[complex, IntegralEstimate]:
@@ -565,14 +556,14 @@ def check_q_integral(r: float, pair: ParameterPair,
     st, span = pair.sqrt_T, pair.sqrt_S - pair.sqrt_T
     base = 1.0 / ((1.0 - st) * (1.0 - pair.sqrt_S))
 
-    def defect(q: float) -> float:
+    def defect(qs: tuple) -> list:
         # 2 sqrt(z) |(1+r) i2 - base / (2 sqrt(z))| / (1 + sqrt(z))
-        return abs((1.0 + r) * h(q) - base / (1.0 + st + q * span))
+        return [abs((1.0 + r) * v - base / (1.0 + st + q * span)) for q, v in zip(qs, h.level(qs))]
 
     # |defect| has an interior kink, so the levels converge only
     # algebraically; three digits are more than the rate comparison needs
     defect_est = integrate_chebyshev_weighted(
-        defect, 0.0, 1.0, policy.replace(rel_tol=DEFECT_REL_TOL))
+        NodeIntegrand(defect), 0.0, 1.0, policy.replace(rel_tol=DEFECT_REL_TOL))
 
     return build_record("q_integral", {"T": pair.T, "S": pair.S, "r": r}, lhs, rhs, tolerance,
                         est.replace(nodes_used=est.nodes_used + defect_est.nodes_used),
@@ -747,8 +738,8 @@ WR_T_MAX = math.log(2.0 * TWO_PI / WR_TAIL) / TWO_PI
 
 @lru_cache(maxsize=1)   # tasks arrive pair by pair; cli.run clears it at its start and end
 def wr_inner_memo(pair: ParameterPair) -> tuple:
-    """The pair's main kernel and a dict t -> inner integral M(t), shared by
-    its weighted_residual records: M(t) and its policy do not depend on r."""
+    """The pair's main kernel and a dict t -> (inner integral M(t), sech weight W(t)), shared
+    by its weighted_residual records: neither, nor M's policy, depends on r."""
     return _main_kernel(pair), {}
 
 
@@ -787,18 +778,20 @@ def check_weighted_residual(r: float, pair: ParameterPair,
     spent = [0, 0]   # outer nodes, inner evaluations
 
     def sums(t: float) -> tuple[float, float]:
-        est = inner_at.get(t)
-        if est is None:
+        memo = inner_at.get(t)
+        if memo is None:
             loosen = math.cosh(min(TWO_PI * t, 700.0))
             scaled = WR_INNER_POLICY.replace(abs_tol=min(WR_INNER_POLICY.abs_tol * loosen, 1e6))
-            est = inner_at[t] = integrate_chebyshev_weighted(main_at(t), pair.T, pair.S, scaled)
+            memo = inner_at[t] = (integrate_chebyshev_weighted(main_at(t), pair.T, pair.S, scaled),
+                                  sech_w(t))
+        est, sech_t = memo
         spent[0] += 1
         spent[1] += est.nodes_used
         if not est.converged:   # memoized, so the pair's other r values stop here too
             raise _InnerUnconverged(f"the inner integral M(t) at t = {t:.6g} did not converge "
                                     f"in {est.nodes_used} evaluations, so the outer rule "
                                     f"stopped at its node {spent[0]}")
-        w = sech_w(t) * math.cos(4.0 * t * lr) * inv_sqrt_1pr
+        w = sech_t * math.cos(4.0 * t * lr) * inv_sqrt_1pr
         return w, w * (est.value.real - rhs_const)
 
     params = {"T": pair.T, "S": pair.S, "r": r}

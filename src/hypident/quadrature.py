@@ -14,6 +14,10 @@ Four rules cover every integral in the suite:
 Every node sum is math.fsum's correctly rounded one, so results depend on
 neither summation order nor interpreter; only the trapezoid rules call
 their integrand at s = 0 or at the interval's ends, where an even one is smooth.
+
+An integrand is a callable z -> value, or a NodeIntegrand, which evaluates a
+whole level of the Chebyshev or strip trapezoid rule in one call; the two
+give the same values, so the choice costs time, never bits.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ __all__ = [
     "EvaluationPolicy",
     "DEFAULT_POLICY",
     "IntegralEstimate",
+    "NodeIntegrand",
     "chebyshev_rule",
     "integrate_chebyshev_weighted",
     "gauss_kronrod_panel",
@@ -80,6 +85,24 @@ class IntegralEstimate(Value):
         self.nodes_used, self.converged = nodes_used, converged
 
 
+class NodeIntegrand:
+    """An integrand written a rule level at a time: level(nodes) -> a list of its values at a
+    tuple of nodes.  Called with one z it returns level((z,))[0], so a wrapper that maps it
+    node by node sees the values the engines take from level."""
+
+    __slots__ = ("level",)
+
+    def __init__(self, level):
+        self.level = level
+
+    def __call__(self, z):
+        return self.level((z,))[0]
+
+
+def _values(f, nodes: tuple) -> list:   # f at nodes: one level call, or a call per node
+    return f.level(nodes) if isinstance(f, NodeIntegrand) else list(map(f, nodes))
+
+
 def _fsum(values: list | tuple) -> complex:
     """Correctly rounded sum of int, float or complex values, complex ones by
     their real and imaginary parts.  +inf with -inf raises OverflowError."""
@@ -112,7 +135,7 @@ def chebyshev_rule(f, lo: float, hi: float, n: int) -> complex:
     in theta over (0, pi); all nodes are strictly interior.  Raises
     DomainError unless n >= 1 and lo < hi.
     """
-    vals = list(map(f, _chebyshev_nodes(lo, hi, n)))
+    vals = _values(f, _chebyshev_nodes(lo, hi, n))   # raises before dividing by n
     return (math.pi / n) * _fsum(vals)
 
 
@@ -275,7 +298,7 @@ def strip_trapezoid_rule(g, strip: float, bound, envelope: float, rate: float,
         raise NodeBudgetError(f"the a-priori trapezoid rule needs {n + 1} nodes, more than "
                               f"max_nodes = {policy.max_nodes}")
     error = bound(d) / math.expm1(math.tau * d / h) + envelope * math.exp(-rate * n * h) / rate
-    vals = [g(k * h) for k in range(n + 1)]
+    vals = _values(g, tuple([k * h for k in range(n + 1)]))
     vals[0] *= 0.5
     return h, error, vals
 

@@ -22,24 +22,10 @@ __all__ = [
     "f_2it_unit_interval",
 ]
 
-# Lanczos approximation, g = 7 with 9 coefficients.  Standard double
-# precision set; relative error of the reconstructed gamma < 1e-14 on the
-# half-plane Re z >= 0.5.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-# the sum's first term, and the others as (coefficient, float(i)): zm + i rounds as zm + float(i)
-_LANCZOS_0 = complex(_LANCZOS[0], 0.0)
-_LANCZOS_TERMS = tuple((c, float(i)) for i, c in enumerate(_LANCZOS) if i)
+# Lanczos approximation, g = 7 with 9 coefficients, written out in log_gamma's
+# sum.  Standard double precision set; relative error of the reconstructed
+# gamma < 1e-14 on the half-plane Re z >= 0.5.
+_LANCZOS_0 = complex(0.99999999999980993, 0.0)   # the sum's first term
 _HALF_LOG_TWO_PI = 0.5 * math.log(2.0 * math.pi)
 _LOG_PI = complex(math.log(math.pi), 0.0)
 _LOG_HALF_I = complex(-math.log(2.0), 0.5 * math.pi)   # log(i/2)
@@ -65,10 +51,12 @@ def log_gamma(z: complex) -> complex:
     if z.real < 0.5:
         return _LOG_PI - _log_sin_pi(z) - log_gamma(1.0 - z)
     zm = z - 1.0
-    s = _LANCZOS_0
-    for c, i in _LANCZOS_TERMS:
-        s += c / (zm + i)
-    t = zm + (_LANCZOS_G + 0.5)
+    # one expression, the terms added left to right as a loop over them would
+    s = (_LANCZOS_0 + 676.5203681218851 / (zm + 1.0) + -1259.1392167224028 / (zm + 2.0)
+         + 771.32342877765313 / (zm + 3.0) + -176.61502916214059 / (zm + 4.0)
+         + 12.507343278686905 / (zm + 5.0) + -0.13857109526572012 / (zm + 6.0)
+         + 9.9843695780195716e-6 / (zm + 7.0) + 1.5056327351493116e-7 / (zm + 8.0))
+    t = zm + 7.5   # zm + g + 1/2
     return _HALF_LOG_TWO_PI + (zm + 0.5) * cmath.log(t) - t + cmath.log(s)
 
 

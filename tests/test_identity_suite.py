@@ -224,6 +224,23 @@ class TestSpectralProduct:
         assert cli.exit_code(doc) == 3
 
 
+def _counted(f, count):
+    """f with count(n) called for every n nodes it is evaluated at, as the CI step counts:
+    a NodeIntegrand stays one, so the engine still takes it a level at a time."""
+    if isinstance(f, quadrature.NodeIntegrand):
+        return quadrature.NodeIntegrand(lambda nodes: count(len(nodes)) or f.level(nodes))
+    return lambda x: count(1) or f(x)
+
+
+ENGINES = ("integrate_chebyshev_weighted", "integrate_decaying_halfline",
+           "strip_trapezoid_rule", "integrate_even_trapezoid")
+
+
+def _wrap_engines(monkeypatch, wrap):   # identity_suite's engine `name` -> wrap(name, engine)
+    for name in ENGINES:
+        monkeypatch.setattr(identity_suite, name, wrap(name, getattr(identity_suite, name)))
+
+
 def _halfline_calls(monkeypatch) -> list:
     """Count the integrand calls made through identity_suite's strip trapezoid
     rule, the sech-weighted suites' half-line engine, as the CI step does; the
@@ -231,11 +248,11 @@ def _halfline_calls(monkeypatch) -> list:
     calls = [0]
     engine = identity_suite.strip_trapezoid_rule
 
+    def count(n):
+        calls[0] += n
+
     def counting(f, *args, **kwargs):
-        def g(x):
-            calls[0] += 1
-            return f(x)
-        return engine(g, *args, **kwargs)
+        return engine(_counted(f, count), *args, **kwargs)
 
     monkeypatch.setattr(identity_suite, "strip_trapezoid_rule", counting)
     return calls
@@ -756,15 +773,12 @@ def _count_engine_calls(monkeypatch) -> dict:
 
     def counting(name, engine):
         def wrapped(f, *args, **kwargs):
-            def g(x):
-                calls[name] = calls.get(name, 0) + 1
-                return f(x)
-            return engine(g, *args, **kwargs)
+            def count(n):
+                calls[name] = calls.get(name, 0) + n
+            return engine(_counted(f, count), *args, **kwargs)
         return wrapped
 
-    for name in ("integrate_chebyshev_weighted", "integrate_decaying_halfline",
-                 "strip_trapezoid_rule", "integrate_even_trapezoid"):
-        monkeypatch.setattr(identity_suite, name, counting(name, getattr(identity_suite, name)))
+    _wrap_engines(monkeypatch, counting)
     return calls
 
 
@@ -1013,6 +1027,54 @@ class TestClosedFormTeeth:
         monkeypatch.setattr(owner, name, patch(getattr(owner, name), cli.build_tasks(cfg)[0][3]))
         moved = {rec.id: rec.status for rec in cli.run(cfg).records}
         assert passed and [rid for rid in passed if moved[rid] != hy.FAIL] == []
+
+
+# the strip-rule, Q and weighted-residual suites off the default grid, one pair near S = 1
+SPECTRAL_CONFIG = {"pairs": [[0.2, 0.7], [0.5, 0.999]], "r_values": [0.3, 40.0],
+                   "t_values": [0.0, [0.4, 0.3]], "suites": ["spectral_resolvent",
+                   "spectral_product", "spectral_kernel", "q_integral", "weighted_residual"]}
+
+
+class TestNodeIntegrand:
+    """A level integrand's level(nodes) is its values node by node, bit for bit."""
+
+    @pytest.mark.parametrize("config", [{}, SPECTRAL_CONFIG])
+    def test_level_is_pointwise_at_the_engines_nodes(self, config, monkeypatch):
+        checked = dict.fromkeys(ENGINES, 0)
+
+        def checking(name, engine):
+            def wrapped(f, *args, **kwargs):
+                def level(nodes):
+                    vals = f.level(nodes)
+                    assert list(map(repr, vals)) == [repr(f(z)) for z in nodes], name
+                    checked[name] += len(nodes)
+                    return vals
+                marked = isinstance(f, quadrature.NodeIntegrand)
+                return engine(quadrature.NodeIntegrand(level) if marked else f, *args, **kwargs)
+            return wrapped
+
+        _wrap_engines(monkeypatch, checking)
+        cli.run(cli.GridConfig.from_dict(config))
+        # the main kernel, its peak, Q's h and its defect, and W are written a level at a time
+        assert checked["integrate_chebyshev_weighted"] > 0 and checked["strip_trapezoid_rule"] > 0
+
+    @pytest.mark.parametrize("config", [{}, SPECTRAL_CONFIG])
+    def test_pointwise_path_prints_the_same_report(self, config, monkeypatch):
+        # every engine's integrand wrapped in a plain function, as a tracer wraps it, so
+        # each NodeIntegrand is called one node at a time
+        cfg = cli.GridConfig.from_dict(config)
+        plain = _report(cli.run(cfg))
+        wrapped = dict.fromkeys(ENGINES, 0)
+
+        def pointwise(name, engine):
+            def run(f, *args, **kwargs):
+                wrapped[name] += isinstance(f, quadrature.NodeIntegrand)
+                return engine(lambda x: f(x), *args, **kwargs)
+            return run
+
+        _wrap_engines(monkeypatch, pointwise)
+        assert _report(cli.run(cfg)) == plain
+        assert wrapped["integrate_chebyshev_weighted"] > 0 and wrapped["strip_trapezoid_rule"] > 0
 
 
 class TestLayers:

@@ -13,8 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hypident as hy
-from hypident import (DegenerateConfigurationError, DomainError, cli, identity_suite,
-                      special_functions)
+from hypident import (DEFAULT_POLICY, DegenerateConfigurationError, DomainError, cli,
+                      identity_suite, special_functions)
 
 mpmath.mp.dps = 30
 
@@ -82,6 +82,42 @@ class TestLogGamma:
         for z in points:
             assert _outcome(hy.log_gamma, z) == _outcome(_reference_log_gamma, z), z
 
+    # log_gamma's bits at points of each path, as its Lanczos loop over a coefficient tuple
+    # gave them before the sum was written out as one expression
+    LOOP_BITS = (
+        (complex(0.5, 0.37), "0x1.2a12d630cd800p-2", "-0x1.3bc8a3fa8fad4p-1"),
+        (complex(0.75, 6.5), "-0x1.1a59e350c18d5p+3", "0x1.83e7b11ec9844p+2"),
+        (complex(1.0, 0.001), "-0x1.b98ef8a000000p-21", "-0x1.2ea08575e21b8p-11"),
+        (complex(1.3, 40.0), "-0x1.d7b1b8e9d7231p+5", "0x1.b3382c7220770p+6"),
+        (complex(1.5, 2.0), "-0x1.7fcb555e88e9ep+0", "0x1.777090c54d876p-1"),
+        (complex(2.5, 0.0), "0x1.2383e809a6808p-2", "0x0.0p+0"),
+        (complex(0.0, 0.722), "-0x1.806cafaec6540p-5", "-0x1.ddeb6deb6ba17p+0"),
+        (complex(0.0, 80.0), "-0x1.fbbe3d5b032dfp+6", "0x1.0dc693ae6c51fp+8"),
+        (complex(0.25, 1.0), "-0x1.48e43c74890fep-1", "-0x1.619514867296bp+0"),
+        (complex(-1.3, 0.7), "-0x1.8e91b10427e20p-2", "-0x1.4ec2a6a3b674dp+2"),
+        (complex(3.7, -12.5), "-0x1.5334d59d53564p+3", "-0x1.7b23012cd4af3p+4"),
+    )
+
+    def test_bits_pinned_to_the_loop(self):
+        for z, re_bits, im_bits in self.LOOP_BITS:
+            assert _outcome(hy.log_gamma, z) == (re_bits, im_bits), z
+
+    def test_suite_paths_within_32_eps(self):
+        # the Lanczos path at the suites' Re z (barnes' a, b, c, spectral_power's 1/2 + tau
+        # and the kernel's shifts) and the reflection at barnes' 2is, s to 40, against 40
+        # digits: |error| / max(1, |log gamma|) measured at most 21.1 eps (Re z = 1/2, s = 8.4),
+        # bounded at 32 eps to leave room for another platform's libm
+        worst = 0.0
+        with mpmath.workdps(40):
+            for k in range(1, 401):
+                s = 40.0 * (k / 400) ** 2   # denser near s = 0
+                for z in [complex(x, s) for x in (0.5, 0.75, 1.0, 1.3, 1.5, 2.5)] + [2j * s]:
+                    ref = mpmath.loggamma(mpmath.mpc(z.real, z.imag))
+                    got = hy.log_gamma(z)
+                    worst = max(worst, float(abs(mpmath.mpc(got.real, got.imag) - ref)
+                                             / max(1, abs(ref))))
+        assert worst <= 32 * 2.0 ** -52, worst / 2.0 ** -52
+
 
 def _f_half_shifted(s, r):
     # F(1/2+is,1/2-is;1/2;-r) for r > -1 by its closed form
@@ -99,6 +135,12 @@ def _outcome(f, z):
     return v.real.hex(), v.imag.hex()
 
 
+# the Lanczos coefficients (g = 7), as log_gamma first held them in a tuple
+_LANCZOS = (0.99999999999980993, 676.5203681218851, -1259.1392167224028, 771.32342877765313,
+            -176.61502916214059, 12.507343278686905, -0.13857109526572012,
+            9.9843695780195716e-6, 1.5056327351493116e-7)
+
+
 def _reference_log_gamma(z):
     # log_gamma as first written: the Lanczos loop over range() and every
     # constant formed at each call; the module must reproduce it bit for bit
@@ -110,7 +152,7 @@ def _reference_log_gamma(z):
         log_sin_pi = (complex(-math.log(2.0), 0.5 * math.pi) - 1j * math.pi * z
                       + cmath.log(1.0 - w))
         return complex(math.log(math.pi), 0.0) - log_sin_pi - _reference_log_gamma(1.0 - z)
-    coeffs = special_functions._LANCZOS
+    coeffs = _LANCZOS
     zm = z - 1.0
     s = complex(coeffs[0], 0.0)
     for i in range(1, len(coeffs)):
@@ -267,11 +309,26 @@ class TestQuadraticTransform:
         rec = hy.check_quadratic_transform(t, w, tolerance=1e-10)
         assert rec.status == hy.PASS
 
+    SMALL_W = (5146.96466425, 5.97605201009e-07)   # a phase 4t asin(sqrt(w)) of 15.9
+
     def test_small_w_phase_without_cancellation(self):
         # pi/2 - asin(1 - 2w) lost about eps/w relative of the phase 2 asin(sqrt(w)):
-        # here the left side read 9.5e-4 off, a false fail
-        rec = hy.check_quadratic_transform(5146.96466425, 5.97605201009e-07)
-        assert rec.status == hy.PASS and rec.abs_err <= 1e-12
+        # here the left side read 9.5e-4 off, a false fail.  The left side is f_it at
+        # 4w(1-w), the right f_it(2t, -w), two angles, so each is judged on its own against
+        # 40 digits (left 4e-16, right 3.1e-15 relative; their abs_err is 1.4e-8 of 4.1e6)
+        t, w = self.SMALL_W
+        rec = hy.check_quadratic_transform(t, w)
+        with mpmath.workdps(40):
+            want = mpmath.cosh(4 * mpmath.mpf(t) * mpmath.asin(mpmath.sqrt(mpmath.mpf(w))))
+            errs = [float(abs(side - want) / want) for side in (rec.lhs, rec.rhs)]
+        assert rec.status == hy.PASS and max(errs) <= 1e-14, errs
+
+    @pytest.mark.parametrize("side", ["f_it", "f_2it_unit_interval"])   # left, right
+    def test_small_w_moved_side_fails(self, side, monkeypatch):
+        orig = getattr(identity_suite, side)
+        monkeypatch.setattr(identity_suite, side,
+                            lambda t, x: orig(t, x) * (1.0 + 10.0 * DEFAULT_POLICY.abs_tol))
+        assert hy.check_quadratic_transform(*self.SMALL_W).status == hy.FAIL
 
 
 class TestProductFormula:
