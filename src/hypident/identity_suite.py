@@ -156,18 +156,18 @@ def kernel_factors(z: float, r: float, pair: ParameterPair) -> tuple[float, floa
 
 
 def _main_kernel(pair: ParameterPair):
-    """at(t) -> a NodeIntegrand of F(+-2it;1/2;Y) F(+-it;1/2;-x) / (1 - z), the main
-    integrand's smooth part at interior nodes (its endpoint weight is the engine's).  The
-    t-free geometry (asin(sqrt(Y)), asinh(sqrt(x)), 1 - z) of each level's nodes, its angles
-    from shift_angles, is memoized per node tuple for the life of the kernel, one check, so
-    each further t, real (math) or complex (cmath), costs one cosh * cos / d per node."""
-    s_hi, inv_ss = pair.S, 1.0 / (1.0 - pair.sqrt_S) ** 2
+    """at(t) -> a NodeIntegrand of F(+-2it;1/2;Y) F(+-it;1/2;-x) / (1 - z) on [T, S], its
+    endpoint weight the engine's.  Y(S), which may round past 1, is clamped to 1, and x(T),
+    which overflows for T below about 1e-307, to the largest float.  The t-free geometry
+    (asin(sqrt(Y)), asinh(sqrt(x)), 1 - z) of each level's nodes, from shift_angles, is
+    memoized per node tuple for the kernel's life, a pair's checks in one run, so each
+    further t, real (math) or complex (cmath), costs one cosh * cos / d per node."""
+    s_hi, inv_ss, x_max = pair.S, 1.0 / (1.0 - pair.sqrt_S) ** 2, math.nextafter(math.inf, 0.0)
     geometry = {}
 
     def nodes_geometry(zs: tuple) -> tuple:
-        g = geometry[zs] = tuple([(shift_angles(-_y(z, pair))[1],
-                                   shift_angles((s_hi - z) * (1.0 - z) * inv_ss / z)[0], 1.0 - z)
-                                  for z in zs])
+        g = geometry[zs] = tuple([(shift_angles(-min(_y(z, pair), 1.0))[1], shift_angles(
+            min((s_hi - z) * (1.0 - z) * inv_ss / z, x_max))[0], 1.0 - z) for z in zs])
         return g
 
     def at(t: complex) -> NodeIntegrand:
@@ -206,7 +206,7 @@ def check_main_identity(pair: ParameterPair, t: complex,
     if abs(t.real) > RE_T_CAP:
         raise DegenerateConfigurationError(
             f"|Re t| = {abs(t.real):g} exceeds the cancellation cap {RE_T_CAP:g}")
-    integrand = _main_kernel(pair)(t).level
+    integrand = wr_inner_memo(pair)[0](t).level   # the pair's node geometry, shared
     peak = [0.0]
 
     def level(zs: tuple) -> list:
@@ -311,27 +311,21 @@ def check_barnes_triple(a: float, b: float, c: float,
                           / Gamma(+-2is) ds
       = Gamma(a+b) Gamma(a+c) Gamma(b+c)   for a >= 0, b, c > 0,
 
-    where Gamma(x+-is) denotes Gamma(x+is) Gamma(x-is).  For a = 0 the
-    singular ratio Gamma(+-is)/Gamma(+-2is) is replaced by its closed form
-    4 cosh(pi s), which has the finite limit 4 at s = 0.
+    where Gamma(x+-is) denotes Gamma(x+is) Gamma(x-is).  1/Gamma(+-2is) is its
+    closed form 2s sinh(2 pi s)/pi and, for a = 0, Gamma(+-is)/Gamma(+-2is) is
+    4 cosh(pi s), finite at s = 0; both enter as logarithms, which cannot overflow.
     """
     if a < 0.0 or b <= 0.0 or c <= 0.0:
         raise DomainError(
             f"Barnes integral requires a >= 0 and b, c > 0, got ({a:g}, {b:g}, {c:g})")
+    xs = (b, c) if a == 0.0 else (a, b, c)
+    shifts = tuple(dict.fromkeys(xs))   # log_gamma once each
 
-    shifts = tuple(dict.fromkeys((b, c) if a == 0.0 else (a, b, c)))   # log_gamma once each
-
-    def ln_gammas(s: float) -> dict:   # x -> log|Gamma(x + is)|
-        return dict(zip(shifts, [log_gamma(complex(x, s)).real for x in shifts]))
-
-    if a == 0.0:
-        def g(s: float) -> float:
-            lg = ln_gammas(s)
-            return math.exp(_LN_2 * 2.0 + _ln_cosh(PI * s) + 2.0 * (lg[b] + lg[c]))
-    else:
-        def g(s: float) -> float:
-            lg = ln_gammas(s)
-            return math.exp(2.0 * (lg[a] + lg[b] + lg[c] - log_gamma(complex(0.0, 2.0 * s)).real))
+    def g(s: float) -> float:   # sinh(u) = -e^u expm1(-2u)/2
+        lg = dict(zip(shifts, [log_gamma(complex(x, s)).real for x in shifts]))
+        ratio = (_LN_2 * 2.0 + _ln_cosh(PI * s) if a == 0.0
+                 else TWO_PI * s + math.log(-s / PI * math.expm1(-2.0 * TWO_PI * s)))
+        return math.exp(ratio + 2.0 * math.fsum(map(lg.__getitem__, xs)))
 
     est = integrate_decaying_halfline(g, 0.9 * PI, policy)
     lhs = est.value / (2.0 * PI)
@@ -528,11 +522,6 @@ def _q_integrand(pair: ParameterPair, r: float):
     return NodeIntegrand(level)
 
 
-def _q_estimate(h, r: float, policy: EvaluationPolicy) -> tuple[complex, IntegralEstimate]:
-    est = integrate_chebyshev_weighted(h, 0.0, 1.0, policy)
-    return (1.0 + r) * est.value, est
-
-
 def check_q_integral(r: float, pair: ParameterPair,
                      policy: EvaluationPolicy = DEFAULT_POLICY,
                      tolerance: float = 1e-7) -> CheckRecord:
@@ -546,13 +535,14 @@ def check_q_integral(r: float, pair: ParameterPair,
     decay rate the large-r analysis rests on, as `kernel_defect`, with the
     engine's last level difference `kernel_defect_error` (not a bound: the
     kink slows the levels).  The defect goes through the same engine as Q, to
-    relative accuracy DEFECT_REL_TOL; it does not decide the record's status,
-    and `nodes` counts both integrals.
+    relative accuracy DEFECT_REL_TOL, on Q's levels and level values (memoized
+    per node tuple); it does not decide the record's status, and `nodes`
+    counts both integrals as if each were computed cold.
     """
-    h = _q_integrand(pair, r)   # raises DomainError for r <= 0
-    lhs, est = _q_estimate(h, r, policy)
-    rhs = pair.q_closed_form()
-
+    h_level, seen = _q_integrand(pair, r).level, {}   # raises DomainError for r <= 0
+    h = NodeIntegrand(lambda qs: seen.get(qs) or seen.setdefault(qs, h_level(qs)))
+    est = integrate_chebyshev_weighted(h, 0.0, 1.0, policy)
+    lhs, rhs = (1.0 + r) * est.value, pair.q_closed_form()
     st, span = pair.sqrt_T, pair.sqrt_S - pair.sqrt_T
     base = 1.0 / ((1.0 - st) * (1.0 - pair.sqrt_S))
 
@@ -691,8 +681,8 @@ def check_obstruction_integer(r: float, pair: ParameterPair,
     fam = quadratic_family(r, pair)
     tight = policy.replace(abs_tol=min(policy.abs_tol, 1e-12),
                            rel_tol=min(policy.rel_tol, 1e-12))
-    q_val, est = _q_estimate(_q_integrand(pair, r), r, tight)
-    closed = pair.q_closed_form()
+    est = integrate_chebyshev_weighted(_q_integrand(pair, r), 0.0, 1.0, tight)
+    q_val, closed = (1.0 + r) * est.value, pair.q_closed_form()
     residual = q_val - closed
 
     d_terms = (fam.D1, fam.D2, fam.D3, fam.D4)
@@ -738,8 +728,9 @@ WR_T_MAX = math.log(2.0 * TWO_PI / WR_TAIL) / TWO_PI
 
 @lru_cache(maxsize=1)   # tasks arrive pair by pair; cli.run clears it at its start and end
 def wr_inner_memo(pair: ParameterPair) -> tuple:
-    """The pair's main kernel and a dict t -> (inner integral M(t), sech weight W(t)), shared
-    by its weighted_residual records: neither, nor M's policy, depends on r."""
+    """The pair's main kernel, whose node geometry its main_identity and weighted_residual
+    records share, and a dict t -> (inner integral M(t), sech weight W(t)) that its
+    weighted_residual records share: neither, nor M's policy, depends on r."""
     return _main_kernel(pair), {}
 
 
@@ -777,26 +768,30 @@ def check_weighted_residual(r: float, pair: ParameterPair,
     lr, inv_sqrt_1pr = shift_angles(r)[0], 1.0 / math.sqrt(1.0 + r)
     spent = [0, 0]   # outer nodes, inner evaluations
 
-    def sums(t: float) -> tuple[float, float]:
-        memo = inner_at.get(t)
-        if memo is None:
-            loosen = math.cosh(min(TWO_PI * t, 700.0))
-            scaled = WR_INNER_POLICY.replace(abs_tol=min(WR_INNER_POLICY.abs_tol * loosen, 1e6))
-            memo = inner_at[t] = (integrate_chebyshev_weighted(main_at(t), pair.T, pair.S, scaled),
-                                  sech_w(t))
-        est, sech_t = memo
-        spent[0] += 1
-        spent[1] += est.nodes_used
-        if not est.converged:   # memoized, so the pair's other r values stop here too
-            raise _InnerUnconverged(f"the inner integral M(t) at t = {t:.6g} did not converge "
-                                    f"in {est.nodes_used} evaluations, so the outer rule "
-                                    f"stopped at its node {spent[0]}")
-        w = sech_t * math.cos(4.0 * t * lr) * inv_sqrt_1pr
-        return w, w * (est.value.real - rhs_const)
+    def sums(ts: tuple) -> list:   # [(w(t), w(t) (M(t) - C))] over a level of the outer rule
+        fresh = [t for t in ts if t not in inner_at]
+        weights, out = dict(zip(fresh, sech_w.level(tuple(fresh)))), []
+        for t in ts:   # in node order, so the first inner integral that fails stops the rule
+            memo = inner_at.get(t)
+            if memo is None:
+                tol = min(WR_INNER_POLICY.abs_tol * math.cosh(min(TWO_PI * t, 700.0)), 1e6)
+                memo = inner_at[t] = (integrate_chebyshev_weighted(main_at(t), pair.T, pair.S,
+                                      EvaluationPolicy(tol, WR_INNER_POLICY.rel_tol,
+                                                       WR_INNER_POLICY.max_nodes)), weights[t])
+            est, sech_t = memo
+            spent[0] += 1
+            spent[1] += est.nodes_used
+            if not est.converged:   # memoized, so the pair's other r values stop here too
+                raise _InnerUnconverged(f"the inner integral M(t) at t = {t:.6g} did not converge "
+                                        f"in {est.nodes_used} evaluations, so the outer rule "
+                                        f"stopped at its node {spent[0]}")
+            w = sech_t * math.cos(4.0 * t * lr) * inv_sqrt_1pr
+            out.append((w, w * (est.value.real - rhs_const)))
+        return out
 
     params = {"T": pair.T, "S": pair.S, "r": r}
     try:
-        unit, resid = integrate_even_trapezoid(sums, WR_T_MAX, WR_TAIL * rhs_const,
+        unit, resid = integrate_even_trapezoid(NodeIntegrand(sums), WR_T_MAX, WR_TAIL * rhs_const,
                                                WR_OUTER_POLICY)
     except _InnerUnconverged as exc:
         return skipped_record("weighted_residual", params, str(exc), tolerance,

@@ -2,8 +2,8 @@
 
 Four rules cover every integral in the suite:
 
-* a Gauss-Chebyshev rule for finite intervals whose integrand carries an
-  implicit 1/sqrt((z-lo)(hi-z)) endpoint weight,
+* nested Chebyshev (theta-trapezoid) levels for finite intervals whose
+  integrand carries an implicit 1/sqrt((z-lo)(hi-z)) endpoint weight,
 * a truncated, adaptively refined panel rule for semi-infinite integrands
   with a known exponential decay rate,
 * a trapezoid rule on (0, infinity) for integrands even and analytic in a
@@ -12,12 +12,13 @@ Four rules cover every integral in the suite:
 * a nested trapezoid rule for integrands even in t, on (0, t_max).
 
 Every node sum is math.fsum's correctly rounded one, so results depend on
-neither summation order nor interpreter; only the trapezoid rules call
-their integrand at s = 0 or at the interval's ends, where an even one is smooth.
+neither summation order nor interpreter.  Only the midpoint and Gauss-Kronrod
+rules keep to interior nodes: each trapezoid rule, the Chebyshev levels included,
+calls its integrand at the ends of its interval (at s = 0 on a half-line).
 
 An integrand is a callable z -> value, or a NodeIntegrand, which evaluates a
-whole level of the Chebyshev or strip trapezoid rule in one call; the two
-give the same values, so the choice costs time, never bits.
+whole level of the Chebyshev or a trapezoid rule in one call; the two give
+the same values, so the choice costs time, never bits.
 """
 
 from __future__ import annotations
@@ -142,23 +143,24 @@ def chebyshev_rule(f, lo: float, hi: float, n: int) -> complex:
 def integrate_chebyshev_weighted(f, lo: float, hi: float,
                                  policy: EvaluationPolicy = DEFAULT_POLICY,
                                  ) -> IntegralEstimate:
-    """Adaptive node-doubling wrapper around chebyshev_rule.
+    """Nested theta-trapezoid levels Tn of chebyshev_rule's integral: no node is evaluated twice.
 
-    The weight 1/sqrt((z-lo)(hi-z)) must NOT be included in f.  Node count
-    doubles from 16 until two successive estimates differ by at most
-    max(abs_tol, rel_tol * |estimate|), or COARSE_GUARD times that at n = 32,
-    where two coarse levels could agree by accident; that difference is the
-    error estimate.  Running out of the max_nodes budget yields a flagged,
-    unconverged estimate rather than an exception.
+    f must NOT include the weight 1/sqrt((z-lo)(hi-z)) and must be finite at lo and hi.  T16
+    takes f at lo, hi and chebyshev_rule's nodes for n = 1, 2, 4, 8 in one call; then T2n =
+    (Tn + Mn)/2, Mn = chebyshev_rule(f, lo, hi, n) (Trefethen & Weideman, SIAM Rev. 56 (2014)
+    385, sec. 2), so a stop at Tn costs n + 1 evaluations.  It stops once two successive levels
+    differ by at most max(abs_tol, rel_tol * |estimate|), or COARSE_GUARD times that at T32,
+    where two coarse levels could agree by accident; that difference is the error estimate.
+    Running out of max_nodes yields a flagged, unconverged estimate rather than an exception.
     """
-    n = 16
-    prev = chebyshev_rule(f, lo, hi, n)
-    used = n
-    diff = math.inf
-    while used + 2 * n <= policy.max_nodes:
-        n *= 2
-        cur = chebyshev_rule(f, lo, hi, n)
+    vals = _values(f, (lo, hi) + _chebyshev_nodes(lo, hi, 1) + _chebyshev_nodes(lo, hi, 2)
+                   + _chebyshev_nodes(lo, hi, 4) + _chebyshev_nodes(lo, hi, 8))
+    prev = (math.pi / 16) * _fsum([0.5 * vals[0], 0.5 * vals[1], *vals[2:]])
+    n, used, diff = 16, 17, math.inf
+    while used + n <= policy.max_nodes:
+        cur = 0.5 * (prev + chebyshev_rule(f, lo, hi, n))
         used += n
+        n *= 2
         diff = abs(cur - prev)
         if diff <= policy.target(cur) * (COARSE_GUARD if n == 32 else 1.0):
             return IntegralEstimate(cur, diff, used, True)
@@ -314,13 +316,13 @@ def integrate_even_trapezoid(f, t_max: float, tail: float,
     targets within max_nodes, else all come back flagged unconverged.
     """
     n, h = 16, t_max / 16
-    first = [f(k * h) for k in range(n + 1)]
+    first = _values(f, tuple([k * h for k in range(n + 1)]))
     sums = [h * (0.5 * (a + b) + _fsum(col)) for a, b, col in
             zip(first[0], first[n], zip(*first[1:n]))]
     used, errs = n + 1, [math.inf] * len(sums)
     while used + n <= policy.max_nodes:
         h *= 0.5
-        new = [f((2 * k + 1) * h) for k in range(n)]
+        new = _values(f, tuple([(2 * k + 1) * h for k in range(n)]))
         used += n
         n *= 2
         cur = [0.5 * s + h * _fsum(col) for s, col in zip(sums, zip(*new))]

@@ -18,7 +18,8 @@ import pytest
 
 import hypident as hy
 from hypident import UsageError
-from hypident import DegenerateConfigurationError, cli, identity_suite, records, special_functions
+from hypident import (DegenerateConfigurationError, cli, identity_suite, quadrature, records,
+                      special_functions)
 from hypident.cli import (GridConfig, SUITES, build_tasks, exit_code, main, run,
                           run_task)
 from hypident.records import CSV_COLUMNS, ReportDocument, record_id, render_csv, render_json
@@ -168,6 +169,18 @@ class TestGridConfig:
 
 
 class TestRun:
+    def test_level_and_pointwise_paths_give_the_same_report(self, monkeypatch):
+        # the engines take a NodeIntegrand's values a level per call; mapped
+        # node by node, as a plain callable is, the default grid reads the same
+        cfg = GridConfig.from_dict({})
+        strip = lambda s: [ln for ln in s.splitlines() if "wall_time_seconds" not in ln]
+        by_level = strip(rendered(render_json, run(cfg)))
+        levels = []
+        monkeypatch.setattr(quadrature, "_values",
+                            lambda f, nodes: levels.append(f) or list(map(f, nodes)))
+        assert strip(rendered(render_json, run(cfg))) == by_level
+        assert any(isinstance(f, quadrature.NodeIntegrand) for f in levels)
+
     def test_single_record_pass(self):
         cfg = GridConfig.from_dict({"suites": ["main_identity"],
                                     "pairs": [[0.25, 0.5]],
@@ -827,7 +840,7 @@ class TestCommandLine:
     def test_unconverged_exit_three(self, tmp_path):
         proc = run_cli(["--suite", "main_identity"],
                        config={"pairs": [[0.25, 0.5]], "t_values": [0],
-                               "policy": {"max_nodes": 40}},
+                               "policy": {"max_nodes": 32}},
                        tmp_path=tmp_path)
         assert proc.returncode == 3
 

@@ -110,31 +110,33 @@ class TestChebyshevWeighted:
 
 
 def _t32_integrand(frac, lo=0.1, hi=0.9):
-    # f = 1 + eps T_32(x) with pi eps = frac * target: the 16-point rule
-    # sees T_32 = -1 at every node, so M16 = pi (1 - eps), while the 32- and
-    # 64-point rules integrate it exactly, so M32 = M64 = pi
+    # f = 1 + eps T_32(x) with pi eps = frac * target, T_32(cos theta) =
+    # cos(32 theta): T16's nodes theta = k pi/16 see 1, so T16 = pi (1 + eps),
+    # and M16's midpoints see -1, so T32 = (T16 + M16)/2 = pi; M32's nodes
+    # see 0, so T64 = pi too
     eps = frac * POLICY.target(math.pi) / math.pi
     return lambda z: 1.0 + eps * math.cos(32.0 * math.acos(2.0 * (z - lo) / (hi - lo) - 1.0))
 
 
 class TestChebyshevStopRule:
     def test_coarse_agreement_inside_target_is_not_enough(self):
-        # |M32 - M16| = target / 2: the plain rule would stop at n = 32
+        # |T32 - T16| = target / 2: the plain rule would stop at T32
         est = hy.integrate_chebyshev_weighted(_t32_integrand(0.5), 0.1, 0.9, POLICY)
-        assert est.converged and est.nodes_used == 16 + 32 + 64
+        assert est.converged and est.nodes_used == 64 + 1
         assert est.value == math.pi and est.error_estimate == 0.0
 
     def test_coarse_agreement_inside_the_guard_stops_at_32(self):
         est = hy.integrate_chebyshev_weighted(_t32_integrand(0.5e-3), 0.1, 0.9, POLICY)
-        assert est.converged and est.nodes_used == 16 + 32
+        assert est.converged and est.nodes_used == 32 + 1
         assert est.value == math.pi
         assert 0.0 < est.error_estimate <= quadrature.COARSE_GUARD * POLICY.target(math.pi)
 
     @pytest.mark.parametrize("frac, converged", [(0.5, False), (0.5e-3, True)])
     def test_budget_of_two_levels(self, frac, converged):
-        policy = hy.EvaluationPolicy(max_nodes=48)
+        # T16 and T32 take 33 evaluations; T64 would take 65
+        policy = hy.EvaluationPolicy(max_nodes=64)
         est = hy.integrate_chebyshev_weighted(_t32_integrand(frac), 0.1, 0.9, policy)
-        assert (est.converged, est.nodes_used) == (converged, 48)
+        assert (est.converged, est.nodes_used) == (converged, 33)
         assert est.value == math.pi
         assert est.error_estimate == pytest.approx(frac * POLICY.target(math.pi), rel=1e-3)
 
@@ -418,6 +420,47 @@ def _integrands():
     }
 
 
+
+class TestNestedLevels:
+    # no level's estimate is thrown away: T2n = (Tn + Mn)/2 reuses every value of Tn
+    NEVER = hy.EvaluationPolicy(abs_tol=1e-300, rel_tol=1e-300)   # runs to the budget
+
+    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.1, 0.9), (0.25, 0.5)])
+    def test_no_node_is_evaluated_twice(self, lo, hi):
+        kink = 0.3 * lo + 0.7 * hi   # the levels converge only algebraically
+        counted, calls = _counted(lambda z: abs(z - kink))
+        est = hy.integrate_chebyshev_weighted(counted, lo, hi, self.NEVER)
+        assert not est.converged and est.nodes_used == 32768 + 1
+        assert len(set(calls)) == len(calls) == est.nodes_used
+        assert calls[:2] == [lo, hi] and all(lo < z < hi for z in calls[2:])
+
+    @pytest.mark.parametrize("name", ["pole", "complex", "oscillating", "quadratic"])
+    def test_level_is_the_theta_trapezoid_summed_directly(self, name):
+        # stopped by its budget at Tn, the engine returns Tn; summed over its
+        # n + 1 values at once, theta_k = k pi / n with the ends halved, the
+        # trapezoid rule agrees within 1 ulp
+        f = {"pole": lambda z: 1.0 / (1.05 - z),
+             "complex": lambda z: complex(math.cos(5.0 * z), z) / (1.05 - z),
+             "oscillating": lambda z: math.cos(40.0 * z) * math.exp(z),
+             "quadratic": lambda z: 0.3 - z * z}[name]
+        checked = 0
+        for lo, hi in ((0.0, 1.0), (0.1, 0.9), (0.25, 0.5)):
+            for n in (16, 32, 64, 256, 4096):
+                counted, calls = _counted(f)
+                est = hy.integrate_chebyshev_weighted(
+                    counted, lo, hi, self.NEVER.replace(max_nodes=n + 1))
+                if est.converged:   # two levels agreed exactly before Tn
+                    continue
+                assert len(calls) == est.nodes_used == n + 1
+                vals = list(map(f, calls))
+                direct = (math.pi / n) * _exact_sum([0.5 * vals[0], 0.5 * vals[1], *vals[2:]])
+                for part in ("real", "imag"):
+                    got, want = getattr(est.value, part), getattr(direct, part)
+                    assert abs(got - want) <= math.ulp(want), (lo, hi, n, part)
+                checked += 1
+        assert checked >= 6   # T16 and T32 at least, on every interval
+
+
 def _counted(f):
     calls = []
 
@@ -500,13 +543,16 @@ class TestNodeSums:
                 assert got == want, (name, a, b)
 
     def test_adaptive_engines_count_every_call(self):
+        # T16 takes the ends and the midpoints of levels 1, 2, 4 and 8; each
+        # further level the midpoints of the one before
         counted, calls = _counted(lambda z: complex(math.cos(5.0 * z), z) / (1.05 - z))
         est = hy.integrate_chebyshev_weighted(counted, 0.0, 1.0, POLICY)
-        levels = [16]
-        while sum(levels) < est.nodes_used:
+        levels = [1, 2, 4, 8, 16]
+        while 2 + sum(levels) < est.nodes_used:
             levels.append(2 * levels[-1])
-        assert calls == [z for n in levels for z in quadrature._chebyshev_nodes(0.0, 1.0, n)]
-        assert len(calls) == est.nodes_used
+        assert calls == [0.0, 1.0] + [z for n in levels
+                                      for z in quadrature._chebyshev_nodes(0.0, 1.0, n)]
+        assert len(calls) == est.nodes_used == 1 + 2 * levels[-1] > 33
         counted, calls = _counted(lambda s: math.cos(3.0 * s) * math.exp(-s))
         est = hy.integrate_decaying_halfline(counted, 1.0, POLICY)
         assert est.converged and len(calls) == est.nodes_used > 8 + 8 * 15
