@@ -24,7 +24,7 @@ from functools import lru_cache
 from .errors import DegenerateConfigurationError, DomainError, FrozenValue
 from .quadrature import (DEFAULT_POLICY, EvaluationPolicy, IntegralEstimate, NodeIntegrand,
                          integrate_chebyshev_weighted, integrate_decaying_halfline,
-                         integrate_even_trapezoid, strip_trapezoid_rule)
+                         nested_trapezoid, strip_trapezoid_rule)
 from .records import UNCONVERGED, CheckRecord, build_record, skipped_record
 from .special_functions import f_2it_unit_interval, f_it, log_base, log_gamma, shift_angles
 
@@ -744,19 +744,17 @@ def check_weighted_residual(r: float, pair: ParameterPair,
     average of (main integral M(t)) minus (its closed form C) over t in
     (0, inf) must vanish.
 
-    The weight w(t) and w(t) (M(t) - C) are even in t and analytic for
-    |Im t| < 1/4, so one nested trapezoid rule takes both on the same nodes;
-    both must converge, so the weight fixes the step even where the residual
-    is round-off.  M(t) is an inner Chebyshev integral, its tolerance relaxed
-    by cosh(2 pi t), as the weight crushes its noise at large t.  The rule
-    stops at WR_T_MAX, the same for every r, so a pair's records share their
-    nodes and each M(t) is integrated once per pair (wr_inner_memo); `nodes`
-    still counts every outer and inner evaluation the value rests on, as if
-    computed cold.  C times the tail bound (|M - C| <= C) joins both
-    errors.  `unit_residual` is the unit integral's distance from pi^2/(1+r).
-    The first inner integral that fails to converge stops the record: it is
-    unconverged, without a value, and its `reason` names that t.
-    A scale C pi/(1+r) at or below the tolerance makes a point degenerate.
+    The weight w(t) and w(t) (M(t) - C) are even in t and analytic for |Im t| < 1/4, so
+    quadrature.nested_trapezoid takes both on (0, WR_T_MAX) as one integrand, w + i w (M - C),
+    whose parts are summed apart; one stop test bounds the pair's level difference, so the
+    weight fixes the step even where the residual is round-off.  M(t) is an inner Chebyshev
+    integral, its tolerance relaxed by cosh(2 pi t), as the weight crushes its noise at large t.
+    The nodes do not depend on r, so each M(t) is integrated once per pair (wr_inner_memo);
+    `nodes` still counts every outer and inner evaluation the value rests on, as if computed
+    cold.  C times the tail bound (|M - C| <= C) joins the error.  `unit_residual` is the unit
+    integral's distance from pi^2/(1+r).  A level's inner integrals run in ascending t, and the
+    first that fails to converge stops the record: unconverged, without a value, its `reason`
+    naming that t.  A scale C pi/(1+r) at or below the tolerance makes a point degenerate.
     """
     if r <= 0.0:
         raise DomainError(f"r must be positive, got {r:g}")
@@ -768,35 +766,39 @@ def check_weighted_residual(r: float, pair: ParameterPair,
     lr, inv_sqrt_1pr = shift_angles(r)[0], 1.0 / math.sqrt(1.0 + r)
     spent = [0, 0]   # outer nodes, inner evaluations
 
-    def sums(ts: tuple) -> list:   # [(w(t), w(t) (M(t) - C))] over a level of the outer rule
+    def packed(ts: tuple) -> list:   # w(t) + i w(t) (M(t) - C) over a level of the outer rule
         fresh = [t for t in ts if t not in inner_at]
-        weights, out = dict(zip(fresh, sech_w.level(tuple(fresh)))), []
-        for t in ts:   # in node order, so the first inner integral that fails stops the rule
+        weights = dict(zip(fresh, sech_w.level(tuple(fresh))))
+        for t in sorted(ts):   # so the first inner integral that fails has the smallest t
             memo = inner_at.get(t)
             if memo is None:
                 tol = min(WR_INNER_POLICY.abs_tol * math.cosh(min(TWO_PI * t, 700.0)), 1e6)
                 memo = inner_at[t] = (integrate_chebyshev_weighted(main_at(t), pair.T, pair.S,
                                       EvaluationPolicy(tol, WR_INNER_POLICY.rel_tol,
                                                        WR_INNER_POLICY.max_nodes)), weights[t])
-            est, sech_t = memo
+            est = memo[0]
             spent[0] += 1
             spent[1] += est.nodes_used
             if not est.converged:   # memoized, so the pair's other r values stop here too
                 raise _InnerUnconverged(f"the inner integral M(t) at t = {t:.6g} did not converge "
                                         f"in {est.nodes_used} evaluations, so the outer rule "
                                         f"stopped at its node {spent[0]}")
+        out = []
+        for t in ts:   # in the level's order, T16's ends first
+            est, sech_t = inner_at[t]
             w = sech_t * math.cos(4.0 * t * lr) * inv_sqrt_1pr
-            out.append((w, w * (est.value.real - rhs_const)))
+            out.append(complex(w, w * (est.value.real - rhs_const)))
         return out
 
     params = {"T": pair.T, "S": pair.S, "r": r}
     try:
-        unit, resid = integrate_even_trapezoid(NodeIntegrand(sums), WR_T_MAX, WR_TAIL * rhs_const,
-                                               WR_OUTER_POLICY)
+        est = nested_trapezoid(NodeIntegrand(packed), (0.0, WR_T_MAX),
+                               lambda n: tuple([(k + 0.5) * (WR_T_MAX / n) for k in range(n)]),
+                               WR_T_MAX, WR_TAIL * rhs_const, WR_OUTER_POLICY)
     except _InnerUnconverged as exc:
         return skipped_record("weighted_residual", params, str(exc), tolerance,
                               {"inner_unconverged": 1, "nodes": sum(spent)}, UNCONVERGED)
-    return build_record("weighted_residual", params, resid.value / PI, 0.0, tolerance,
-                        resid.replace(nodes_used=sum(spent)),   # all converged, or none
+    return build_record("weighted_residual", params, est.value.imag / PI, 0.0, tolerance,
+                        est.replace(nodes_used=sum(spent)),
                         metadata={"inner_unconverged": 0,
-                                  "unit_residual": abs(unit.value / PI - PI / (1.0 + r))})
+                                  "unit_residual": abs(est.value.real / PI - PI / (1.0 + r))})

@@ -1,31 +1,30 @@
 """Quadrature engines, and the EvaluationPolicy they take.
 
-Four rules cover every integral in the suite:
+Three rules cover every integral in the suite:
 
-* nested Chebyshev (theta-trapezoid) levels for finite intervals whose
-  integrand carries an implicit 1/sqrt((z-lo)(hi-z)) endpoint weight,
+* nested trapezoid levels: the Chebyshev (theta-trapezoid) levels for finite intervals whose
+  integrand carries an implicit 1/sqrt((z-lo)(hi-z)) weight, and even integrands on (0, t_max),
 * a truncated, adaptively refined panel rule for semi-infinite integrands
-  with a known exponential decay rate,
+  with a known exponential decay rate, and
 * a trapezoid rule on (0, infinity) for integrands even and analytic in a
   strip about the real line, its step and length fixed by a bound derived
-  before any evaluation, and
-* a nested trapezoid rule for integrands even in t, on (0, t_max).
+  before any evaluation.
 
 Every node sum is math.fsum's correctly rounded one, so results depend on
-neither summation order nor interpreter.  Only the midpoint and Gauss-Kronrod
-rules keep to interior nodes: each trapezoid rule, the Chebyshev levels included,
-calls its integrand at the ends of its interval (at s = 0 on a half-line).
+neither summation order nor interpreter.  Only chebyshev_rule and the Gauss-Kronrod
+panels keep to interior nodes: both trapezoid rules call their integrand at the ends
+of their interval (at lo and hi on the Chebyshev levels, at s = 0 on a half-line).
 
 An integrand is a callable z -> value, or a NodeIntegrand, which evaluates a
-whole level of the Chebyshev or a trapezoid rule in one call; the two give
-the same values, so the choice costs time, never bits.
+whole level of a trapezoid rule in one call; the two give the same values,
+so the choice costs time, never bits.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from operator import add, attrgetter, mul
 
 from .errors import DomainError, FrozenValue, NodeBudgetError, Value
@@ -36,14 +35,14 @@ __all__ = [
     "IntegralEstimate",
     "NodeIntegrand",
     "chebyshev_rule",
+    "nested_trapezoid",
     "integrate_chebyshev_weighted",
     "gauss_kronrod_panel",
     "integrate_decaying_halfline",
     "strip_trapezoid_rule",
-    "integrate_even_trapezoid",
 ]
 
-COARSE_GUARD = 1e-3   # |M32 - M16| at n = 32, a cut tail, a strip bound: this far inside the target
+COARSE_GUARD = 1e-3   # |T32 - T16|, a cut tail, a strip bound: this far inside the target
 TAIL_MARGIN = 2.0     # added to the half-line truncation point s_max, in units of s
 STRIP_SCAN = 16       # strip half-widths tried for the a-priori trapezoid step: k/16 of the strip
 
@@ -53,8 +52,9 @@ class EvaluationPolicy(FrozenValue):
 
     abs_tol / rel_tol are the convergence targets; an estimate is accepted
     once its error indicator drops below max(abs_tol, rel_tol * |value|).
-    max_nodes caps the total number of integrand evaluations in one
-    quadrature call.  Immutable and hashable: run memos take it as a key.
+    max_nodes caps the total number of integrand evaluations in one quadrature call; a rule
+    whose fixed first pass needs more evaluates nothing, raising NodeBudgetError.  Immutable
+    and hashable: run memos take it as a key.
     """
 
     __slots__ = ("abs_tol", "rel_tol", "max_nodes")
@@ -140,32 +140,41 @@ def chebyshev_rule(f, lo: float, hi: float, n: int) -> complex:
     return (math.pi / n) * _fsum(vals)
 
 
-def integrate_chebyshev_weighted(f, lo: float, hi: float,
-                                 policy: EvaluationPolicy = DEFAULT_POLICY,
-                                 ) -> IntegralEstimate:
-    """Nested theta-trapezoid levels Tn of chebyshev_rule's integral: no node is evaluated twice.
+def nested_trapezoid(f, ends: tuple, midpoints, width: float, tail: float,
+                     policy: EvaluationPolicy = DEFAULT_POLICY) -> IntegralEstimate:
+    """Nested trapezoid levels Tn on an interval of the given width, with end nodes `ends` and
+    the n panel midpoints midpoints(n): no node is evaluated twice.
 
-    f must NOT include the weight 1/sqrt((z-lo)(hi-z)) and must be finite at lo and hi.  T16
-    takes f at lo, hi and chebyshev_rule's nodes for n = 1, 2, 4, 8 in one call; then T2n =
-    (Tn + Mn)/2, Mn = chebyshev_rule(f, lo, hi, n) (Trefethen & Weideman, SIAM Rev. 56 (2014)
-    385, sec. 2), so a stop at Tn costs n + 1 evaluations.  It stops once two successive levels
-    differ by at most max(abs_tol, rel_tol * |estimate|), or COARSE_GUARD times that at T32,
-    where two coarse levels could agree by accident; that difference is the error estimate.
-    Running out of max_nodes yields a flagged, unconverged estimate rather than an exception.
+    T16 takes f at the ends and at midpoints(1), (2), (4) and (8) in one call; then T2n =
+    (Tn + Mn)/2, Mn = (width/n) sum f(midpoints(n)) (Trefethen & Weideman, SIAM Rev. 56
+    (2014) 385, sec. 2), so a stop at Tn costs n + 1 evaluations.  It stops once the error
+    estimate |Tn - T(n/2)| + tail (`tail` bounds what lies beyond the ends) is at most
+    max(abs_tol, rel_tol |Tn|), or COARSE_GUARD times that at T32, where two coarse levels
+    could agree by accident.  A max_nodes below T16's 17 raises NodeBudgetError, evaluating
+    nothing; running out later yields a flagged, unconverged estimate, not an exception.
     """
-    vals = _values(f, (lo, hi) + _chebyshev_nodes(lo, hi, 1) + _chebyshev_nodes(lo, hi, 2)
-                   + _chebyshev_nodes(lo, hi, 4) + _chebyshev_nodes(lo, hi, 8))
-    prev = (math.pi / 16) * _fsum([0.5 * vals[0], 0.5 * vals[1], *vals[2:]])
+    if policy.max_nodes < 17:
+        raise NodeBudgetError(f"the nested trapezoid rule needs 17 nodes, more than "
+                              f"max_nodes = {policy.max_nodes}")
+    vals = _values(f, ends + midpoints(1) + midpoints(2) + midpoints(4) + midpoints(8))
+    prev = (width / 16) * _fsum([0.5 * vals[0], 0.5 * vals[1], *vals[2:]])
     n, used, diff = 16, 17, math.inf
     while used + n <= policy.max_nodes:
-        cur = 0.5 * (prev + chebyshev_rule(f, lo, hi, n))
+        cur = 0.5 * (prev + (width / n) * _fsum(_values(f, midpoints(n))))
         used += n
         n *= 2
-        diff = abs(cur - prev)
+        diff = abs(cur - prev) + tail
         if diff <= policy.target(cur) * (COARSE_GUARD if n == 32 else 1.0):
             return IntegralEstimate(cur, diff, used, True)
         prev = cur
     return IntegralEstimate(prev, diff, used, False)
+
+
+def integrate_chebyshev_weighted(f, lo: float, hi: float,
+                                 policy: EvaluationPolicy = DEFAULT_POLICY) -> IntegralEstimate:
+    """chebyshev_rule's integral by nested_trapezoid in theta on (0, pi), its ends lo and hi, no
+    tail; f must NOT include the weight 1/sqrt((z-lo)(hi-z)) and must be finite at lo and hi."""
+    return nested_trapezoid(f, (lo, hi), partial(_chebyshev_nodes, lo, hi), math.pi, 0.0, policy)
 
 
 # Gauss-Kronrod 7-15 pair on [-1, 1]; Kronrod nodes are strictly interior.
@@ -218,10 +227,14 @@ def integrate_decaying_halfline(g, decay_rate: float,
     is folded into the error estimate.  The finite part is handled by
     adaptive bisection of Gauss-Kronrod panels, always splitting the panel
     with the largest error indicator.  Sampled magnitudes that fail to
-    shrink raise a domain error naming the offending envelope.
+    shrink raise a domain error naming the offending envelope.  A max_nodes
+    below the first pass's 128 nodes raises NodeBudgetError, evaluating nothing.
     """
     if decay_rate <= 0.0:
         raise DomainError(f"decay_rate must be positive, got {decay_rate:g}")
+    if policy.max_nodes < 128:   # the 8 samples and 8 panels of the first pass
+        raise NodeBudgetError(f"the half-line rule needs 128 nodes, more than "
+                              f"max_nodes = {policy.max_nodes}")
 
     horizon = max(math.log(1.0 / policy.abs_tol), 1.0) / decay_rate
     samples = [horizon * 0.5 ** j for j in range(8)]  # horizon .. horizon/128
@@ -303,31 +316,3 @@ def strip_trapezoid_rule(g, strip: float, bound, envelope: float, rate: float,
     vals = _values(g, tuple([k * h for k in range(n + 1)]))
     vals[0] *= 0.5
     return h, error, vals
-
-
-def integrate_even_trapezoid(f, t_max: float, tail: float,
-                             policy: EvaluationPolicy = DEFAULT_POLICY) -> list[IntegralEstimate]:
-    """Nested trapezoid rule on (0, t_max) for integrands even in t: f(t) holds
-    several integrands' values at t, and each gets an estimate.
-
-    The step halves from t_max/16, T(h/2) = T(h)/2 + (h/2) sum f(new nodes), so
-    no node is evaluated twice.  An error estimate is the last level difference
-    plus `tail`, a bound on the integral beyond t_max; all must meet their
-    targets within max_nodes, else all come back flagged unconverged.
-    """
-    n, h = 16, t_max / 16
-    first = _values(f, tuple([k * h for k in range(n + 1)]))
-    sums = [h * (0.5 * (a + b) + _fsum(col)) for a, b, col in
-            zip(first[0], first[n], zip(*first[1:n]))]
-    used, errs = n + 1, [math.inf] * len(sums)
-    while used + n <= policy.max_nodes:
-        h *= 0.5
-        new = _values(f, tuple([(2 * k + 1) * h for k in range(n)]))
-        used += n
-        n *= 2
-        cur = [0.5 * s + h * _fsum(col) for s, col in zip(sums, zip(*new))]
-        errs = [abs(c - s) + tail for c, s in zip(cur, sums)]
-        sums = cur
-        if all(e <= policy.target(c) for e, c in zip(errs, cur)):
-            return [IntegralEstimate(c, e, used, True) for c, e in zip(cur, errs)]
-    return [IntegralEstimate(s, e, used, False) for s, e in zip(sums, errs)]

@@ -169,6 +169,18 @@ class TestGridConfig:
 
 
 class TestRun:
+    def test_first_pass_over_max_nodes_is_unconverged_unevaluated(self):
+        # main_identity's nested levels take 17 nodes at once, barnes' half-line rule 128:
+        # neither fits max_nodes = 8, so each record is unconverged with `nodes` 0
+        doc = run(GridConfig.from_dict({"suites": ["main_identity", "barnes"],
+                                        "pairs": [[0.25, 0.5]], "t_values": [0.5],
+                                        "policy": {"max_nodes": 8}}))
+        assert {rec.suite for rec in doc.records} == {"main_identity", "barnes"}
+        for rec in doc.records:
+            assert rec.status == hy.UNCONVERGED and rec.lhs is None and rec.metadata["nodes"] == 0
+            assert rec.metadata["reason"].endswith(
+                f"rule needs {128 if rec.suite == 'barnes' else 17} nodes, more than max_nodes = 8")
+
     def test_level_and_pointwise_paths_give_the_same_report(self, monkeypatch):
         # the engines take a NodeIntegrand's values a level per call; mapped
         # node by node, as a plain callable is, the default grid reads the same
@@ -1108,3 +1120,52 @@ class TestEdgeCensus:
             "worse than the census:\n" + "\n".join(worse)
             + "\nbetter than the census (update tests/edge_census.json):\n"
             + "\n".join(better))
+
+
+# the nine configs of the CI step "hypident skips points beyond the float range and rejects
+# a non-finite policy", as it writes them
+CI_EDGE_CONFIGS = {
+    "edge_t_real": '{"t_values": [1000], "suites": ["quadratic_transform"]}',
+    "edge_t_imag": '{"t_values": [[0, 1000]], "suites": ["quadratic_transform", '
+                   '"product_formula", "main_identity"]}',
+    "edge_t_large": '{"t_values": [1e6, [0, 1e6]], "suites": ["product_formula", '
+                    '"quadratic_transform"]}',
+    "edge_r_huge": '{"r_values": [1e160], "suites": ["spectral_product", "q_integral", '
+                   '"spectral_kernel"]}',
+    "edge_wr_vacuous": '{"r_values": [1e160], "suites": ["weighted_residual"]}',
+    "edge_sr_vacuous": '{"r_values": [1e160], "suites": ["spectral_resolvent"]}',
+    "edge_spk_vacuous": '{"r_values": [1e12], "suites": ["spectral_product", "spectral_kernel"]}',
+    "edge_s_to_1": '{"pairs": [[0.5, 0.999999999]], "suites": ["spectral_kernel", "q_integral"]}',
+    "edge_wr_inner": '{"pairs": [[0.5, 0.9999999999999999]], "suites": ["weighted_residual"], '
+                     '"r_values": [1.0]}',
+}
+
+
+class TestCiEdgeConfigs:
+    @pytest.mark.parametrize("cfg", CI_EDGE_CONFIGS)
+    def test_exit_three_with_the_step_s_statuses_and_reasons(self, cfg, tmp_path, monkeypatch):
+        # in-process through cli.main, then the step's assertions, copied unchanged but for
+        # the report's path, sys.argv[1] there
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / f"{cfg}.json").write_text(CI_EDGE_CONFIGS[cfg] + "\n")
+        assert main(["--config", f"{cfg}.json", "--output", f"{cfg}.report.json"]) == 3
+        report = f"{cfg}.report.json"
+        records = json.load(open(report, encoding="utf-8"))["records"]
+        s_to_1 = report.startswith("edge_s_to_1")
+        if report.startswith("edge_wr_inner"):
+            assert records and all(rec["status"] == "unconverged" and rec["metadata"]["reason"]
+                                   and rec["metadata"]["inner_unconverged"] >= 1
+                                   for rec in records)
+            records = []
+        for rec in records:
+            if s_to_1 and rec["status"] == "unconverged" and rec["suite"] == "spectral_kernel":
+                continue
+            if rec["status"] != "pass":
+                assert rec["status"] == "skipped" and rec["metadata"]["reason"], rec["id"]
+            if s_to_1 and rec["status"] == "skipped":
+                assert "divides by zero" in rec["metadata"]["reason"], rec["id"]
+        if s_to_1:
+            assert any(rec["status"] == "skipped" for rec in records)
+        if report.startswith(("edge_wr_vacuous", "edge_sr_vacuous", "edge_spk_vacuous")):
+            assert records and all(rec["status"] == "skipped"
+                                   and "vacuous" in rec["metadata"]["reason"] for rec in records)

@@ -233,7 +233,7 @@ def _counted(f, count):
 
 
 ENGINES = ("integrate_chebyshev_weighted", "integrate_decaying_halfline",
-           "strip_trapezoid_rule", "integrate_even_trapezoid")
+           "strip_trapezoid_rule", "nested_trapezoid")
 
 
 def _wrap_engines(monkeypatch, wrap):   # identity_suite's engine `name` -> wrap(name, engine)
@@ -631,6 +631,18 @@ class TestWeightedResidual:
         assert md["reason"] == ("the inner integral M(t) at t = 0 did not converge in 32769 "
                                 "evaluations, so the outer rule stopped at its node 1")
 
+    def test_stops_at_the_smallest_failing_t_of_a_level(self):
+        # T16's level hands the ends first, but its inner integrals run in ascending t: at
+        # (0.5, 0.99999) M(t) fails at t = 1.38562 and at t = WR_T_MAX, and the record names
+        # the first, after the five converged integrals below it
+        identity_suite.wr_inner_memo.cache_clear()
+        rec = hy.check_weighted_residual(1.0, hy.ParameterPair(0.5, 0.99999))
+        identity_suite.wr_inner_memo.cache_clear()
+        assert rec.status == hy.UNCONVERGED and rec.metadata["nodes"] == 53260
+        assert rec.metadata["reason"] == (
+            "the inner integral M(t) at t = 1.38562 did not converge in 32769 evaluations, "
+            "so the outer rule stopped at its node 6")
+
     def test_other_radii_stop_at_the_memoized_failure(self, monkeypatch):
         # a smaller inner budget, three levels (T16, T32, T64), fails every M(t)
         # of the edge pair at once; the pair's first record pays it, the next
@@ -643,7 +655,7 @@ class TestWeightedResidual:
                                                 "r_values": [1.0, 10.0]}))
         # the outer rule hands its first level, 17 nodes, to one call, which
         # stops at its first node; `nodes` counts what the record rests on
-        assert calls == {"integrate_chebyshev_weighted": 65, "integrate_even_trapezoid": 2 * 17}
+        assert calls == {"integrate_chebyshev_weighted": 65, "nested_trapezoid": 2 * 17}
         for rec in doc.records:
             assert rec.status == hy.UNCONVERGED and rec.lhs is None
             assert rec.metadata["nodes"] == 1 + 65 and rec.metadata["inner_unconverged"] == 1
@@ -729,7 +741,7 @@ class TestMainKernel:
         hy.check_main_identity(PAIR, 1.5)
         calls = _count_engine_calls(monkeypatch)
         assert hy.check_weighted_residual(1.0, PAIR) == first
-        assert calls == {"integrate_even_trapezoid": 129}   # every M(t) was a hit
+        assert calls == {"nested_trapezoid": 129}   # every M(t) was a hit
         hy.check_weighted_residual(1.0, WIDE)
         assert hy.check_weighted_residual(1.0, PAIR) == first
 
@@ -749,14 +761,14 @@ class TestMainKernel:
         # outer nodes, as every M(t) it needs is already in the memo
         calls = _count_engine_calls(monkeypatch)
         outer = []   # outer nodes of each record, in run order
-        engine = identity_suite.integrate_even_trapezoid
+        engine = identity_suite.nested_trapezoid
 
         def trapezoid(*args):
-            estimates = engine(*args)
-            outer.append(estimates[0].nodes_used)
-            return estimates
+            est = engine(*args)
+            outer.append(est.nodes_used)
+            return est
 
-        monkeypatch.setattr(identity_suite, "integrate_even_trapezoid", trapezoid)
+        monkeypatch.setattr(identity_suite, "nested_trapezoid", trapezoid)
         doc = cli.run(cli.GridConfig.from_dict({"suites": ["weighted_residual"]}))
         n_r = len(cli.DEFAULT_R_VALUES)
         want = 0
@@ -905,11 +917,11 @@ class TestSpectralIntegrand:
         ts = [0.0] + [rng.uniform(0.0, 4.4) for _ in range(60)]
         seen = []
 
-        def capture(f, *args):
-            seen.append([f(t)[0] for t in ts])
-            return [hy.IntegralEstimate(1.0, 0.0, 1, True)] * 2
+        def capture(f, *args):   # the weight is the packed integrand's real part
+            seen.append([f(t).real for t in ts])
+            return hy.IntegralEstimate(1j, 0.0, 1, True)
 
-        monkeypatch.setattr(identity_suite, "integrate_even_trapezoid", capture)
+        monkeypatch.setattr(identity_suite, "nested_trapezoid", capture)
         for r in (0.01, 0.5, 1.0, 10.0, 100.0, 1e6):
             hy.check_weighted_residual(r, PAIR)
             ref = _reference_residual_weight(r)

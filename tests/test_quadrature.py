@@ -1,9 +1,10 @@
-"""Tests for the four quadrature engines."""
+"""Tests for the three quadrature engines."""
 
 import cmath
 import math
 import random
 from fractions import Fraction
+from functools import partial
 from operator import mul
 
 import mpmath
@@ -184,6 +185,16 @@ class TestDecayingHalfline:
             lambda s: math.cos(40.0 * s) * math.exp(-s), 1.0, policy)
         assert not est.converged
 
+    def test_first_pass_over_budget_evaluates_nothing(self):
+        # 8 envelope samples and 8 panels of 15 nodes: a max_nodes of 127 raises before
+        # the first call
+        counted, calls = _counted(lambda s: math.exp(-s))
+        with pytest.raises(NodeBudgetError, match="needs 128 nodes, more than max_nodes = 127$"):
+            hy.integrate_decaying_halfline(counted, 1.0, POLICY.replace(max_nodes=127))
+        assert calls == []
+        est = hy.integrate_decaying_halfline(counted, 1.0, POLICY.replace(max_nodes=128))
+        assert est.nodes_used == len(calls) == 128
+
     def test_panel_linearity(self):
         g1 = lambda s: math.exp(-s)
         g2 = lambda s: math.cos(s) * math.exp(-0.5 * s)
@@ -297,19 +308,31 @@ class TestStripTrapezoid:
             assert step * math.fsum(abs(g(complex(x, d))) for x in xs) <= bound(d), frac
 
 
+def _t_midpoints(lo, hi):
+    # panel midpoints lo + (k + 1/2) (hi - lo) / n: on (0, t_max), the weighted residual's
+    # outer rule's t nodes
+    return lambda n: tuple([lo + (k + 0.5) * ((hi - lo) / n) for k in range(n)])
+
+
+def _even_trapezoid(f, t_max, tail, policy=POLICY):
+    return quadrature.nested_trapezoid(f, (0.0, t_max), _t_midpoints(0.0, t_max), t_max, tail,
+                                       policy)
+
+
 class TestEvenTrapezoid:
+    """nested_trapezoid on the t map, (0, t_max) and a tail beyond it, as the weighted
+    residual runs it."""
+
     def test_sech(self):
         # int_0^inf sech(pi t) dt = 1/2; sech(pi t) <= 2 exp(-pi t)
         t_max = 10.0
-        [est] = quadrature.integrate_even_trapezoid(
-            lambda t: (1.0 / math.cosh(math.pi * t),), t_max,
-            2.0 * math.exp(-math.pi * t_max) / math.pi, POLICY)
+        est = _even_trapezoid(lambda t: 1.0 / math.cosh(math.pi * t), t_max,
+                              2.0 * math.exp(-math.pi * t_max) / math.pi)
         assert est.converged
         assert abs(est.value - 0.5) <= POLICY.target(0.5)
 
     def test_gaussian(self):
-        [est] = quadrature.integrate_even_trapezoid(
-            lambda t: (math.exp(-t * t),), 7.0, math.exp(-49.0), POLICY)
+        est = _even_trapezoid(lambda t: math.exp(-t * t), 7.0, math.exp(-49.0))
         expected = 0.5 * math.sqrt(math.pi)
         assert est.converged
         assert abs(est.value - expected) <= POLICY.target(expected)
@@ -326,31 +349,52 @@ class TestEvenTrapezoid:
 
         policy = identity_suite.WR_OUTER_POLICY
         tail = 4.0 * math.pi * math.exp(-12.0 * math.pi) / math.sqrt(1.0 + r)
-        [est] = quadrature.integrate_even_trapezoid(lambda t: (weight(t),), 6.0, tail, policy)
+        est = _even_trapezoid(weight, 6.0, tail, policy)
         expected = math.pi ** 2 / (1.0 + r)
         assert est.converged
         assert abs(est.value - expected) <= policy.target(expected)
 
     def test_each_node_evaluated_once(self):
+        # two integrands packed as one complex value, their parts summed apart
         seen = []
 
         def f(t):
             seen.append(t)
-            return math.cos(3.0 * t) / math.cosh(math.pi * t), 1.0 / math.cosh(t)
+            return complex(math.cos(3.0 * t) / math.cosh(math.pi * t), 1.0 / math.cosh(t))
 
-        unit, other = quadrature.integrate_even_trapezoid(f, 40.0, 1e-16, POLICY)
-        assert unit.converged and other.converged
-        assert unit.nodes_used == other.nodes_used == len(seen) == len(set(seen))
+        est = _even_trapezoid(f, 40.0, 1e-16)
+        assert est.converged
+        assert est.nodes_used == len(seen) == len(set(seen))
         assert min(seen) == 0.0 and max(seen) == 40.0
-        assert abs(other.value - math.pi / 2.0) <= other.error_estimate + 1e-12
+        assert abs(est.value.real - 0.5 / math.cosh(1.5)) <= est.error_estimate
+        assert abs(est.value.imag - math.pi / 2.0) <= est.error_estimate + 1e-12
 
     def test_unconverged_budget(self):
         policy = hy.EvaluationPolicy(max_nodes=40)
-        [est] = quadrature.integrate_even_trapezoid(
-            lambda t: (1.0 / math.cosh(math.pi * t),), 10.0, 0.0, policy)
+        est = _even_trapezoid(lambda t: 1.0 / math.cosh(math.pi * t), 10.0, 0.0, policy)
         assert not est.converged
         assert est.nodes_used == 33 <= policy.max_nodes
         assert abs(est.value - 0.5) <= 1e-2
+
+    def test_coarse_guard_at_t32(self):
+        # sin(32 pi t / L) vanishes at every node of T16 and T32, so the sine term adds
+        # nothing to either; eps (t/L)^2 makes them differ by eps L / 2048, here a quarter of
+        # the target but 250 times the guarded one.  The integral is L (1 - 1/(32 pi) + eps/3)
+        big_l, eps = 4.0, 5.12e-4
+        policy = hy.EvaluationPolicy(abs_tol=1e-6, rel_tol=1e-6)
+
+        def f(t):
+            x = t / big_l
+            return 1.0 + x * math.sin(32.0 * math.pi * x) + eps * x * x
+
+        truth = big_l * (1.0 - 1.0 / (32.0 * math.pi) + eps / 3.0)
+        est = _even_trapezoid(f, big_l, 0.0, policy)
+        assert est.converged and est.nodes_used > 33
+        assert abs(est.value - truth) <= est.error_estimate
+        t32 = _even_trapezoid(f, big_l, 0.0, policy.replace(max_nodes=48))
+        assert quadrature.COARSE_GUARD * policy.target(t32.value) < t32.error_estimate
+        assert t32.error_estimate <= policy.target(t32.value)
+        assert abs(t32.value - truth) > 1e-2   # what an unguarded T32 would have returned
 
 
 class TestDeterminism:
@@ -421,44 +465,75 @@ def _integrands():
 
 
 
+NODE_MAPS = {   # name -> (lo, hi) -> the engine's ends, midpoints and width
+    "theta": lambda lo, hi: ((lo, hi), partial(quadrature._chebyshev_nodes, lo, hi), math.pi),
+    "t": lambda lo, hi: ((lo, hi), _t_midpoints(lo, hi), hi - lo),
+}
+
+
+def _node_map_cases(cases):   # each case on both maps; the theta ones keep their plain ids
+    return [pytest.param(name, *case, id="-".join(map(str, case)) + ("-t" if name == "t" else ""))
+            for name in NODE_MAPS for case in cases]
+
+
 class TestNestedLevels:
-    # no level's estimate is thrown away: T2n = (Tn + Mn)/2 reuses every value of Tn
+    # no level's estimate is thrown away: T2n = (Tn + Mn)/2 reuses every value of Tn, on the
+    # Chebyshev engine's theta map and on the weighted residual's t map alike
     NEVER = hy.EvaluationPolicy(abs_tol=1e-300, rel_tol=1e-300)   # runs to the budget
 
-    @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (0.1, 0.9), (0.25, 0.5)])
-    def test_no_node_is_evaluated_twice(self, lo, hi):
+    @staticmethod
+    def engine(name, f, lo, hi, policy):
+        if name == "theta":
+            return hy.integrate_chebyshev_weighted(f, lo, hi, policy)
+        return quadrature.nested_trapezoid(f, *NODE_MAPS[name](lo, hi), 0.0, policy)
+
+    @pytest.mark.parametrize("node_map, lo, hi",
+                             _node_map_cases([(0.0, 1.0), (0.1, 0.9), (0.25, 0.5)]))
+    def test_no_node_is_evaluated_twice(self, node_map, lo, hi):
         kink = 0.3 * lo + 0.7 * hi   # the levels converge only algebraically
         counted, calls = _counted(lambda z: abs(z - kink))
-        est = hy.integrate_chebyshev_weighted(counted, lo, hi, self.NEVER)
+        est = self.engine(node_map, counted, lo, hi, self.NEVER)
         assert not est.converged and est.nodes_used == 32768 + 1
         assert len(set(calls)) == len(calls) == est.nodes_used
         assert calls[:2] == [lo, hi] and all(lo < z < hi for z in calls[2:])
 
-    @pytest.mark.parametrize("name", ["pole", "complex", "oscillating", "quadratic"])
-    def test_level_is_the_theta_trapezoid_summed_directly(self, name):
+    @pytest.mark.parametrize("node_map, name",
+                             _node_map_cases([("pole",), ("complex",), ("oscillating",),
+                                              ("quadratic",)]))
+    def test_level_is_the_theta_trapezoid_summed_directly(self, node_map, name):
         # stopped by its budget at Tn, the engine returns Tn; summed over its
-        # n + 1 values at once, theta_k = k pi / n with the ends halved, the
-        # trapezoid rule agrees within 1 ulp
+        # n + 1 values at once, in theta_k = k pi / n or t_k = lo + k (hi - lo) / n
+        # with the ends halved, the trapezoid rule agrees within 1 ulp
         f = {"pole": lambda z: 1.0 / (1.05 - z),
              "complex": lambda z: complex(math.cos(5.0 * z), z) / (1.05 - z),
              "oscillating": lambda z: math.cos(40.0 * z) * math.exp(z),
              "quadratic": lambda z: 0.3 - z * z}[name]
         checked = 0
         for lo, hi in ((0.0, 1.0), (0.1, 0.9), (0.25, 0.5)):
+            width = NODE_MAPS[node_map](lo, hi)[2]
             for n in (16, 32, 64, 256, 4096):
                 counted, calls = _counted(f)
-                est = hy.integrate_chebyshev_weighted(
-                    counted, lo, hi, self.NEVER.replace(max_nodes=n + 1))
+                est = self.engine(node_map, counted, lo, hi, self.NEVER.replace(max_nodes=n + 1))
                 if est.converged:   # two levels agreed exactly before Tn
                     continue
                 assert len(calls) == est.nodes_used == n + 1
                 vals = list(map(f, calls))
-                direct = (math.pi / n) * _exact_sum([0.5 * vals[0], 0.5 * vals[1], *vals[2:]])
+                direct = (width / n) * _exact_sum([0.5 * vals[0], 0.5 * vals[1], *vals[2:]])
                 for part in ("real", "imag"):
                     got, want = getattr(est.value, part), getattr(direct, part)
                     assert abs(got - want) <= math.ulp(want), (lo, hi, n, part)
                 checked += 1
         assert checked >= 6   # T16 and T32 at least, on every interval
+
+    @pytest.mark.parametrize("node_map", NODE_MAPS)
+    def test_first_pass_over_budget_evaluates_nothing(self, node_map):
+        # T16 takes 17 nodes: a max_nodes of 16 raises before the first call
+        counted, calls = _counted(lambda z: 1.0 / (1.05 - z))
+        with pytest.raises(NodeBudgetError, match="needs 17 nodes, more than max_nodes = 16$"):
+            self.engine(node_map, counted, 0.1, 0.9, POLICY.replace(max_nodes=16))
+        assert calls == []
+        est = self.engine(node_map, counted, 0.1, 0.9, POLICY.replace(max_nodes=17))
+        assert not est.converged and est.nodes_used == len(calls) == 17
 
 
 def _counted(f):
