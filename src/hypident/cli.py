@@ -16,6 +16,7 @@ import os
 import sys
 import time
 from collections import namedtuple
+from functools import partial
 
 from . import __version__
 from .errors import DegenerateConfigurationError, NodeBudgetError, UsageError, Value
@@ -28,7 +29,8 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
                              product_geometry, strip_memo, wr_inner_memo)
 from .quadrature import EvaluationPolicy
 from .records import (FAIL, PASS, SKIPPED, STATUSES, UNCONVERGED, CheckRecord,
-                      ReportDocument, id_text, render_csv, render_json, skipped_record)
+                      ReportDocument, fork, id_text, reap, render_csv, render_json,
+                      skipped_record)
 from .special_functions import log_base
 
 DEFAULT_PAIRS = ((0.25, 0.5), (0.1, 0.9), (0.4, 0.45))
@@ -324,45 +326,10 @@ def deal(tasks: list, jobs: int) -> list:
     return shares
 
 
-def _fork(share: list) -> tuple | None:
-    """Start a child that runs `share` and writes its records to a pipe, as marshal
-    tuples of their fields; (pid, read end), or None if no child could start.
-    The child leaves only through os._exit, 0 once every record is written."""
-    rfd, wfd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None
-    if pid:
-        os.close(wfd)
-        return pid, rfd
-    code = 1
-    try:
-        os.close(rfd)
-        with open(wfd, "wb") as pipe:   # __reduce__: the fields in constructor order
-            pipe.write(marshal.dumps([rec.__reduce__()[1] for rec in map(run_task, share)]))
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _reap(children: list) -> list:
-    """Each child's records, or None where it failed.  Every pipe is read to its end
-    or closed before any child is waited for, so none is left blocked on a full
-    pipe, and every child is waited for, also when a read raises."""
-    data = []
-    try:
-        for _, rfd in children:
-            with open(rfd, "rb") as pipe:
-                data.append(pipe.read())
-    finally:
-        for _, rfd in children[len(data) + 1:]:
-            os.close(rfd)
-        failed = [os.waitpid(pid, 0)[1] != 0 for pid, _ in children]
-    return [None if bad else [CheckRecord(*fields) for fields in marshal.loads(d)]
-            for d, bad in zip(data, failed)]
+def _send_records(share: list, pipe) -> None:
+    """A pool child's work: run `share` and write its records as one marshal list of
+    their field tuples, in constructor order."""
+    pipe.write(marshal.dumps(list(map(CheckRecord._fields, map(run_task, share)))))
 
 
 def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
@@ -370,9 +337,10 @@ def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
 
     Every record is a pure function of its task.  The tasks are dealt into at
     most min(jobs, usable_cpus()) shares (deal); the parent runs the first and
-    forks one child per other share, where os.fork exists and no other thread
-    runs.  jobs = 1, the default here, forks nothing.  A share whose child
-    fails is run again in the parent, so an error surfaces as in a serial run.
+    forks one child per other share (records.fork), where os.fork exists and no
+    other thread runs; a share no child could start runs in the parent.  jobs = 1,
+    the default here, forks nothing.  A share whose child fails is run again in
+    the parent, so an error surfaces as in a serial run.
     The records are sorted by id, so the report is byte-identical for every jobs.
     The run memos (wr_inner_memo, strip_memo, log_base, product_geometry) are
     emptied first, so every run does the same work, and after, with id_text's
@@ -382,23 +350,21 @@ def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
     memos = (wr_inner_memo, strip_memo, log_base, product_geometry)
     for memo in memos:
         memo.cache_clear()
-    threading = sys.modules.get("threading")   # asked about, not imported
-    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
-        jobs = 1
     shares = deal(build_tasks(cfg), min(jobs, usable_cpus()))
     children = []
     try:
         for share in shares[1:]:
-            child = _fork(share)
+            child = fork(partial(_send_records, share))
             if child:
                 children.append((share, child))
             else:   # no process could start: the parent runs the share
                 shares[0] += share
         records = list(map(run_task, shares[0]))
     finally:
-        results = _reap([child for _, child in children])
-    for (share, _), got in zip(children, results):
-        records += map(run_task, share) if got is None else got
+        results = reap([child for _, child in children], lambda pipe, i: pipe.read())
+    for (share, _), (data, status) in zip(children, results):
+        records += (map(run_task, share) if status
+                    else [CheckRecord(*fields) for fields in marshal.loads(data)])
     for memo in (*memos, id_text):
         memo.cache_clear()
     records.sort(key=lambda rec: rec.id)
@@ -432,9 +398,10 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--tol", type=float, metavar="X",
                         help="override every record's pass tolerance")
     parser.add_argument("--jobs", type=int, default=usable_cpus(), metavar="N",
-                        help="processes to run records on (N >= 1; default: the "
-                             "CPUs this process may use, which also bound N); "
-                             "1 runs serially, and every N prints the same report")
+                        help="processes to run and format records on (N >= 1; "
+                             "default: the CPUs this process may use, which also "
+                             "bound N); 1 runs serially, and every N prints the "
+                             "same report")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -469,14 +436,15 @@ def main(argv: list | None = None) -> int:
         return 64
     cfg.tol_override = args.tol
 
-    doc = run(cfg, args.jobs)
+    jobs = min(args.jobs, usable_cpus())
+    doc = run(cfg, jobs)
     render = render_csv if cfg.format == "csv" else render_json
     try:   # written in pieces: a failed write may leave part of the report
         if cfg.output_path:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:
-                render(doc, fh)
+                render(doc, fh, jobs)
         else:
-            render(doc, sys.stdout)
+            render(doc, sys.stdout, jobs)
             sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write report: {exc}", file=sys.stderr)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 
 class HypidentError(Exception):
     """Base class for all package-specific errors."""
@@ -35,6 +37,13 @@ class Value:
 
     __slots__ = ()   # defining __eq__ sets __hash__ = None
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__   # attrgetter of one name returns the bare value
+        get = attrgetter(*names) if len(names) > 1 else lambda obj: tuple(
+            getattr(obj, name) for name in names)
+        cls._fields = staticmethod(get)   # the field tuple, in constructor order
+
     def as_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__slots__}
 
@@ -42,10 +51,10 @@ class Value:
         return type(self)(**{**self.as_dict(), **changes})
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._fields(self)
 
     def __eq__(self, other):
-        return (self.__reduce__() == other.__reduce__() if other.__class__ is self.__class__
+        return (self._fields(self) == other._fields(other) if other.__class__ is self.__class__
                 else NotImplemented)
 
     def __repr__(self) -> str:

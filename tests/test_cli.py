@@ -1098,6 +1098,183 @@ class TestJobs:
         assert cli.deal(barnes, 1) == [barnes]
 
 
+def closed_form_config(n_t: int) -> dict:
+    """The closed-form suites at n_t complex t values (7 records each), drawn as CI's
+    edge_t_cycle config draws them."""
+    rng = random.Random(18)
+    return {"suites": ["quadratic_transform", "product_formula"],
+            "t_values": [[round(rng.uniform(-2.0, 2.0), 6),
+                          -0.0 if i % 3 == 0 else round(rng.uniform(-1.0, 1.0), 6)]
+                         for i in range(n_t)]}
+
+
+def n_t_for(n_records: int) -> int:   # the fewest t values giving n_records records
+    return -(-n_records // 7)
+
+
+class TestSplitWriter:
+    # a report of at least 2 * SPLIT records is formatted on min(jobs, CPUs,
+    # records // SPLIT) processes, and every jobs writes the same bytes
+    strip = staticmethod(lambda s: [ln for ln in s.splitlines() if "wall_time_seconds" not in ln])
+
+    @staticmethod
+    def config_path(tmp_path, n_t: int) -> str:
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(closed_form_config(n_t)))
+        return str(path)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_reports_byte_identical_across_jobs(self, fmt, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
+        forks = TestJobs.counting_fork(monkeypatch)
+        path = self.config_path(tmp_path, n_t_for(4 * records.SPLIT))
+        texts = []
+        for jobs in (1, 2, 4):   # closed-form tasks run in the parent: each fork is a writer
+            del forks[:]
+            assert main(["--config", path, "--format", fmt, "--jobs", str(jobs)]) == 0
+            texts.append(capsys.readouterr().out)
+            assert len(forks) == jobs - 1
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert self.strip(texts[0]) == self.strip(texts[1]) == self.strip(texts[2])
+        assert len(self.strip(texts[0])) > 4 * records.SPLIT
+
+    @staticmethod
+    def dying(fmt, parent: int):
+        """fmt, but a child dies at its 100th record."""
+        count = []
+
+        def write(rec):
+            count.append(1)
+            if os.getpid() != parent and len(count) == 100:
+                os._exit(9)
+            return fmt(rec)
+
+        return write
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_child_dying_mid_slice_leaves_the_report_whole(self, fmt, monkeypatch):
+        doc = run(GridConfig.from_dict(closed_form_config(n_t_for(2 * records.SPLIT))))
+        render = render_csv if fmt == "csv" else render_json
+        serial = rendered(render, doc)
+        parent = os.getpid()
+        if fmt == "json":
+            writer = records.json_writer
+            monkeypatch.setattr(records, "json_writer", lambda: self.dying(writer(), parent))
+        else:
+            monkeypatch.setattr(records, "_csv_row", self.dying(records._csv_row, parent))
+        forks = TestJobs.counting_fork(monkeypatch)
+        assert rendered(lambda d, out: render(d, out, 2), doc) == serial
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_child_dying_mid_send_leaves_the_report_whole(self, fmt, monkeypatch):
+        # the child sends about half its text, cut inside a frame, and dies: the parent
+        # copies the whole frames and formats the rest
+        doc = run(GridConfig.from_dict(closed_form_config(n_t_for(2 * records.SPLIT))))
+        render = render_csv if fmt == "csv" else render_json
+        serial = rendered(render, doc)
+        send = records._send_slice
+
+        def cut_short(recs, lo, hi, fmt, sep, pipe):
+            class Cut:
+                left = len(serial) // 4
+
+                def write(self, data):
+                    pipe.write(data[:self.left])
+                    self.left -= len(data)
+                    if self.left <= 0:
+                        pipe.flush()
+                        os._exit(9)
+
+            send(recs, lo, hi, fmt, sep, Cut())
+
+        monkeypatch.setattr(records, "_send_slice", cut_short)
+        forks = TestJobs.counting_fork(monkeypatch)
+        assert rendered(lambda d, out: render(d, out, 2), doc) == serial
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_full_output_device_exits_74_leaving_no_child(self, fmt, monkeypatch, capsys,
+                                                           tmp_path):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        forks = TestJobs.counting_fork(monkeypatch)
+        path = self.config_path(tmp_path, n_t_for(2 * records.SPLIT))
+        assert main(["--config", path, "--format", fmt, "--jobs", "2",
+                     "--output", "/dev/full"]) == 74
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: cannot write report: ")
+        assert err.count("\n") == 1, err
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_write_failing_in_a_child_s_slice_leaves_no_child(self, monkeypatch):
+        doc = run(GridConfig.from_dict(closed_form_config(n_t_for(2 * records.SPLIT))))
+        serial = rendered(render_json, doc)
+
+        class Full(io.StringIO):   # room for three quarters of the report
+            def write(self, text):
+                if self.tell() + len(text) > 3 * len(serial) // 4:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                return super().write(text)
+
+        forks = TestJobs.counting_fork(monkeypatch)
+        with pytest.raises(OSError):
+            render_json(doc, out := Full(), 2)
+        assert len(forks) == 1
+        assert serial.startswith(out.getvalue()) and out.tell() > len(serial) // 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_no_writer_fork_below_split_or_under_jobs_one(self, monkeypatch, capsys,
+                                                           tmp_path):
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
+        forks = TestJobs.counting_fork(monkeypatch)
+        below = self.config_path(tmp_path, (2 * records.SPLIT - 1) // 7)
+        assert main(["--config", below, "--jobs", "4"]) == 0
+        assert 0 < json.loads(capsys.readouterr().out)["summary"]["total"] < 2 * records.SPLIT
+        above = self.config_path(tmp_path, n_t_for(2 * records.SPLIT))
+        assert main(["--config", above, "--jobs", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["total"] >= 2 * records.SPLIT
+        assert forks == []
+
+    def test_no_writer_fork_while_another_thread_runs(self, monkeypatch):
+        doc = run(GridConfig.from_dict(closed_form_config(n_t_for(2 * records.SPLIT))))
+        serial = rendered(render_json, doc)
+        forks = TestJobs.counting_fork(monkeypatch)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait)
+        waiter.start()
+        try:
+            text = rendered(lambda d, out: render_json(d, out, 2), doc)
+        finally:
+            release.set()
+            waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert forks == [] and text == serial
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_serial_writer_when_fork_fails(self, fmt, monkeypatch):
+        doc = run(GridConfig.from_dict(closed_form_config(n_t_for(4 * records.SPLIT))))
+        render = render_csv if fmt == "csv" else render_json
+        serial = rendered(render, doc)
+        tries = []
+
+        def no_fork():
+            tries.append(1)
+            raise OSError(errno.EAGAIN, "no process")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert rendered(lambda d, out: render(d, out, 4), doc) == serial
+        assert tries == [1]   # no slice is tried again
+
+
 class TestEdgeCensus:
     # tests/edge_census.json: a config of the domain's edges (S -> 1, T -> 0,
     # a kernel denominator and an inner integral that round away) and the

@@ -41,6 +41,7 @@ def test_value_class_contract(cls, values, frozen, change, invalid):
     fields = dict(zip(names, values))
     assert len(fields) == len(values)
     obj = cls(*values)
+    assert obj.__reduce__() == (cls, values) and type(obj.__reduce__()[1]) is tuple
     assert obj == cls(**fields) and not obj != cls(**fields)
     assert obj.as_dict() == fields and [getattr(obj, n) for n in names] == list(values)
     assert obj != values and obj != fields   # equal only to its own class
@@ -54,7 +55,8 @@ def test_value_class_contract(cls, values, frozen, change, invalid):
             obj.replace(**bad)
 
     if frozen:
-        assert hash(obj) == hash(cls(**fields)) and {obj: 1}[cls(*values)] == 1
+        assert hash(obj) == hash(cls(**fields)) == hash((cls, values))
+        assert {obj: 1}[cls(*values)] == 1
         for name in names:
             with pytest.raises(AttributeError):
                 setattr(obj, name, values[0])
@@ -77,6 +79,21 @@ def test_value_class_contract(cls, values, frozen, change, invalid):
 
     for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
         assert type(twin) is cls and twin == obj
+
+
+def test_one_field_value_has_a_field_tuple():
+    # operator.attrgetter of one name returns the bare value, not a 1-tuple
+    class Level(hy.errors.FrozenValue):
+        __slots__ = ("n",)
+
+        def __init__(self, n):
+            object.__setattr__(self, "n", n)
+
+    one = Level((2, 3))
+    assert one.__reduce__() == (Level, ((2, 3),))
+    assert one == Level((2, 3)) and one != Level((2, 4))
+    assert hash(one) == hash((Level, ((2, 3),)))
+    assert copy.copy(one) == one and repr(one).endswith(".Level(n=(2, 3))")
 
 
 def test_value_class_defaults():
