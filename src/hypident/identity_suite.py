@@ -23,10 +23,11 @@ from functools import lru_cache
 
 from .errors import DegenerateConfigurationError, DomainError, FrozenValue
 from .quadrature import (DEFAULT_POLICY, EvaluationPolicy, IntegralEstimate, NodeIntegrand,
-                         integrate_chebyshev_weighted, integrate_decaying_halfline,
-                         nested_trapezoid, strip_trapezoid_rule)
+                         integrate_chebyshev_weighted, nested_trapezoid, strip_trapezoid_rule)
 from .records import UNCONVERGED, CheckRecord, build_record, skipped_record
-from .special_functions import f_2it_unit_interval, f_it, log_base, log_gamma, shift_angles
+from .special_functions import (barnes_closed_form, barnes_rule, f_2it_unit_interval, f_it,
+                                log_base, log_gamma_modulus, power_closed_form, power_rule,
+                                shift_angles)
 
 __all__ = [
     "ParameterPair",
@@ -52,7 +53,6 @@ TWO_PI = 2.0 * math.pi
 _LN_4PI = math.log(4.0 * PI)
 _LN_4PI2 = math.log(4.0 * PI * PI)
 _LN_2 = math.log(2.0)
-_SQRT_PI = math.sqrt(PI)
 DEFECT_REL_TOL = 1e-3   # q_integral's kernel_defect needs three digits, not nine
 PHASE_ROUNDING = 2.0 ** -51   # a phase t * angle's rounding, per (1 + |t|) (1 + |angle|)
 
@@ -303,34 +303,42 @@ def product_geometry(x: float, y: float) -> tuple:   # (X+, X-, companion residu
 # ---------------------------------------------------------------------------
 # Barnes-type and sech-weighted spectral integrals
 
+def _gamma_strip_integral(level, rule: tuple, policy: EvaluationPolicy) -> IntegralEstimate:
+    """An even level integrand's integral over (0, inf) on rule, its estimate the rule's bound
+    plus round-off, 16 eps h sum |g_k| (1 + 2 pi kh) (2^-48 = 16 eps): 4 times strip_memo's
+    term, for log_gamma's error, which grows with |log Gamma| (within 32 eps of it, tests)."""
+    h, error, vals = strip_trapezoid_rule(NodeIntegrand(level), *rule, policy)
+    value, err = h * math.fsum(vals), error + h * 2.0 ** -48 * math.fsum(
+        [abs(v) * (1.0 + TWO_PI * k * h) for k, v in enumerate(vals)])
+    return IntegralEstimate(value, err, len(vals), err <= policy.target(value))
+
+
 def check_barnes_triple(a: float, b: float, c: float,
                         policy: EvaluationPolicy = DEFAULT_POLICY,
                         tolerance: float = 1e-8) -> CheckRecord:
     """Barnes-type integral
-        (1/2pi) int_0^inf Gamma(a+-is) Gamma(b+-is) Gamma(c+-is)
-                          / Gamma(+-2is) ds
+        (1/2pi) int_0^inf Gamma(a+-is) Gamma(b+-is) Gamma(c+-is) / Gamma(+-2is) ds
       = Gamma(a+b) Gamma(a+c) Gamma(b+c)   for a >= 0, b, c > 0,
 
-    where Gamma(x+-is) denotes Gamma(x+is) Gamma(x-is).  1/Gamma(+-2is) is its
-    closed form 2s sinh(2 pi s)/pi and, for a = 0, Gamma(+-is)/Gamma(+-2is) is
-    4 cosh(pi s), finite at s = 0; both enter as logarithms, which cannot overflow.
+    where Gamma(x+-is) denotes Gamma(x+is) Gamma(x-is).  1/Gamma(+-2is) is 2s sinh(2 pi s)/pi,
+    0 at s = 0, and, at a = 0, Gamma(+-is)/Gamma(+-2is) is 4 cosh(pi s), both as logarithms,
+    which cannot overflow; the even integrand runs on a strip trapezoid rule (barnes_rule).
     """
-    if a < 0.0 or b <= 0.0 or c <= 0.0:
-        raise DomainError(
-            f"Barnes integral requires a >= 0 and b, c > 0, got ({a:g}, {b:g}, {c:g})")
-    xs = (b, c) if a == 0.0 else (a, b, c)
-    shifts = tuple(dict.fromkeys(xs))   # log_gamma once each
+    moduli = [(log_gamma_modulus(x), float((a, b, c).count(x)))   # once per distinct shift
+              for x in dict.fromkeys((a, b, c)) if x]
 
-    def g(s: float) -> float:   # sinh(u) = -e^u expm1(-2u)/2
-        lg = dict(zip(shifts, [log_gamma(complex(x, s)).real for x in shifts]))
-        ratio = (_LN_2 * 2.0 + _ln_cosh(PI * s) if a == 0.0
-                 else TWO_PI * s + math.log(-s / PI * math.expm1(-2.0 * TWO_PI * s)))
-        return math.exp(ratio + 2.0 * math.fsum(map(lg.__getitem__, xs)))
+    def log_ratio(s: float) -> float:   # sinh(u) = -e^u expm1(-2u)/2; exp(-inf) = 0.0
+        if a == 0.0:
+            return 2.0 * _LN_2 + _ln_cosh(PI * s)
+        x = -s / PI * math.expm1(-2.0 * TWO_PI * s)   # 0 at s = 0, and where s^2 underflows
+        return TWO_PI * s + math.log(x) if x else -math.inf
 
-    est = integrate_decaying_halfline(g, 0.9 * PI, policy)
-    lhs = est.value / (2.0 * PI)
-    rhs = math.gamma(a + b) * math.gamma(a + c) * math.gamma(b + c)
-    return build_record("barnes", {"a": a, "b": b, "c": c}, lhs, rhs, tolerance, est)
+    def level(ss: tuple) -> list:
+        return [math.exp(log_ratio(s) + math.fsum([w * f(s) for f, w in moduli])) for s in ss]
+
+    est = _gamma_strip_integral(level, barnes_rule(a, b, c), policy)   # raises DomainError
+    return build_record("barnes", {"a": a, "b": b, "c": c}, est.value / TWO_PI,
+                        barnes_closed_form(a, b, c), tolerance, est)
 
 
 def check_spectral_power(a_shift: float, tau: float,
@@ -341,27 +349,19 @@ def check_spectral_power(a_shift: float, tau: float,
         (1/2pi) int_0^inf 4 pi |Gamma(1/2+tau+is)|^2 F(+-is;1/2;-A) ds
       = sqrt(pi) Gamma(1+tau) Gamma(1/2+tau) (1+A)^(-1/2-tau),  A > -1.
 
-    The gamma prefactor is the closed form of
-    Gamma(+-is) Gamma(1/2+-is) Gamma(1/2+tau+-is) / Gamma(+-2is).
+    The gamma prefactor is the closed form of Gamma(+-is) Gamma(1/2+-is) Gamma(1/2+tau+-is) /
+    Gamma(+-2is).  The even integrand runs on the a-priori strip trapezoid rule (power_rule).
     """
-    if a_shift <= -1.0:
-        raise DomainError(f"shift must satisfy A > -1, got {a_shift:g}")
-    if tau < 0.0:
-        raise DomainError(f"tau must be non-negative, got {tau:g}")
+    rule = power_rule(a_shift, tau)   # raises DomainError unless A > -1 and tau >= 0
+    log_sq, (la, ga) = log_gamma_modulus(0.5 + tau), shift_angles(a_shift)
 
-    z0 = 0.5 + tau
-    la, ga = shift_angles(a_shift)   # F(+-is;1/2;-A) = cos(2s la) cosh(2s ga)
+    def level(ss: tuple) -> list:   # F(+-is;1/2;-A) = cos(2s la) cosh(2s ga)
+        return [math.exp(_LN_4PI + log_sq(s) + _ln_cosh(2.0 * s * ga)) * math.cos(2.0 * s * la)
+                for s in ss]
 
-    def g(s: float) -> float:
-        return (math.exp(_LN_4PI + 2.0 * log_gamma(complex(z0, s)).real + _ln_cosh(2.0 * s * ga))
-                * math.cos(2.0 * s * la))
-
-    decay = 0.9 * (PI - 2.0 * ga)   # F grows as exp(2 ga s) below A = 0
-    est = integrate_decaying_halfline(g, decay, policy)
-    lhs = est.value / (2.0 * PI)
-    rhs = (_SQRT_PI * math.gamma(1.0 + tau) * math.gamma(0.5 + tau)
-           * (1.0 + a_shift) ** (-0.5 - tau))
-    return build_record("spectral_power", {"A": a_shift, "tau": tau}, lhs, rhs, tolerance, est)
+    est = _gamma_strip_integral(level, rule, policy)
+    return build_record("spectral_power", {"A": a_shift, "tau": tau}, est.value / TWO_PI,
+                        power_closed_form(a_shift, tau), tolerance, est)
 
 
 def _spectral_integrand(a_shift: float, b_shift: float, c: float):

@@ -1,14 +1,16 @@
 """Quadrature engines, and the EvaluationPolicy they take.
 
-Three rules cover every integral in the suite:
+Two rules cover every integral in the suite:
 
 * nested trapezoid levels: the Chebyshev (theta-trapezoid) levels for finite intervals whose
   integrand carries an implicit 1/sqrt((z-lo)(hi-z)) weight, and even integrands on (0, t_max),
-* a truncated, adaptively refined panel rule for semi-infinite integrands
-  with a known exponential decay rate, and
 * a trapezoid rule on (0, infinity) for integrands even and analytic in a
   strip about the real line, its step and length fixed by a bound derived
-  before any evaluation.
+  before any evaluation: every half-line integral, the gamma-weighted ones included.
+
+A third, a truncated, adaptively refined Gauss-Kronrod panel rule for semi-infinite
+integrands with a known exponential decay rate (integrate_decaying_halfline, on
+gauss_kronrod_panel), serves no check; hybench/kernels.py still times both by name.
 
 Every node sum is math.fsum's correctly rounded one, so results depend on
 neither summation order nor interpreter.  Only chebyshev_rule and the Gauss-Kronrod

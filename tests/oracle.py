@@ -42,6 +42,18 @@ exp(-(pi - 2 asin(sqrt(max(-A, 0)))) s), and the s range stops at 40 as above.
 the strip trapezoid rule takes, (2 pi / c) times the spectral product's closed
 form, at 30 digits, at the exact 1 + A of the double A.
 
+`barnes_integral(a, b, c)` and `power_integral(A, tau)` are the integrals over
+(0, inf) that the Barnes and spectral power checks take on the strip trapezoid rule,
+2 pi times each closed form, at 30 digits.  `barnes_log_modulus(a, b, c, s)` and
+`power_log_modulus(A, tau, s)` give log |g(s)| of those integrands at real s from
+mpmath.fp.loggamma, and `strip_abs_integral(g, y)` integrates |g(u + iy)| over the real
+line with mpmath.fp.quad, g from `barnes_integrand(a, b, c)` or `power_integrand(A, tau)`
+(mpmath.fp.gamma and rgamma, at a = 0 the closed form 4 cosh(pi s) of the singular ratio;
+the F factor as cos(2s asinh(sqrt(A))) cosh(2s asin(sqrt(max(-A, 0))))).  On the 14 grid
+points fp.quad at maxdegree 3 agrees with 20-digit mpmath.quad to 3.3e-10 relative at
+y = 15/16 of the strip, where |g| peaks in a layer as narrow as the gap to the pole, and to
+1.1e-7 at y = 0 and 1/2 of it; at y = 0 and A > 0, where |cos| has kinks, to 1.3e-3.
+
 `kernel_shifts(T, S, z)` evaluates the kernel shifts A(z), B(z) as first
 written, with the differences of square roots, at 40 digits, where the
 cancellation near z = T and z = S costs nothing.
@@ -167,3 +179,80 @@ def kernel_shifts(T: float, S: float, z: float) -> tuple:
         s_t, s_s, s_z = mpmath.sqrt(T), mpmath.sqrt(S), mpmath.sqrt(z)
         return (-(1 + s_z) * (s_z - s_t) / (2 * (1 - s_t) * s_z),
                 (1 + s_z) * (s_s - s_z) / (2 * (1 - s_s) * s_z))
+
+
+def barnes_integral(a: float, b: float, c: float) -> mpmath.mpf:
+    """2 pi Gamma(a+b) Gamma(a+c) Gamma(b+c): the Barnes integral over (0, inf); compare
+    with it inside workdps(30)."""
+    with mpmath.workdps(30):
+        a, b, c = mpmath.mpf(a), mpmath.mpf(b), mpmath.mpf(c)
+        return 2 * mpmath.pi * mpmath.gamma(a + b) * mpmath.gamma(a + c) * mpmath.gamma(b + c)
+
+
+def power_integral(A: float, tau: float) -> mpmath.mpf:
+    """2 pi sqrt(pi) Gamma(1+tau) Gamma(1/2+tau) (1+A)^(-1/2-tau): the spectral power
+    integral over (0, inf), at the exact 1 + A of the double A; compare inside workdps(30)."""
+    with mpmath.workdps(30):
+        A, tau = mpmath.mpf(A), mpmath.mpf(tau)
+        return (2 * mpmath.pi * mpmath.sqrt(mpmath.pi) * mpmath.gamma(1 + tau)
+                * mpmath.gamma(0.5 + tau) * (1 + A) ** (-0.5 - tau))
+
+
+def _power_angles(A: float) -> tuple:   # (asinh(sqrt(A)), 0) or (0, asin(sqrt(-A))), 30 digits
+    with mpmath.workdps(30):
+        A = mpmath.mpf(A)
+        return (float(mpmath.asinh(mpmath.sqrt(max(A, 0)))),
+                float(mpmath.asin(mpmath.sqrt(max(-A, 0)))))
+
+
+def barnes_integrand(a: float, b: float, c: float):
+    """s -> Gamma(a+-is) Gamma(b+-is) Gamma(c+-is) / Gamma(+-2is) at complex s, in floats;
+    at a = 0 the ratio Gamma(+-is) / Gamma(+-2is) is 4 cosh(pi s)."""
+    fp = mpmath.fp
+
+    def g(s: complex) -> complex:
+        ratio = (4 * fp.cosh(fp.pi * s) if a == 0.0
+                 else fp.rgamma(2j * s) * fp.rgamma(-2j * s) * fp.gamma(a + 1j * s)
+                 * fp.gamma(a - 1j * s))
+        return ratio * (fp.gamma(b + 1j * s) * fp.gamma(b - 1j * s) * fp.gamma(c + 1j * s)
+                        * fp.gamma(c - 1j * s))
+    return g
+
+
+def power_integrand(A: float, tau: float):
+    """s -> 4 pi Gamma(1/2+tau+is) Gamma(1/2+tau-is) F(is,-is;1/2;-A) at complex s, in floats."""
+    fp, (la, ga) = mpmath.fp, _power_angles(A)
+
+    def g(s: complex) -> complex:
+        return (4 * fp.pi * fp.gamma(0.5 + tau + 1j * s) * fp.gamma(0.5 + tau - 1j * s)
+                * fp.cos(2 * s * la) * fp.cosh(2 * s * ga))
+    return g
+
+
+def strip_abs_integral(g, y: float) -> float:
+    """The integral of |g(u + iy)| over the real line, for g even on the real axis and real
+    there, so |g(-u + iy)| = |g(u + iy)|."""
+    return 2 * mpmath.fp.quad(lambda u: abs(g(complex(u, y))), [0, 0.1, 1, 3, 8, 20, 60],
+                              maxdegree=3)
+
+
+def _log_cosh(x: float) -> float:
+    x = abs(x)
+    return x + mpmath.fp.log1p(mpmath.fp.exp(-2 * x)) - mpmath.fp.log(2)
+
+
+def barnes_log_modulus(a: float, b: float, c: float, s: float) -> float:
+    """log |g(s)| of the Barnes integrand at real s > 0 (at s = 0 too when a = 0)."""
+    fp = mpmath.fp
+    ratio = (fp.log(4) + _log_cosh(fp.pi * s) if a == 0.0   # 2 s sinh(2 pi s) / pi below
+             else 2 * fp.pi * s + fp.log(s / fp.pi) + fp.log1p(-fp.exp(-4 * fp.pi * s))
+             + 2 * fp.loggamma(a + 1j * s).real)
+    return ratio + 2 * (fp.loggamma(b + 1j * s).real + fp.loggamma(c + 1j * s).real)
+
+
+def power_log_modulus(A: float, tau: float, s: float) -> float:
+    """log |g(s)| of the spectral power integrand at real s, -inf where it is 0."""
+    fp, (la, ga) = mpmath.fp, _power_angles(A)
+    cos = abs(fp.cos(2 * s * la))
+    return (fp.log(4 * fp.pi) + 2 * fp.loggamma(0.5 + tau + 1j * s).real + _log_cosh(2 * s * ga)
+            + (fp.log(cos) if cos else -fp.inf))

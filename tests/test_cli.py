@@ -170,16 +170,19 @@ class TestGridConfig:
 
 class TestRun:
     def test_first_pass_over_max_nodes_is_unconverged_unevaluated(self):
-        # main_identity's nested levels take 17 nodes at once, barnes' half-line rule 128:
-        # neither fits max_nodes = 8, so each record is unconverged with `nodes` 0
-        doc = run(GridConfig.from_dict({"suites": ["main_identity", "barnes"],
-                                        "pairs": [[0.25, 0.5]], "t_values": [0.5],
-                                        "policy": {"max_nodes": 8}}))
+        # main_identity's nested levels take 17 nodes at once, barnes' strip trapezoid rule
+        # its whole rule, the `nodes` of its record under the default policy: neither fits
+        # max_nodes = 8, so each record is unconverged with `nodes` 0
+        config = {"suites": ["main_identity", "barnes"], "pairs": [[0.25, 0.5]],
+                  "t_values": [0.5]}
+        rule = {rec.id: rec.metadata["nodes"] for rec in run(GridConfig.from_dict(config)).records
+                if rec.suite == "barnes"}
+        doc = run(GridConfig.from_dict({**config, "policy": {"max_nodes": 8}}))
         assert {rec.suite for rec in doc.records} == {"main_identity", "barnes"}
         for rec in doc.records:
             assert rec.status == hy.UNCONVERGED and rec.lhs is None and rec.metadata["nodes"] == 0
             assert rec.metadata["reason"].endswith(
-                f"rule needs {128 if rec.suite == 'barnes' else 17} nodes, more than max_nodes = 8")
+                f"rule needs {rule.get(rec.id, 17)} nodes, more than max_nodes = 8")
 
     def test_level_and_pointwise_paths_give_the_same_report(self, monkeypatch):
         # the engines take a NodeIntegrand's values a level per call; mapped

@@ -117,24 +117,136 @@ class TestSpectralPower:
         assert rec.status == hy.PASS
         assert abs(rec.rhs - math.pi * math.sqrt(2.0)) < 1e-12
 
-    def test_one_expression_matches_two_branch_formula(self):
+    def test_one_expression_matches_two_branch_formula(self, monkeypatch):
         # exp(base + ln cosh(2s ga)) cos(2s la) adds ln cosh(0) = 0.0 at A >= 0 and
-        # multiplies by cos(0.0) = 1.0 below, so the engine sees the same values
+        # multiplies by cos(0.0) = 1.0 below, so the strip rule sees the same values
+        rules = []
+
+        def keep(*args):
+            rules.append(quadrature.strip_trapezoid_rule(*args))
+            return rules[-1]
+
+        monkeypatch.setattr(identity_suite, "strip_trapezoid_rule", keep)
         for a_shift in (-0.9, -0.5, -0.0, 0.0, 0.25, 3.0):
             for tau in (0.0, 0.8, 2.0):
-                g, decay = _reference_power_integrand(a_shift, tau)
-                ref = quadrature.integrate_decaying_halfline(g, decay, hy.DEFAULT_POLICY)
                 rec = hy.check_spectral_power(a_shift, tau)
-                lhs = complex(ref.value / (2.0 * math.pi))
-                assert (rec.lhs.real.hex(), rec.lhs.imag.hex()) == (
-                    lhs.real.hex(), lhs.imag.hex()), (a_shift, tau)
-                assert rec.metadata["nodes"] == ref.nodes_used
+                h, _, vals = rules.pop()
+                g = _reference_power_integrand(a_shift, tau)
+                ref = [0.5 * g(0.0)] + [g(k * h) for k in range(1, len(vals))]
+                assert [v.hex() for v in vals] == [v.hex() for v in ref], (a_shift, tau)
+                assert rec.lhs == h * math.fsum(ref) / (2.0 * math.pi)
+                assert rec.metadata["nodes"] == len(vals)
 
     def test_domain(self):
         with pytest.raises(DomainError):
             hy.check_spectral_power(-1.0, 0.0)
         with pytest.raises(DomainError):
             hy.check_spectral_power(0.5, -0.1)
+
+
+def _gamma_points(seed: int, n: int) -> list:
+    """(suite, params) at the 14 grid points of barnes and spectral_power, then n seeded random
+    points of each: shifts from 0.05 to 3.2, half the draws with a = 0, and A near -1 or up to
+    10 with tau 0 or up to 4."""
+    rng = random.Random(seed)
+    points = [("barnes", abc) for abc in cli.BARNES_TRIPLES] + [
+        ("spectral_power", (a_shift, tau))
+        for a_shift in cli.SHIFT_A_GRID for tau in cli.SHIFT_TAU_GRID]
+    for _ in range(n):
+        a, b, c = (10.0 ** rng.uniform(-1.3, 0.5) for _ in range(3))
+        points.append(("barnes", (rng.choice((0.0, a)), b, c)))
+        points.append(("spectral_power", (rng.choice((-1.0 + 10.0 ** rng.uniform(-3.0, 0.0),
+                                                      10.0 ** rng.uniform(-2.0, 1.0))),
+                                          rng.choice((0.0, rng.uniform(0.0, 4.0))))))
+    return points
+
+
+# suite -> (its rule in special_functions, the oracle's integrand, log |g| and integral)
+GAMMA_RULES = {
+    "barnes": (special_functions.barnes_rule, oracle.barnes_integrand,
+               oracle.barnes_log_modulus, oracle.barnes_integral),
+    "spectral_power": (special_functions.power_rule, oracle.power_integrand,
+                       oracle.power_log_modulus, oracle.power_integral),
+}
+GAMMA_CHECKS = {"barnes": hy.check_barnes_triple, "spectral_power": hy.check_spectral_power}
+
+
+class TestGammaStripRules:
+    """barnes and spectral_power on the a-priori strip trapezoid rule: the derived strip
+    bound, tail envelope and estimate each cover what mpmath measures."""
+
+    @pytest.mark.parametrize("suite, params", _gamma_points(35, 3))
+    def test_bound_covers_the_modulus_integral(self, suite, params):
+        # bound(d) >= int |g(u + iy)| du at y = 0, d/2 and d, for d = k/16 of the strip; the
+        # oracle's quadrature errs by at most 1.1e-7 relative where the bound is tight
+        rule, integrand = GAMMA_RULES[suite][:2]
+        strip, bound = rule(*params)[:2]
+        g = integrand(*params)
+        moduli = [oracle.strip_abs_integral(g, strip * j / 32) for j in range(31)]
+        for k in range(1, 16):
+            assert bound(strip * k / 16) >= (1.0 - 1e-6) * max(moduli[0], moduli[k],
+                                                               moduli[2 * k]), k
+
+    @pytest.mark.parametrize("suite, params", _gamma_points(36, 3))
+    def test_envelope_covers_the_modulus(self, suite, params):
+        # |g(s)| exp(rate s) <= envelope out to where the envelope is exp(-50) times smaller,
+        # in logs: where |g| meets it (|cos| = 1, sech(pi s) = 2 exp(-pi s)) only rounding
+        # separates the two
+        rule, _, log_modulus = GAMMA_RULES[suite][:3]
+        _, _, envelope, rate = rule(*params)
+        reach = (math.log(envelope) + 50.0) / rate
+        for s in (reach * k / 2000 for k in range(1, 2001)):
+            assert log_modulus(*params, s) + rate * s <= math.log(envelope) + 1e-12, s
+
+    @pytest.mark.parametrize("suite", sorted(GAMMA_CHECKS))
+    def test_estimate_covers_the_true_error(self, suite, monkeypatch):
+        # the rule's bound plus round-off against the closed form at 30 digits, on the grid
+        # (each converged) and on 40 random points, A as near -1 as 1e-3
+        estimates, engine = [], identity_suite._gamma_strip_integral
+        monkeypatch.setattr(identity_suite, "_gamma_strip_integral",
+                            lambda *args: estimates.append(engine(*args)) or estimates[-1])
+        grid = [params for name, params in _gamma_points(350, 0) if name == suite]
+        for params in [params for name, params in _gamma_points(350, 40) if name == suite]:
+            GAMMA_CHECKS[suite](*params)
+            est = estimates.pop()
+            truth = GAMMA_RULES[suite][3](*params)
+            assert est.converged or params not in grid, params
+            with mpmath.workdps(30):
+                assert abs(est.value.real - truth) <= est.error_estimate, params
+
+    @pytest.mark.parametrize("suite", sorted(GAMMA_CHECKS))
+    def test_rule_over_max_nodes_is_unconverged_unevaluated(self, suite, monkeypatch):
+        # a max_nodes one below a record's rule evaluates nothing and reads unconverged with
+        # `nodes` 0; at the rule's count the record is the default one
+        calls = _halfline_calls(monkeypatch)
+        for task in cli.build_tasks(cli.GridConfig.from_dict({"suites": [suite]})):
+            cold = cli.run_task(task)
+            n = cold.metadata["nodes"]
+            calls[0] = 0
+            rec = cli.run_task((suite, task[1], task[2].replace(max_nodes=n - 1), task[3]))
+            assert (rec.status, rec.lhs, rec.metadata["nodes"], calls[0]) == (
+                hy.UNCONVERGED, None, 0, 0)
+            assert rec.metadata["reason"] == (f"the a-priori trapezoid rule needs {n} nodes, "
+                                              f"more than max_nodes = {n - 1}")
+            assert cli.run_task((suite, task[1], task[2].replace(max_nodes=n), task[3])) == cold
+            assert cold.status == hy.PASS and calls[0] == n
+
+    def test_barnes_is_zero_at_s_zero(self, monkeypatch):
+        # the trapezoid evaluates s = 0, where 2s sinh(2 pi s)/pi and so the integrand is 0
+        # (log(-s/pi expm1(-4 pi s)) would raise ValueError there, and where s^2 underflows);
+        # at a = 0 the ratio is 4 cosh(0), and the integrand 4 Gamma(b)^2 Gamma(c)^2
+        rules = []
+        engine = identity_suite.strip_trapezoid_rule
+        monkeypatch.setattr(identity_suite, "strip_trapezoid_rule",
+                            lambda g, *args: rules.append((g, engine(g, *args))) or rules[-1][1])
+        for a, b, c in ((0.5, 0.5, 0.5), (1.0, 1.0, 0.5), (0.5, 1.5, 0.75), (0.0, 1.0, 0.5)):
+            assert hy.check_barnes_triple(a, b, c).status == hy.PASS
+            g, (_, _, vals) = rules.pop()
+            at_zero = 0.0 if a else 4.0 * (math.gamma(b) * math.gamma(c)) ** 2
+            assert g(0.0) == pytest.approx(at_zero, rel=1e-14, abs=0.0)
+            near = g.level((0.0, 1e-300, 1e-100))   # at a > 0, g(s) ~ 4 s^2 prod Gamma(x)^2
+            assert near[0] == g(0.0) == 2.0 * vals[0]
+            assert (near[1] == 0.0) == (a > 0.0) and 0.0 < near[2] < math.inf
 
 
 class TestSpectralResolvent:
@@ -232,8 +344,7 @@ def _counted(f, count):
     return lambda x: count(1) or f(x)
 
 
-ENGINES = ("integrate_chebyshev_weighted", "integrate_decaying_halfline",
-           "strip_trapezoid_rule", "nested_trapezoid")
+ENGINES = ("integrate_chebyshev_weighted", "strip_trapezoid_rule", "nested_trapezoid")
 
 
 def _wrap_engines(monkeypatch, wrap):   # identity_suite's engine `name` -> wrap(name, engine)
@@ -243,8 +354,8 @@ def _wrap_engines(monkeypatch, wrap):   # identity_suite's engine `name` -> wrap
 
 def _halfline_calls(monkeypatch) -> list:
     """Count the integrand calls made through identity_suite's strip trapezoid
-    rule, the sech-weighted suites' half-line engine, as the CI step does; the
-    list holds the running count."""
+    rule, every suite's half-line engine, as the CI step does; the list holds
+    the running count."""
     calls = [0]
     engine = identity_suite.strip_trapezoid_rule
 
@@ -879,18 +990,18 @@ def _reference_spectral_integrand(a_shift, b_shift, c):
 
 
 def _reference_power_integrand(a_shift, tau):
-    # check_spectral_power's integrand and decay rate as first written, a branch per sign of A,
-    # its angles from shift_angles
-    z0 = 0.5 + tau
+    # check_spectral_power's integrand as first written, a branch per sign of A, its angles
+    # from shift_angles and log |Gamma(1/2+tau+is)|^2 from log_gamma_modulus
+    log_modulus = special_functions.log_gamma_modulus(0.5 + tau)
     la, ga = special_functions.shift_angles(a_shift)
 
     def g(s):
-        base = math.log(4.0 * math.pi) + 2.0 * special_functions.log_gamma(complex(z0, s)).real
+        base = math.log(4.0 * math.pi) + log_modulus(s)
         if a_shift >= 0.0:
             return math.exp(base) * math.cos(2.0 * s * la)
         return math.exp(base + _reference_ln_cosh(2.0 * s * ga))
 
-    return g, 0.9 * (math.pi - (2.0 * ga if a_shift < 0.0 else 0.0))
+    return g
 
 
 class TestSpectralIntegrand:
@@ -1034,12 +1145,16 @@ CLOSED_FORM_SITES = {
                     lambda orig, tol: lambda *a: _moved_d1(orig(*a), tol)),
     "quadratic_transform": (identity_suite, "f_2it_unit_interval",   # its rows with w > 0
                             lambda orig, tol: lambda t, w: _moved(orig(t, w), tol)),
+    "barnes": (identity_suite, "barnes_closed_form",   # the right side, not the rule's bound
+               lambda orig, tol: lambda *a: _moved(orig(*a), tol)),
+    "spectral_power": (identity_suite, "power_closed_form",
+                       lambda orig, tol: lambda *a: _moved(orig(*a), tol)),
 }
-# these checks write their closed form inline, as do quadratic_transform's rows with
-# w <= 0; product_formula's rhs takes product_geometry's X+ and X-, but at t = 0 it is
-# 2 whatever they are.  Only test_every_suite_fails_when_its_closed_form_moves
-# (test_cli, which moves every rhs in build_record) covers them.
-INLINE_CLOSED_FORMS = ("barnes", "spectral_power", "product_formula")
+# product_formula writes its closed form inline, as do quadratic_transform's rows with
+# w <= 0: its rhs takes product_geometry's X+ and X-, but at t = 0 it is 2 whatever they
+# are.  Only test_every_suite_fails_when_its_closed_form_moves (test_cli, which moves
+# every rhs in build_record) covers it.
+INLINE_CLOSED_FORMS = ("product_formula",)
 
 
 class TestClosedFormTeeth:
