@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import marshal
 import math
 import os
 import sys
@@ -28,9 +27,9 @@ from .identity_suite import (ParameterPair, check_barnes_triple,
                              check_spectral_resolvent, check_weighted_residual,
                              product_geometry, strip_memo, wr_inner_memo)
 from .quadrature import EvaluationPolicy
-from .records import (FAIL, PASS, SKIPPED, STATUSES, UNCONVERGED, CheckRecord,
-                      ReportDocument, fork, id_text, reap, render_csv, render_json,
-                      skipped_record)
+from .records import (FAIL, PASS, SKIPPED, STATUSES, UNCONVERGED, CheckRecord, Pool,
+                      ReportDocument, fork, id_text, render_csv, render_json,
+                      send_texts, skipped_record)
 from .special_functions import log_base
 
 DEFAULT_PAIRS = ((0.25, 0.5), (0.1, 0.9), (0.4, 0.45))
@@ -80,14 +79,14 @@ def _near_twins(xs) -> bool:
     return any(b - a <= 1e-10 * max(abs(a), abs(b)) for a, b in zip(s, s[1:]))
 
 
-class Suite(namedtuple("Suite", "check tolerance grid share")):
+class Suite(namedtuple("Suite", "check tolerance grid share", defaults=(None,))):
     """One check suite as data.  `check(params, policy, tolerance)` looks the
     check up by this module's name at call time, so rebinding that name (as a
     tracer does) reaches every task.  `tolerance` is the default pass tolerance
     (None: the policy's abs_tol), `grid(cfg)` yields params dicts, keys in
     record-id order.  `share(params)` names the task's group, which runs in one
-    process (deal): tasks that fill one run memo share a key, `id` puts each task
-    alone, and the closed-form suites, None, stay in the parent."""
+    process (deal): tasks that fill one run memo share a key, and a suite without one
+    (None) runs each task alone."""
 
     __slots__ = ()
 
@@ -101,26 +100,24 @@ SUITE_TABLE = {
         lambda p, pol, tol: check_main_identity(_pair(p), p["t"], pol, tolerance=tol),
         1e-7,
         lambda cfg: ({"T": T, "S": S, "t": t}
-                     for (T, S) in cfg.pairs for t in cfg.t_values), id),
+                     for (T, S) in cfg.pairs for t in cfg.t_values)),
     "quadratic_transform": Suite(
         lambda p, pol, tol: check_quadratic_transform(p["t"], p["w"], tolerance=tol),
         None,
-        lambda cfg: ({"t": t, "w": w} for t in cfg.t_values for w in TRANSFORM_W_GRID),
-        None),
+        lambda cfg: ({"t": t, "w": w} for t in cfg.t_values for w in TRANSFORM_W_GRID)),
     "product_formula": Suite(
         lambda p, pol, tol: check_product_formula(p["t"], p["x"], p["y"], tolerance=tol),
         None,
         lambda cfg: ({"t": t, "x": x, "y": y}
-                     for t in cfg.t_values for (x, y) in PRODUCT_XY_GRID), None),
+                     for t in cfg.t_values for (x, y) in PRODUCT_XY_GRID)),
     "barnes": Suite(
         lambda p, pol, tol: check_barnes_triple(p["a"], p["b"], p["c"], pol, tolerance=tol),
         1e-8,
-        lambda cfg: ({"a": a, "b": b, "c": c} for (a, b, c) in BARNES_TRIPLES), id),
+        lambda cfg: ({"a": a, "b": b, "c": c} for (a, b, c) in BARNES_TRIPLES)),
     "spectral_power": Suite(
         lambda p, pol, tol: check_spectral_power(p["A"], p["tau"], pol, tolerance=tol),
         1e-8,
-        lambda cfg: ({"A": a, "tau": tau} for a in SHIFT_A_GRID for tau in SHIFT_TAU_GRID),
-        id),
+        lambda cfg: ({"A": a, "tau": tau} for a in SHIFT_A_GRID for tau in SHIFT_TAU_GRID)),
     "spectral_resolvent": Suite(
         lambda p, pol, tol: check_spectral_resolvent(p["A"], p["r"], pol, tolerance=tol),
         1e-8,
@@ -138,10 +135,10 @@ SUITE_TABLE = {
                      for z in _kernel_points(T, S) for r in cfg.r_values), _memo_share),
     "q_integral": Suite(
         lambda p, pol, tol: check_q_integral(p["r"], _pair(p), pol, tolerance=tol),
-        1e-7, _pairs_by_r, id),
+        1e-7, _pairs_by_r),
     "obstruction": Suite(
         lambda p, pol, tol: check_obstruction_integer(p["r"], _pair(p), pol, tolerance=tol),
-        1e-8, _pairs_by_r, id),
+        1e-8, _pairs_by_r),
     "weighted_residual": Suite(   # runs on its own fixed inner and outer policies
         lambda p, pol, tol: check_weighted_residual(p["r"], _pair(p), tolerance=tol),
         1e-6, _pairs_by_r, _memo_share),
@@ -310,70 +307,67 @@ def usable_cpus() -> int:
 
 
 def deal(tasks: list, jobs: int) -> list:
-    """Split tasks into at most `jobs` shares, one per process, the parent's first.
-    Tasks of a suite without a share key stay in the parent; the others form
-    groups by key (Suite.share), dealt round-robin in task order."""
-    local, groups = [], {}
+    """Split tasks into at most `jobs` shares, one per process: the groups of tasks that
+    share a Suite.share key, and each task of a suite without one alone, dealt round-robin
+    in task order."""
+    groups, keyed = [], {}
     for task in tasks:
         share = SUITE_TABLE[task[0]].share
-        if share:
-            groups.setdefault(share(task[1]), []).append(task)
-        else:
-            local.append(task)
-    shares = [local] + [[] for _ in range(min(jobs, len(groups)) - 1)]
-    for i, group in enumerate(groups.values()):
+        group = keyed.setdefault(share(task[1]), []) if share else []
+        if not group:   # a new group
+            groups.append(group)
+        group.append(task)
+    shares = [[] for _ in range(min(jobs, len(groups)) or 1)]
+    for i, group in enumerate(groups):
         shares[i % len(shares)] += group
     return shares
 
 
-def _send_records(share: list, pipe) -> None:
-    """A pool child's work: run `share` and write its records as one marshal list of
-    their field tuples, in constructor order."""
-    pipe.write(marshal.dumps(list(map(CheckRecord._fields, map(run_task, share)))))
+def _run_share(share: list) -> list:
+    """The records of share's tasks, sorted by id.  The run memos (wr_inner_memo,
+    strip_memo, log_base, product_geometry) are emptied first, so every run does the same
+    work, and after, with id_text's slots, so that no value of the run outlives it."""
+    memos = (wr_inner_memo, strip_memo, log_base, product_geometry)
+    for memo in memos:
+        memo.cache_clear()
+    records = sorted(map(run_task, share), key=lambda rec: rec.id)
+    for memo in (*memos, id_text):
+        memo.cache_clear()
+    return records
 
 
 def run(cfg: GridConfig, jobs: int = 1) -> ReportDocument:
     """Execute the configured grid and assemble the report.
 
-    Every record is a pure function of its task.  The tasks are dealt into at
-    most min(jobs, usable_cpus()) shares (deal); the parent runs the first and
-    forks one child per other share (records.fork), where os.fork exists and no
-    other thread runs; a share no child could start runs in the parent.  jobs = 1,
-    the default here, forks nothing.  A share whose child fails is run again in
-    the parent, so an error surfaces as in a serial run.
-    The records are sorted by id, so the report is byte-identical for every jobs.
-    The run memos (wr_inner_memo, strip_memo, log_base, product_geometry) are
-    emptied first, so every run does the same work, and after, with id_text's
-    slots, so that no value of the run outlives it.
+    Every record is a pure function of its task.  The tasks are dealt into at most
+    min(jobs, usable_cpus()) shares (deal); the parent forks a child per share but one
+    (records.fork) until a fork fails, and runs the rest.  Each child runs its share and
+    sends its records' texts in cfg.format (records.send_texts).  With no child (jobs = 1,
+    the default here) the records are CheckRecords sorted by id, else a records.Pool that
+    the writer takes once, merging them in id order: every jobs writes the same bytes, and
+    a failed child's share reruns in the parent, so an error surfaces as in a serial run.
     """
     start = time.perf_counter()
-    memos = (wr_inner_memo, strip_memo, log_base, product_geometry)
-    for memo in memos:
-        memo.cache_clear()
-    shares = deal(build_tasks(cfg), min(jobs, usable_cpus()))
-    children = []
+    tasks = build_tasks(cfg)
+    shares = deal(tasks, min(jobs, usable_cpus()))
+    kids, send = [], partial(send_texts, _run_share)   # kids: (pid, read end, share)
+    while len(shares) > 1 and (kid := fork(partial(send, shares[-1], cfg.format))):
+        kids.append((*kid, shares.pop()))
+    pool = Pool(kids, _run_share, start)
     try:
-        for share in shares[1:]:
-            child = fork(partial(_send_records, share))
-            if child:
-                children.append((share, child))
-            else:   # no process could start: the parent runs the share
-                shares[0] += share
-        records = list(map(run_task, shares[0]))
-    finally:
-        results = reap([child for _, child in children], lambda pipe, i: pipe.read())
-    for (share, _), (data, status) in zip(children, results):
-        records += (map(run_task, share) if status
-                    else [CheckRecord(*fields) for fields in marshal.loads(data)])
-    for memo in (*memos, id_text):
-        memo.cache_clear()
-    records.sort(key=lambda rec: rec.id)
-    summary = dict.fromkeys(STATUSES, 0)
+        records = _run_share([task for share in shares for task in share])
+    except BaseException:
+        pool.close()
+        raise
+    summary = {**dict.fromkeys(STATUSES, 0), "total": len(tasks)}
+    doc = ReportDocument(__version__, cfg.echo(), records, summary, 0.0)
+    if kids:
+        pool.own, pool.doc, pool.tasks, doc.records = records, doc, tasks, pool
+        return doc
     for rec in records:
         summary[rec.status] += 1
-    summary["total"] = len(records)
-    wall = time.perf_counter() - start
-    return ReportDocument(__version__, cfg.echo(), records, summary, wall)
+    doc.wall_time_seconds = time.perf_counter() - start
+    return doc
 
 
 def exit_code(doc: ReportDocument) -> int:
@@ -398,10 +392,10 @@ def main(argv: list | None = None) -> int:
     parser.add_argument("--tol", type=float, metavar="X",
                         help="override every record's pass tolerance")
     parser.add_argument("--jobs", type=int, default=usable_cpus(), metavar="N",
-                        help="processes to run and format records on (N >= 1; "
-                             "default: the CPUs this process may use, which also "
-                             "bound N); 1 runs serially, and every N prints the "
-                             "same report")
+                        help="processes to run and format records on, each its own "
+                             "share (N >= 1; default: the CPUs this process may use, "
+                             "which also bound N); 1 runs serially, and every N "
+                             "prints the same report")
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -436,17 +430,18 @@ def main(argv: list | None = None) -> int:
         return 64
     cfg.tol_override = args.tol
 
-    jobs = min(args.jobs, usable_cpus())
-    doc = run(cfg, jobs)
+    doc = run(cfg, args.jobs)
     render = render_csv if cfg.format == "csv" else render_json
     try:   # written in pieces: a failed write may leave part of the report
         if cfg.output_path:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:
-                render(doc, fh, jobs)
+                render(doc, fh)
         else:
-            render(doc, sys.stdout, jobs)
+            render(doc, sys.stdout)
             sys.stdout.flush()
     except OSError as exc:
+        if isinstance(doc.records, Pool):   # the file did not open: no writer reaped them
+            doc.records.close()
         print(f"error: cannot write report: {exc}", file=sys.stderr)
         if not cfg.output_path:   # at exit stdout is flushed again: on devnull it cannot fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

@@ -1,17 +1,21 @@
 """Check records: one verified identity instance with its errors and status; ids; the
-report, and the forked children that run records and format the report in slices."""
+report, and the fork pool's children, which run and format their own records and send
+their texts for the parent to merge into the report."""
 
 from __future__ import annotations
 
 import cmath
+import heapq
 import json
+import marshal
 import math
 import os
 import sys
+import time
 from collections import defaultdict
-from functools import partial
 from itertools import islice
 from json.encoder import encode_basestring_ascii as _str
+from operator import itemgetter
 
 from .errors import Value
 
@@ -25,13 +29,7 @@ CSV_COLUMNS = ("id", "suite", "T", "S", "t_re", "t_im", "r",
                "lhs_re", "lhs_im", "rhs_re", "rhs_im",
                "abs_err", "rel_err", "tolerance", "status", "nodes",
                "digits_lost")
-REPORT_BATCH = 256   # records or CSV rows per write of the report, and per writer frame
-# Records per writer process, at least: a report of n records is formatted on at most
-# n // SPLIT processes.  A second process costs about 5 ms (the fork, the pages both then
-# copy on write, the copy of its text) against about 7 us per record formatted.  Split in
-# two, 1,000 records took 9.4 ms against 7.4 ms serially, 1,500 took 10.5 ms against 11.4
-# and 2,000 took 12.4 ms against 15.1 (2 vCPUs, Python 3.11).
-SPLIT = 1000
+REPORT_BATCH = 256   # records or CSV rows per write of the report, and per child's frame
 
 
 class CheckRecord(Value):
@@ -193,6 +191,8 @@ def json_writer():
 
 
 class ReportDocument(Value):
+    """A run's report: its records are CheckRecords sorted by id, or a run's Pool."""
+
     __slots__ = ("tool_version", "config", "records", "summary", "wall_time_seconds")
 
     def __init__(self, tool_version, config, records, summary, wall_time_seconds):
@@ -204,7 +204,7 @@ def fork(produce) -> tuple | None:
     """Start a child that calls produce(pipe), pipe the write end of a new pipe as a binary
     file; (pid, read end), or None where no child may start: os.fork is missing, another
     thread runs, or the fork fails.  The child leaves only through os._exit, 0 once
-    produce has returned.  cli.run's pool and the report writers fork through it."""
+    produce has returned.  cli.run's pool forks through it."""
     threading = sys.modules.get("threading")   # asked about, not imported
     if not hasattr(os, "fork") or threading and threading.active_count() > 1:
         return None
@@ -228,103 +228,106 @@ def fork(produce) -> tuple | None:
         os._exit(code)
 
 
-def reap(children: list, read) -> list:
-    """[(read(pipe, i), exit status)] of each child i, (pid, read end), in order.  Every
-    pipe is read or closed before any child is waited for, so none is left blocked on a
-    full pipe, and every child is waited for, also when a read raises."""
-    got = []
-    try:
-        for i, (_, rfd) in enumerate(children):
-            with open(rfd, "rb") as pipe:
-                got.append(read(pipe, i))
-    finally:
-        for _, rfd in children[len(got) + 1:]:
-            os.close(rfd)
-        statuses = [os.waitpid(pid, 0)[1] for pid, _ in children]
-    return list(zip(got, statuses))
+def _formatter(fmt: str):
+    """The function formatting one record as the report in `fmt` ("json" or "csv") holds it."""
+    return json_writer() if fmt == "json" else _csv_row
 
 
-def _write_joined(out, texts, sep: str, lead: str = "") -> None:
-    """out.write(lead + sep.join(texts)) in pieces, one write per REPORT_BATCH texts."""
-    texts = iter(texts)
-    while batch := list(islice(texts, REPORT_BATCH)):
-        out.write(lead + sep.join(batch))
-        lead = sep
-
-
-def _send_slice(records: list, lo: int, hi: int, fmt, sep: str, pipe) -> None:
-    """A writer child's work: format records[lo:hi] whole, then send it in frames of
-    REPORT_BATCH records, each sep + their texts joined by sep, as its UTF-8 length
-    (8 bytes, little-endian) and those bytes."""
-    texts = [sep + sep.join(map(fmt, records[i:min(i + REPORT_BATCH, hi)]))
-             for i in range(lo, hi, REPORT_BATCH)]
-    for text in texts:
-        data = text.encode()
+def send_texts(run_share, share: list, fmt: str, pipe) -> None:
+    """A pool child's work: its share's records, run_share(share) sorted by id, in frames
+    of REPORT_BATCH, each the marshalled (ids, statuses, texts in `fmt`) after its byte
+    length (8 bytes, little-endian)."""
+    records, write = run_share(share), _formatter(fmt)
+    for i in range(0, len(records), REPORT_BATCH):
+        batch = records[i:i + REPORT_BATCH]
+        data = marshal.dumps(([rec.id for rec in batch], [rec.status for rec in batch],
+                              list(map(write, batch))))
         pipe.write(len(data).to_bytes(8, "little"))
         pipe.write(data)
 
 
-def _frame(pipe) -> str | None:
-    """The text of the next whole frame in pipe, or None at its end."""
-    size = int.from_bytes(pipe.read(8), "little")
-    data = pipe.read(size)
-    return data.decode() if size and len(data) == size else None
+class Pool:
+    """The records of a run with children (pid, read end, share), for one writer to take:
+    the parent's own (`own`, CheckRecords sorted by id) and the frames each child sends
+    (send_texts) in the format of its report, `doc`.  Iterating yields every record's text
+    in id order, formatting the parent's as they come and rerunning here what a child did
+    not send whole (rerun(share): its records sorted).  It counts the statuses into
+    doc.summary and sets doc.wall_time_seconds from `start`; close() reaps the children."""
+
+    def __init__(self, kids: list, rerun, start: float):
+        self.own, self.kids, self.rerun, self.doc, self.start = [], kids, rerun, None, start
+        self.tasks = None   # the run's, held until close()
+
+    def _received(self, kid: tuple):
+        """(id, status, text) of each record the child sent whole, then (id, status,
+        record) of the rest of its share."""
+        got, share = 0, kid[2]
+        with open(kid[1], "rb", closefd=False) as pipe:
+            while (len(head := pipe.read(8)) == 8 and len(
+                    data := pipe.read(size := int.from_bytes(head, "little"))) == size):
+                ids, statuses, texts = marshal.loads(data)
+                got += len(ids)
+                yield from zip(ids, statuses, texts)
+        if got < len(share):
+            yield from ((rec.id, rec.status, rec) for rec in self.rerun(share)[got:])
+
+    def __iter__(self):
+        write, summary = _formatter(self.doc.config["format"]), self.doc.summary
+        try:
+            for _, status, item in heapq.merge(((rec.id, rec.status, rec) for rec in self.own),
+                                               *map(self._received, self.kids),
+                                               key=itemgetter(0)):
+                summary[status] += 1
+                yield item if item.__class__ is str else write(item)
+            self.doc.wall_time_seconds = time.perf_counter() - self.start
+        finally:
+            self.close()
+
+    def close(self) -> None:
+        """Let the records go, close every child's pipe, then wait for every child: one still
+        sending fails its next write and exits.  The run's tasks then go in one sweep:
+        freeing the parent's share of them at the run's end instead raised the benchmark's
+        many_records peak RSS by about 0.15 MB.  No cycle with the doc outlives it."""
+        self.own, self.doc = [], None
+        for _, fd, _ in self.kids:
+            os.close(fd)
+        for pid, _, _ in self.kids:
+            os.waitpid(pid, 0)
+        self.kids, self.tasks = [], None
 
 
-def _write_records(out, head: str, records: list, fmt, sep: str, jobs: int) -> None:
-    """out.write(head + sep.join(map(fmt, records))) in pieces, on up to min(jobs,
-    len(records) // SPLIT) processes.  A forked child formats each contiguous slice after
-    the first while the parent writes the head and that first slice; the parent then
-    copies each child's frames to out, in slice order, one frame at a time, and formats
-    what a child did not send whole, and any slices left when a fork failed.  The bytes
-    are those of a serial write."""
-    n = len(records)
-    k = min(jobs, n // SPLIT)
-    bounds = [n * i // k for i in range(1, k)] + [n]   # the ends of the slices
-    kids = []
-    for lo, hi in zip(bounds, bounds[1:]):
-        kid = fork(partial(_send_slice, records, lo, hi, fmt, sep))
-        if kid is None:
-            break
-        kids.append(kid)
-    if not kids:   # the serial writer
-        bounds = [n]
-
-    def copy(pipe, i: int) -> None:
-        lo, hi = bounds[i], bounds[i + 1]
-        while lo < hi and (text := _frame(pipe)) is not None:
-            out.write(text)
-            lo = min(lo + REPORT_BATCH, hi)
-        _write_joined(out, map(fmt, records[lo:hi]), sep, sep)
-
-    wrote = False
+def _write_records(out, head: str, records, fmt: str, sep: str) -> None:
+    """out.write(head + sep.join(the texts of the records in `fmt`)) in pieces, one write
+    per REPORT_BATCH texts.  A Pool, whose texts are in its run's format, is closed also
+    when a write fails."""
+    pooled = isinstance(records, Pool)
     try:
         out.write(head)
-        _write_joined(out, map(fmt, islice(records, bounds[0])), sep)
-        wrote = True
-    finally:   # after a failed write no child's text is copied
-        reap(kids, copy if wrote else lambda pipe, i: None)
-    _write_joined(out, map(fmt, records[bounds[len(kids)]:]), sep, sep)   # slices not forked
+        texts, lead = iter(records if pooled else map(_formatter(fmt), records)), ""
+        while batch := list(islice(texts, REPORT_BATCH)):
+            out.write(lead + sep.join(batch))
+            lead = sep
+    finally:
+        if pooled:
+            records.close()
 
 
-def render_json(doc: ReportDocument, out, jobs: int = 1) -> None:
+def render_json(doc: ReportDocument, out) -> None:
     """Write the report to the text stream `out` as json.dumps(payload, indent=2,
     sort_keys=True) does.  With indent that encoder runs in pure Python, so it writes
     the small envelope; the records and config t_values, [re, im], are written directly
-    in place of its first "records": [] and "t_values": [] (a string escapes quotes).
-    The records are formatted on up to `jobs` processes (_write_records)."""
-    envelope = json.dumps({"tool_version": doc.tool_version,
-                           "config": {**doc.config, "t_values": []},
-                           "summary": doc.summary, "records": [],
-                           "wall_time_seconds": doc.wall_time_seconds},
-                          indent=2, sort_keys=True)
+    in place of its "records": [] and first "t_values": [] (a string escapes quotes).
+    The keys after "records" are encoded once the records are written, as a Pool
+    completes the summary while it yields."""
     ts = ",\n      ".join(json_text(complex(*t), " " * 6) for t in doc.config["t_values"])
-    head, tail = envelope.split('"t_values": []', 1)
-    mid, tail = tail.split('"records": []', 1)
+    head, mid = json.dumps({"config": {**doc.config, "t_values": []}, "records": []}, indent=2,
+                           sort_keys=True).split('"records": []', 1)[0].split('"t_values": []', 1)
     _write_records(out, head + (f'"t_values": [\n      {ts}\n    ]' if ts else '"t_values": []')
-                   + mid + ('"records": [\n    ' if doc.records else '"records": []'),
-                   doc.records, json_writer(), ",\n    ", jobs)
-    out.write(("\n  ]" if doc.records else "") + tail + "\n")
+                   + mid + ('"records": [\n    ' if doc.summary["total"] else '"records": []'),
+                   doc.records, "json", ",\n    ")
+    tail = json.dumps({"summary": doc.summary, "tool_version": doc.tool_version,
+                       "wall_time_seconds": doc.wall_time_seconds}, indent=2, sort_keys=True)
+    out.write(("\n  ]," if doc.summary["total"] else ",") + tail[1:] + "\n")
 
 
 def _csv_row(rec: CheckRecord) -> str:
@@ -337,7 +340,6 @@ def _csv_row(rec: CheckRecord) -> str:
         md.get("nodes"), md.get("digits_lost"))]) + "\n"
 
 
-def render_csv(doc: ReportDocument, out, jobs: int = 1) -> None:
-    """Write the report as CSV, one row per record, to the text stream `out`, formatted
-    on up to `jobs` processes (_write_records)."""
-    _write_records(out, ",".join(CSV_COLUMNS) + "\n", doc.records, _csv_row, "", jobs)
+def render_csv(doc: ReportDocument, out) -> None:
+    """Write the report as CSV, one row per record, to the text stream `out`."""
+    _write_records(out, ",".join(CSV_COLUMNS) + "\n", doc.records, "csv", "")

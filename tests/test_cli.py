@@ -50,6 +50,11 @@ def rendered(render, doc) -> str:
     return out.getvalue()
 
 
+def report_lines(doc, render=render_json) -> list:
+    """The lines of doc's report but its wall time, which differs from run to run."""
+    return [ln for ln in rendered(render, doc).splitlines() if "wall_time_seconds" not in ln]
+
+
 def run_cli(args, config=None, tmp_path=None):
     argv = list(args)
     if config is not None:
@@ -1030,7 +1035,7 @@ class TestJobs:
 
     def test_share_of_a_failed_child_reruns_in_the_parent(self, monkeypatch):
         cfg = GridConfig.from_dict({"suites": ["barnes", "spectral_power"]})
-        serial = run(cfg).records
+        serial = report_lines(run(cfg))
         parent, original = os.getpid(), cli.check_barnes_triple
 
         def dies_in_a_child(*args, **kwargs):
@@ -1039,15 +1044,20 @@ class TestJobs:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(cli, "check_barnes_triple", dies_in_a_child)
-        assert run(cfg, jobs=2).records == serial
+        assert report_lines(run(cfg, jobs=2)) == serial
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_closed_form_grid_forks_nothing(self, monkeypatch, capsys):
+    def test_closed_form_grid_forks_a_child_per_share(self, monkeypatch, capsys):
+        # closed-form tasks are dealt one by one like any other: each process runs
+        # and formats its own
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
         forks = self.counting_fork(monkeypatch)
         assert main(["--suite", "quadratic_transform", "--suite", "product_formula",
                      "--jobs", "4"]) == 0
-        assert forks == []
+        assert len(forks) == 3
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_no_fork_while_another_thread_runs(self, monkeypatch):
         forks = self.counting_fork(monkeypatch)
@@ -1073,23 +1083,24 @@ class TestJobs:
             raise OSError(errno.EAGAIN, "no process")
 
         cfg = GridConfig.from_dict({"suites": ["barnes", "spectral_power"]})
-        serial = run(cfg).records
+        serial = report_lines(run(cfg))
         monkeypatch.setattr(os, "fork", no_fork)
-        assert run(cfg, jobs=2).records == serial
+        assert report_lines(run(cfg, jobs=2)) == serial
 
     def test_shares_keep_memo_groups_whole(self):
         # each pair's weighted_residual tasks share wr_inner_memo; strip_memo's
         # keys leave r out, so each (A, B)'s spectral_resolvent (B = 0) and
         # spectral_product tasks and each (T, S, z)'s spectral_kernel tasks share
-        # it; closed-form tasks stay in the parent's share
+        # it; closed-form tasks are dealt one by one, so each suite's split evenly
         shares = cli.deal(build_tasks(GridConfig.from_dict({})), 3)
         assert len(shares) == 3
+        for suite in ("quadratic_transform", "product_formula"):
+            counts = [sum(task[0] == suite for task in share) for share in shares]
+            assert min(counts) > 0 and max(counts) - min(counts) <= 1, (suite, counts)
         where = {}
         for i, share in enumerate(shares):
             for suite, params, _, _ in share:
-                if suite in ("quadratic_transform", "product_formula"):
-                    assert i == 0
-                elif suite == "weighted_residual":
+                if suite == "weighted_residual":
                     where.setdefault(("pair", params["T"], params["S"]), set()).add(i)
                 elif suite in ("spectral_resolvent", "spectral_product"):
                     where.setdefault(("shift", params["A"], params.get("B", 0.0)), set()).add(i)
@@ -1101,11 +1112,11 @@ class TestJobs:
         assert cli.deal(barnes, 1) == [barnes]
 
 
-def closed_form_config(n_t: int) -> dict:
+def closed_form_config(n_t: int, fmt: str = "json") -> dict:
     """The closed-form suites at n_t complex t values (7 records each), drawn as CI's
     edge_t_cycle config draws them."""
     rng = random.Random(18)
-    return {"suites": ["quadratic_transform", "product_formula"],
+    return {"suites": ["quadratic_transform", "product_formula"], "format": fmt,
             "t_values": [[round(rng.uniform(-2.0, 2.0), 6),
                           -0.0 if i % 3 == 0 else round(rng.uniform(-1.0, 1.0), 6)]
                          for i in range(n_t)]}
@@ -1115,9 +1126,12 @@ def n_t_for(n_records: int) -> int:   # the fewest t values giving n_records rec
     return -(-n_records // 7)
 
 
-class TestSplitWriter:
-    # a report of at least 2 * SPLIT records is formatted on min(jobs, CPUs,
-    # records // SPLIT) processes, and every jobs writes the same bytes
+RENDER = {"json": render_json, "csv": render_csv}
+
+
+class TestPoolReport:
+    # every pool process runs and formats its own records, and the parent merges
+    # their texts: every jobs writes the same bytes, whatever becomes of a child
     strip = staticmethod(lambda s: [ln for ln in s.splitlines() if "wall_time_seconds" not in ln])
 
     @staticmethod
@@ -1126,13 +1140,22 @@ class TestSplitWriter:
         path.write_text(json.dumps(closed_form_config(n_t)))
         return str(path)
 
+    @staticmethod
+    def pooled(monkeypatch, n_t: int, fmt: str, cpus: int = 2):
+        """The closed-form config at n_t in `fmt`, its serial report lines, and the fork
+        counter, with `cpus` usable CPUs."""
+        monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+        cfg = GridConfig.from_dict(closed_form_config(n_t, fmt))
+        serial = report_lines(run(cfg), RENDER[fmt])
+        return cfg, serial, TestJobs.counting_fork(monkeypatch)
+
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_reports_byte_identical_across_jobs(self, fmt, monkeypatch, capsys, tmp_path):
         monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
         forks = TestJobs.counting_fork(monkeypatch)
-        path = self.config_path(tmp_path, n_t_for(4 * records.SPLIT))
+        path = self.config_path(tmp_path, n_t_for(4000))
         texts = []
-        for jobs in (1, 2, 4):   # closed-form tasks run in the parent: each fork is a writer
+        for jobs in (1, 2, 4):   # each fork runs and formats a share
             del forks[:]
             assert main(["--config", path, "--format", fmt, "--jobs", str(jobs)]) == 0
             texts.append(capsys.readouterr().out)
@@ -1140,34 +1163,31 @@ class TestSplitWriter:
             with pytest.raises(ChildProcessError):
                 os.waitpid(-1, os.WNOHANG)
         assert self.strip(texts[0]) == self.strip(texts[1]) == self.strip(texts[2])
-        assert len(self.strip(texts[0])) > 4 * records.SPLIT
+        assert len(self.strip(texts[0])) > 4000
 
     @staticmethod
     def dying(fmt, parent: int):
-        """fmt, but a child dies at its 100th record."""
+        """fmt, but a child dies at its 300th record, after sending a whole frame."""
         count = []
 
         def write(rec):
             count.append(1)
-            if os.getpid() != parent and len(count) == 100:
+            if os.getpid() != parent and len(count) == 300:
                 os._exit(9)
             return fmt(rec)
 
         return write
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_child_dying_mid_slice_leaves_the_report_whole(self, fmt, monkeypatch):
-        doc = run(GridConfig.from_dict(closed_form_config(n_t_for(2 * records.SPLIT))))
-        render = render_csv if fmt == "csv" else render_json
-        serial = rendered(render, doc)
+    def test_child_dying_mid_share_leaves_the_report_whole(self, fmt, monkeypatch):
+        cfg, serial, forks = self.pooled(monkeypatch, n_t_for(2000), fmt)
         parent = os.getpid()
         if fmt == "json":
             writer = records.json_writer
             monkeypatch.setattr(records, "json_writer", lambda: self.dying(writer(), parent))
         else:
             monkeypatch.setattr(records, "_csv_row", self.dying(records._csv_row, parent))
-        forks = TestJobs.counting_fork(monkeypatch)
-        assert rendered(lambda d, out: render(d, out, 2), doc) == serial
+        assert report_lines(run(cfg, 2), RENDER[fmt]) == serial
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1175,15 +1195,13 @@ class TestSplitWriter:
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_child_dying_mid_send_leaves_the_report_whole(self, fmt, monkeypatch):
         # the child sends about half its text, cut inside a frame, and dies: the parent
-        # copies the whole frames and formats the rest
-        doc = run(GridConfig.from_dict(closed_form_config(n_t_for(2 * records.SPLIT))))
-        render = render_csv if fmt == "csv" else render_json
-        serial = rendered(render, doc)
-        send = records._send_slice
+        # merges the whole frames and reruns the rest of the child's share
+        cfg, serial, forks = self.pooled(monkeypatch, n_t_for(2000), fmt)
+        send = records.send_texts
 
-        def cut_short(recs, lo, hi, fmt, sep, pipe):
+        def cut_short(run_share, share, fmt, pipe):
             class Cut:
-                left = len(serial) // 4
+                left = len("\n".join(serial)) // 4
 
                 def write(self, data):
                     pipe.write(data[:self.left])
@@ -1192,11 +1210,10 @@ class TestSplitWriter:
                         pipe.flush()
                         os._exit(9)
 
-            send(recs, lo, hi, fmt, sep, Cut())
+            send(run_share, share, fmt, Cut())
 
-        monkeypatch.setattr(records, "_send_slice", cut_short)
-        forks = TestJobs.counting_fork(monkeypatch)
-        assert rendered(lambda d, out: render(d, out, 2), doc) == serial
+        monkeypatch.setattr(cli, "send_texts", cut_short)
+        assert report_lines(run(cfg, 2), RENDER[fmt]) == serial
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
@@ -1207,7 +1224,7 @@ class TestSplitWriter:
                                                            tmp_path):
         monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
         forks = TestJobs.counting_fork(monkeypatch)
-        path = self.config_path(tmp_path, n_t_for(2 * records.SPLIT))
+        path = self.config_path(tmp_path, n_t_for(2000))
         assert main(["--config", path, "--format", fmt, "--jobs", "2",
                      "--output", "/dev/full"]) == 74
         out, err = capsys.readouterr()
@@ -1217,9 +1234,20 @@ class TestSplitWriter:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_write_failing_in_a_child_s_slice_leaves_no_child(self, monkeypatch):
-        doc = run(GridConfig.from_dict(closed_form_config(n_t_for(2 * records.SPLIT))))
-        serial = rendered(render_json, doc)
+    def test_unopenable_output_exits_74_leaving_no_child(self, monkeypatch, capsys, tmp_path):
+        # the report file does not open, so no writer takes the pool: main reaps it
+        monkeypatch.setattr(cli, "usable_cpus", lambda: 2)
+        forks = TestJobs.counting_fork(monkeypatch)
+        assert main(["--config", self.config_path(tmp_path, n_t_for(2000)), "--jobs", "2",
+                     "--output", str(tmp_path / "missing" / "report.json")]) == 74
+        assert capsys.readouterr().err.startswith("error: cannot write report: ")
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_write_failing_partway_leaves_no_child(self, monkeypatch):
+        cfg, _, forks = self.pooled(monkeypatch, n_t_for(2000), "json")
+        serial = rendered(render_json, run(cfg))
 
         class Full(io.StringIO):   # room for three quarters of the report
             def write(self, text):
@@ -1227,35 +1255,35 @@ class TestSplitWriter:
                     raise OSError(errno.ENOSPC, "No space left on device")
                 return super().write(text)
 
-        forks = TestJobs.counting_fork(monkeypatch)
+        doc = run(cfg, 2)
         with pytest.raises(OSError):
-            render_json(doc, out := Full(), 2)
+            render_json(doc, out := Full())
         assert len(forks) == 1
         assert serial.startswith(out.getvalue()) and out.tell() > len(serial) // 2
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_no_writer_fork_below_split_or_under_jobs_one(self, monkeypatch, capsys,
-                                                           tmp_path):
+    def test_small_grids_fork_too_but_jobs_one_never(self, monkeypatch, capsys, tmp_path):
+        # the pool forks for a report of any size, the closed forms included
         monkeypatch.setattr(cli, "usable_cpus", lambda: 4)
         forks = TestJobs.counting_fork(monkeypatch)
-        below = self.config_path(tmp_path, (2 * records.SPLIT - 1) // 7)
-        assert main(["--config", below, "--jobs", "4"]) == 0
-        assert 0 < json.loads(capsys.readouterr().out)["summary"]["total"] < 2 * records.SPLIT
-        above = self.config_path(tmp_path, n_t_for(2 * records.SPLIT))
+        small = self.config_path(tmp_path, 1)
+        assert main(["--config", small, "--jobs", "4"]) == 0
+        assert json.loads(capsys.readouterr().out)["summary"]["total"] == 7
+        assert len(forks) == 3
+        del forks[:]
+        above = self.config_path(tmp_path, n_t_for(2000))
         assert main(["--config", above, "--jobs", "1"]) == 0
-        assert json.loads(capsys.readouterr().out)["summary"]["total"] >= 2 * records.SPLIT
+        assert json.loads(capsys.readouterr().out)["summary"]["total"] >= 2000
         assert forks == []
 
-    def test_no_writer_fork_while_another_thread_runs(self, monkeypatch):
-        doc = run(GridConfig.from_dict(closed_form_config(n_t_for(2 * records.SPLIT))))
-        serial = rendered(render_json, doc)
-        forks = TestJobs.counting_fork(monkeypatch)
+    def test_no_pool_fork_while_another_thread_runs(self, monkeypatch):
+        cfg, serial, forks = self.pooled(monkeypatch, n_t_for(2000), "json")
         release = threading.Event()
         waiter = threading.Thread(target=release.wait)
         waiter.start()
         try:
-            text = rendered(lambda d, out: render_json(d, out, 2), doc)
+            text = report_lines(run(cfg, 2))
         finally:
             release.set()
             waiter.join(timeout=10)
@@ -1263,10 +1291,8 @@ class TestSplitWriter:
         assert forks == [] and text == serial
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_serial_writer_when_fork_fails(self, fmt, monkeypatch):
-        doc = run(GridConfig.from_dict(closed_form_config(n_t_for(4 * records.SPLIT))))
-        render = render_csv if fmt == "csv" else render_json
-        serial = rendered(render, doc)
+    def test_serial_run_when_fork_fails(self, fmt, monkeypatch):
+        cfg, serial, _ = self.pooled(monkeypatch, n_t_for(4000), fmt, cpus=4)
         tries = []
 
         def no_fork():
@@ -1274,8 +1300,8 @@ class TestSplitWriter:
             raise OSError(errno.EAGAIN, "no process")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert rendered(lambda d, out: render(d, out, 4), doc) == serial
-        assert tries == [1]   # no slice is tried again
+        assert report_lines(run(cfg, 4), RENDER[fmt]) == serial
+        assert tries == [1]   # no share's fork is tried again
 
 
 class TestEdgeCensus:
